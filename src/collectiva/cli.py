@@ -20,9 +20,10 @@ from .collectives import TrialSequence
 from .errors import CapacityError, ConstructionError, InputError
 from .padic import PAdicExpansion
 from .report import make_report, write_report
-from .seqio import read_rationals, read_sequence
+from .seqio import read_rationals, read_sequence, read_text
 
 DEFAULT_RULES = "identity,primes,after:10"
+NEGATIVITY_ATOM_CAP = 32  # the event count takes 2^(k/2) subset sums per half
 
 
 # --- small shared helpers ------------------------------------------------------
@@ -44,8 +45,7 @@ def _parse_rules(spec: str, seed: int) -> list[collectives.PlaceSelectionRule]:
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -234,9 +234,10 @@ def cmd_battery(args) -> tuple[dict, list[str]]:
 def _family_from_input(args) -> tuple[marginals.MarginalFamily, marginals.CorrelationTriple | None]:
     if args.format == "csv" or args.input.endswith(".csv"):
         import csv
+        import io
 
-        with open(args.input, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(s.strip() for s in row)]
+        text = io.StringIO(read_text(args.input), newline="")
+        rows = [row for row in csv.reader(text) if row and any(s.strip() for s in row)]
         return marginals.family_from_csv_rows(rows), None
     doc = _load_json(args.input)
     if not isinstance(doc, dict):
@@ -247,9 +248,12 @@ def _family_from_input(args) -> tuple[marginals.MarginalFamily, marginals.Correl
         def val(v):
             return marginals._parse_value(v) if isinstance(v, str) else v
 
+        means = doc.get("means", [0, 0, 0])
+        if not isinstance(means, list) or len(means) != 3:
+            raise InputError("'means' must be a list of three numbers")
         triple = marginals.CorrelationTriple(
             val(doc["e12"]), val(doc["e23"]), val(doc["e13"]),
-            tuple(val(m) for m in doc.get("means", (0, 0, 0))),
+            tuple(val(m) for m in means),
         )
         return marginals.triple_to_family(triple), triple
     raise InputError(
@@ -369,21 +373,15 @@ def cmd_padic(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _negativity_scan(space: signed_prob.SignedProbabilitySpace):
-    """Exhaustive subset scan: most negative event and the count of negative
-    events.  Exponential, so only run for small spaces."""
-    atoms = list(space.atoms)
-    k = len(atoms)
-    weights = [space.weight[a] for a in atoms]
+def _negativity_scan(space: signed_prob.SignedProbabilitySpace, negative_atoms):
+    """Most negative event and the count of negative events.  The most
+    negative event is the Hahn negative set, the negative atoms in atom
+    order.  Its mass is summed from the last negative atom to the first,
+    which keeps float reports identical to those of the earlier full
+    subset scan."""
     zero = Fraction(0) if space.exact else 0.0
-    sums = [zero] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = (mask & -mask).bit_length() - 1
-        sums[mask] = sums[mask & (mask - 1)] + weights[low]
-    best_mask = min(range(1 << k), key=lambda m: sums[m])
-    negative = sum(1 for s in sums if s < 0)
-    argmin = [atoms[i] for i in range(k) if best_mask >> i & 1]
-    return sums[best_mask], argmin, negative
+    worst = sum(reversed([space.weight[a] for a in negative_atoms]), zero)
+    return worst, list(negative_atoms), signed_prob.negative_event_count(space)
 
 
 def cmd_signed(args) -> tuple[dict, list[str]]:
@@ -410,8 +408,8 @@ def cmd_signed(args) -> tuple[dict, list[str]]:
         },
     }
     warnings: list[str] = []
-    if len(space.atoms) <= 16:
-        worst, argmin, negative_count = _negativity_scan(space)
+    if len(space.atoms) <= NEGATIVITY_ATOM_CAP:
+        worst, argmin, negative_count = _negativity_scan(space, diag.negative_atoms)
         comp = [a for a in space.atoms if a not in set(argmin)]
         pa, pc = signed_prob.complement_excess(space, argmin)
         payload["negativity"] = {
@@ -422,7 +420,9 @@ def cmd_signed(args) -> tuple[dict, list[str]]:
             "complement_size": len(comp),
         }
     else:
-        warnings.append("negativity scan skipped: more than 16 atoms")
+        warnings.append(
+            f"negativity scan skipped: more than {NEGATIVITY_ATOM_CAP} atoms"
+        )
     if var is not None:
         m = signed_prob.expectation_signed(space, var)
         schedule = []

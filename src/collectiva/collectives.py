@@ -339,6 +339,8 @@ def rule_from_spec(spec: str, default_seed: int | None = None) -> PlaceSelection
             return factory(default_seed)
         raise InputError(f"rule {name!r} needs a parameter, e.g. {name}:10")
     if name == "coin":
+        if not param.isdecimal():
+            raise InputError(f"rule 'coin' needs a nonnegative integer seed, got {param!r}")
         return factory(int(param))
     return factory(param)
 
@@ -477,6 +479,8 @@ def ville_generator(
         raise InputError("n_trials must be >= 1")
     eps = Fraction(epsilon) if not isinstance(epsilon, float) else epsilon
     if min_count is None:
+        if not eps > 0:
+            raise InputError(f"epsilon must be > 0 unless min_count is given, got {eps}")
         min_count = max(30, int(np.ceil(2 / float(eps))))
 
     overrides: dict[int, int] = {}

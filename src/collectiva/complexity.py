@@ -405,6 +405,8 @@ def run_battery(x, tests: Sequence[Callable] | None = None,
                 significance: float = 0.01) -> list[TestResult]:
     """Run the configured tests; a word too short for a test yields a
     'skipped' row, and the overall verdict is the AND of the executed ones."""
+    if not 0 < significance < 1:
+        raise InputError(f"significance must lie in (0, 1), got {significance}")
     bits = as_bits(x)
     out = []
     for test in (tests if tests is not None else DEFAULT_BATTERY):

@@ -14,6 +14,7 @@ hyperplane fitting and cached.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -306,6 +307,8 @@ class CorrelationTriple:
 
     def __post_init__(self):
         for v in (self.e12, self.e23, self.e13, *self.means):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise InputError(f"correlation/mean {v!r} is not a number")
             if not -1 <= v <= 1:
                 raise InputError(f"correlation/mean {v} outside [-1, 1]")
         object.__setattr__(self, "means", tuple(self.means))

@@ -21,28 +21,44 @@ def read_sequence(path, fmt: str, alphabet: LabelAlphabet | None = None) -> Tria
     ascii: one character per trial, newlines ignored.
     csv: one label per row.
     """
-    p = Path(path)
-    try:
-        blob = p.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    blob = _read_bytes(path)
     if fmt == "raw":
         if not blob:
             raise InputError(f"{path}: empty input")
         bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
         return TrialSequence(BINARY, bits.astype(np.int64))
     if fmt == "ascii":
-        text = blob.decode("utf-8", errors="strict").replace("\n", "").replace("\r", "")
+        text = _decode_text(blob, path).replace("\n", "").replace("\r", "")
         if not text:
             raise InputError(f"{path}: empty input")
         return TrialSequence.from_labels(alphabet or _inferred(text), text)
     if fmt == "csv":
-        rows = [r for r in csv.reader(blob.decode("utf-8").splitlines()) if r]
+        rows = [r for r in csv.reader(_decode_text(blob, path).splitlines()) if r]
         if not rows:
             raise InputError(f"{path}: empty input")
         vals = [r[0].strip() for r in rows]
         return TrialSequence.from_labels(alphabet or _inferred(vals), vals)
     raise InputError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _read_bytes(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode_text(blob: bytes, path) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; unreadable or undecodable input is an
+    InputError."""
+    return _decode_text(_read_bytes(path), path)
 
 
 def _inferred(values) -> LabelAlphabet:
@@ -58,12 +74,8 @@ def _padded(labels: tuple) -> LabelAlphabet:
 
 def read_rationals(path) -> list[Fraction]:
     """One rational per row: "n/d", integer, or decimal."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     out = []
-    for i, row in enumerate(csv.reader(text.splitlines())):
+    for i, row in enumerate(csv.reader(read_text(path).splitlines())):
         if not row:
             continue
         s = row[0].strip()

@@ -4,13 +4,16 @@ Weights of any sign summing to exactly 1: additivity and the Bayes quotient
 survive, nonnegativity does not — a set of negative probability forces its
 complement above 1.  Almost-sure convergence of empirical means can fail
 outright, but the weak form E f(mean of N copies) -> f(m) still holds for
-smooth f, and is verified here by *exact convolution*: sampling from a
-signed law is ill-defined, so no Monte-Carlo is attempted.
+smooth f, and is verified here by *exact convolution*, computed as integer
+polynomial powers: sampling from a signed law is ill-defined, so no
+Monte-Carlo is attempted.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +22,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import CapacityError, InputError, NullConditioningError
 from .finite_prob import is_exact, values_equal
 
-CONVOLUTION_SUPPORT_CAP = 10**6
+CONVOLUTION_SUPPORT_CAP = 10**6  # mean-law points
+PACKED_LAW_BYTE_BUDGET = 128 * 10**6  # bytes of one packed power
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,25 @@ def expectation_signed(space: SignedProbabilitySpace, a: Mapping) -> object:
     return direct
 
 
+def negative_event_count(space: SignedProbabilitySpace) -> int:
+    """Number of events of negative signed mass, by meet in the middle: the
+    2^(k/2) subset sums of each half of the atoms, one half sorted and
+    bisected for every sum of the other, instead of all 2^k events."""
+    weights = [_rational(space.weight[a]) for a in space.atoms]
+    den = math.lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (den // w.denominator) for w in weights]
+    half = len(ints) // 2
+    right = sorted(_subset_sums(ints[half:]))
+    return sum(bisect.bisect_left(right, -s) for s in _subset_sums(ints[:half]))
+
+
+def _subset_sums(values) -> list:
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
+
+
 def independent_signed(space: SignedProbabilitySpace, a, b) -> bool:
     pa, pb = space.prob(a), space.prob(b)
     pab = space.prob(set(a) & set(b))
@@ -159,55 +182,210 @@ class SumDistribution:
         return sum(f(v) * m for v, m in self.mass.items())
 
 
-def _support_cap() -> int:
+def _rational(v) -> Fraction:
+    """Exact rational of a numeric value; a float by its shortest repr, so
+    0.1 is 1/10 rather than its 55-bit binary expansion."""
+    if isinstance(v, str):
+        raise InputError(f"value {v!r} is not a number")
+    try:
+        return Fraction(repr(float(v))) if isinstance(v, float) else Fraction(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"value {v!r} is not a finite number: {exc}") from exc
+
+
+def _max_mem() -> int | None:
     raw = os.environ.get("COLLECTIVA_MAX_MEM")
-    if raw:
-        try:
-            return max(16, min(CONVOLUTION_SUPPORT_CAP, int(raw) // 128))
-        except ValueError:
-            raise InputError(f"COLLECTIVA_MAX_MEM must be an integer byte count, got {raw!r}")
-    return CONVOLUTION_SUPPORT_CAP
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"COLLECTIVA_MAX_MEM must be an integer byte count, got {raw!r}")
+
+
+def _support_cap() -> int:
+    """Mean-law points either kernel may hold: CONVOLUTION_SUPPORT_CAP, or
+    COLLECTIVA_MAX_MEM / 128 when that is lower (but at least 16)."""
+    mem = _max_mem()
+    if mem is None:
+        return CONVOLUTION_SUPPORT_CAP
+    return max(16, min(CONVOLUTION_SUPPORT_CAP, mem // 128))
+
+
+def _byte_budget() -> int:
+    """Bytes a packed power may take: PACKED_LAW_BYTE_BUDGET, or
+    COLLECTIVA_MAX_MEM when that is lower."""
+    mem = _max_mem()
+    return PACKED_LAW_BYTE_BUDGET if mem is None else min(PACKED_LAW_BYTE_BUDGET, mem)
+
+
+@dataclass(frozen=True)
+class _LatticeLaw:
+    """A variable's law on an integer lattice: the value at position p is
+    (base + step * p) / scale and its weight is coeffs[p] / denom."""
+
+    coeffs: dict  # position -> int, for every position some value lands on
+    span: int  # largest position
+    denom: int
+    base: int
+    step: int
+    scale: int
+
+
+def _lattice_law(space: SignedProbabilitySpace, a: Mapping) -> _LatticeLaw:
+    if set(a) != set(space.atoms):
+        raise InputError("variable must assign a value to every atom")
+    weights: dict[Fraction, Fraction] = {}
+    for atom in space.atoms:
+        v = _rational(a[atom])
+        weights[v] = weights.get(v, 0) + _rational(space.weight[atom])
+    scale = math.lcm(*(v.denominator for v in weights))
+    denom = math.lcm(*(w.denominator for w in weights.values()))
+    ints = {v: v.numerator * (scale // v.denominator) for v in weights}
+    base = min(ints.values())
+    step = math.gcd(*(u - base for u in ints.values())) or 1
+    coeffs = {
+        (ints[v] - base) // step: w.numerator * (denom // w.denominator)
+        for v, w in weights.items()
+    }
+    return _LatticeLaw(coeffs, max(coeffs), denom, base, step, scale)
+
+
+def _is_dense(lat: _LatticeLaw, n: int) -> bool:
+    """Whether the N-fold law fills enough of its lattice range 0..n*span
+    for the packed power: the range may be at most twice the number of
+    multisets of N occupied positions, which bounds the sumset.  Values
+    on a narrow lattice, such as small integers, are dense; values far
+    apart on theirs, such as {0, 1, 10**6} or floats with long decimals,
+    are not."""
+    k = len(lat.coeffs)
+    return n * lat.span + 1 <= 2 * math.comb(n + k - 1, k - 1)
+
+
+def _slot_bytes(coeffs: dict, n: int) -> int:
+    """Bytes per coefficient of the n-th power: |coefficient| <= (sum |c|)^n,
+    plus one sign bit, rounded up to whole bytes."""
+    return (n * sum(abs(c) for c in coeffs.values()).bit_length() + 8) // 8
+
+
+def _power_coeffs(coeffs: dict, span: int, n: int) -> list[int]:
+    """Coefficients of (sum_p coeffs[p] z^p)^n for powers 0..n*span, by
+    Kronecker substitution: pack the polynomial into one int with slots
+    wide enough for any coefficient of the power, raise it to the n-th
+    power, then bias every slot by half its range so no slot borrows from
+    the next and read them all off one to_bytes call (linear, where shifting
+    the int once per slot would be quadratic)."""
+    slot = _slot_bytes(coeffs, n)
+    bits = 8 * slot
+    packed = sum(c << (bits * p) for p, c in coeffs.items())
+    count = n * span + 1
+    half = 1 << (bits - 1)
+    bias = int.from_bytes((bytes(slot - 1) + b"\x80") * count, "little")
+    raw = (packed**n + bias).to_bytes(count * slot, "little")
+    return [
+        int.from_bytes(raw[i : i + slot], "little") - half
+        for i in range(0, count * slot, slot)
+    ]
+
+
+def _packed_powers(lat: _LatticeLaw, want: Sequence[int], cap: int):
+    """(N, position -> coefficient of P(z)^N) for each N in `want`, one
+    packed power each.  The keys are the N-fold sumset of the occupied
+    positions: the whole range when they fill 0..span, otherwise the
+    support of the power of their indicator polynomial."""
+    indicator = None if len(lat.coeffs) == lat.span + 1 else dict.fromkeys(lat.coeffs, 1)
+    n = want[-1]
+    count = n * lat.span + 1
+    if count > cap:
+        raise CapacityError(f"convolution support exceeded cap of {cap} points")
+    slot = _slot_bytes(lat.coeffs, n)
+    if indicator is not None:
+        slot = max(slot, _slot_bytes(indicator, n))
+    # the power and its byte string take `slot` bytes per slot each, and
+    # the unpacked list a pointer and an int of about 28 + slot bytes
+    size = count * (3 * slot + 36) * (1 if indicator is None else 2)
+    budget = _byte_budget()
+    if size > budget:
+        raise CapacityError(
+            f"convolution support exceeded: the N={n} law packs into {size} "
+            f"bytes, over the budget of {budget}"
+        )
+    for n in want:
+        coeffs = _power_coeffs(lat.coeffs, lat.span, n)
+        if indicator is None:
+            yield n, dict(enumerate(coeffs))
+        else:
+            hits = _power_coeffs(indicator, lat.span, n)
+            yield n, {p: c for p, c in enumerate(coeffs) if hits[p]}
+
+
+def _sparse_powers(lat: _LatticeLaw, want: Sequence[int], cap: int):
+    """(N, position -> coefficient of P(z)^N) for each N in `want`, by one
+    step-by-step sweep of integer dicts; every reached position keeps its
+    key, even when its coefficient cancels to 0."""
+    marks = set(want)
+    sums = {0: 1}
+    for step in range(1, want[-1] + 1):
+        nxt: dict[int, int] = {}
+        for s, ms in sums.items():
+            for p, c in lat.coeffs.items():
+                nxt[s + p] = nxt.get(s + p, 0) + ms * c
+            if len(nxt) > cap:
+                raise CapacityError(f"convolution support exceeded cap of {cap} points")
+        sums = nxt
+        if step in marks:
+            yield step, sums
 
 
 def mean_law_table(
     space: SignedProbabilitySpace, a: Mapping, ns: Sequence[int]
 ) -> dict[int, SumDistribution]:
-    """Mean laws at each requested N from one incremental convolution sweep.
+    """Mean laws at each requested N, from exact integer polynomial powers.
 
-    A single pass to max(ns) snapshots every requested N on the way, so a
-    doubling schedule costs the same as its largest point alone.  Every
-    snapshot's total signed mass is checked to be exactly 1.
+    On the integer lattice of the variable's values its law is P(z) / W with
+    integer coefficients, so the law of the sum of N copies is P(z)^N / W^N.
+    When the values sit densely on their lattice each power is one packed
+    big-int power; otherwise one sparse sweep snapshots every requested N.
+    The support is the N-fold sumset of the occupied positions, so a mean
+    whose mass cancels to 0 keeps its key.  Keys are floats when any value
+    or weight is a float, masses when any weight is.  Every law's total
+    signed mass is checked to be exactly 1, and either kernel's size
+    against the support cap (and the packed one's bytes against the byte
+    budget) before it can exceed them.
     """
     want = sorted({int(n) for n in ns})
     if not want:
         raise InputError("need at least one N")
     if want[0] < 1:
         raise InputError("n must be >= 1")
-    law = law_of(space, a)
-    cap = _support_cap()
-    zero = Fraction(0) if space.exact else 0.0
-    one = Fraction(1) if space.exact else 1.0
+    lat = _lattice_law(space, a)
+    float_keys = not (space.exact and is_exact(*a.values()))
+    kernel = _packed_powers if _is_dense(lat, want[-1]) else _sparse_powers
     out: dict[int, SumDistribution] = {}
-    sums = {zero: one}
-    for step in range(1, want[-1] + 1):
-        nxt: dict = {}
-        for s, ms in sums.items():
-            for v, mv in law.items():
-                key = s + v
-                nxt[key] = nxt.get(key, zero) + ms * mv
-            if len(nxt) > cap:
-                raise CapacityError(
-                    f"convolution support exceeded cap of {cap} points"
-                )
-        sums = nxt
-        if step not in want:
-            continue
-        dist = SumDistribution(step, {s / step: m for s, m in sums.items()})
-        if not values_equal(dist.total(), one, space.exact):
+    for n, coeffs in kernel(lat, want, _support_cap()):
+        wn = lat.denom**n
+        total = sum(coeffs.values())
+        if not (total == wn if space.exact else values_equal(total / wn, 1.0, False)):
             raise AssertionError(
-                f"signed mass of the mean law is {dist.total()}, not 1"
+                f"signed mass of the mean law is {Fraction(total, wn)}, not 1"
             )
-        out[step] = dist
+        key_den = n * lat.scale
+        mass: dict = {}
+        try:
+            for p, c in coeffs.items():
+                num = n * lat.base + lat.step * p
+                if not float_keys:
+                    mass[Fraction(num, key_den)] = Fraction(c, wn)
+                    continue
+                # distinct exact means may round to one float: add them up
+                key = num / key_den
+                m = Fraction(c, wn) if space.exact else c / wn
+                mass[key] = mass[key] + m if key in mass else m
+        except OverflowError:
+            raise CapacityError(
+                f"the N={n} mean law has a signed mass beyond the float range"
+            ) from None
+        out[n] = SumDistribution(n, mass)
     return out
 
 
@@ -278,23 +456,33 @@ BUNDLED_VARIABLES: dict[str, Mapping] = {
 
 # --- file format ---------------------------------------------------------------
 
+def _document_number(v):
+    """A weight or variable value from a JSON document: a number, or a
+    rational string such as "p/q".  Booleans are not numbers here."""
+    if isinstance(v, str):
+        return Fraction(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InputError(f"malformed signed-space document: {v!r} is not a number")
+    return v
+
+
 def space_from_document(doc: dict) -> tuple[SignedProbabilitySpace, Mapping | None]:
     try:
-        weights = {}
-        for atom, v in doc["weights"].items():
-            if isinstance(v, str):
-                weights[atom] = Fraction(v)
-            else:
-                weights[atom] = v
+        weights = {atom: _document_number(v) for atom, v in doc["weights"].items()}
         space = SignedProbabilitySpace(tuple(weights), weights)
         var = None
         if "variable" in doc:
-            var = {a: doc["variable"][a] for a in weights}
+            var = {a: _document_number(doc["variable"][a]) for a in weights}
         return space, var
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed signed-space document: {exc}") from exc
 
 
 def load_space(path) -> tuple[SignedProbabilitySpace, Mapping | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_document(json.load(fh))
+    from .seqio import read_text  # seqio pulls in numpy; only files need it
+
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    return space_from_document(doc)

@@ -120,6 +120,38 @@ def mean_square_expectation(n: int) -> Fraction:
     return m * m + (ex2 - m * m) / n
 
 
+# --- signed laws: step-by-step convolution and exhaustive event scan -------------
+
+def convolution_mean_law(space, a, n: int) -> dict:
+    """Signed mass of the mean of n iid copies of an exact variable, by n
+    successive dict convolutions of its law: every partial sum keeps its key,
+    even when its mass cancels to 0."""
+    law: dict = {}
+    for atom in space.atoms:
+        law[a[atom]] = law.get(a[atom], Fraction(0)) + space.weight[atom]
+    sums = {Fraction(0): Fraction(1)}
+    for _ in range(n):
+        nxt: dict = {}
+        for s, ms in sums.items():
+            for v, mv in law.items():
+                nxt[s + v] = nxt.get(s + v, Fraction(0)) + ms * mv
+        sums = nxt
+    return {s / n: m for s, m in sums.items()}
+
+
+def subset_scan(space) -> tuple:
+    """(least event mass, that event's atoms, number of negative events) over
+    all 2^k events of a signed space; ties go to the lowest bitmask."""
+    atoms = list(space.atoms)
+    sums = [
+        sum(space.weight[a] for i, a in enumerate(atoms) if mask >> i & 1)
+        for mask in range(1 << len(atoms))
+    ]
+    best = min(range(len(sums)), key=sums.__getitem__)
+    argmin = [a for i, a in enumerate(atoms) if best >> i & 1]
+    return sums[best], argmin, sum(1 for s in sums if s < 0)
+
+
 # --- battery closed forms ---------------------------------------------------------
 
 def alternating_runs_p(n: int) -> float:

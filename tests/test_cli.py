@@ -2,10 +2,12 @@
 payload smoke test per command."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +87,83 @@ def test_capacity_limit_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "2048")
     assert main(["signed", "sixteen-atom", "--n", "64"]) == 3
     assert "capacity limit" in capsys.readouterr().err
+
+
+def test_huge_signed_schedule_exits_three_quickly(tmp_path, capsys):
+    start = time.monotonic()
+    assert main(["signed", "two-point", "--n", "100000"]) == 3
+    assert time.monotonic() - start < 2.0
+    assert "support exceeded" in capsys.readouterr().err
+
+
+def test_ville_zero_eps_without_min_count_exits_two(capsys):
+    assert main(["ville", "--eps", "0", "--n", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon" in err and len(err.strip().splitlines()) == 1
+
+
+def test_coin_rule_with_a_non_integer_seed_exits_two(tmp_path, capsys):
+    f = write_ascii(tmp_path, "01" * 50)
+    assert main(["randomness", f, "--rules", "coin:abc"]) == 2
+    err = capsys.readouterr().err
+    assert "coin" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("level", ["nan", "0", "1", "1.5", "-0.01"])
+def test_battery_significance_outside_the_unit_interval_exits_two(
+    tmp_path, capsys, level
+):
+    f = write_ascii(tmp_path, "01" * 500)
+    assert main(["battery", f, "--significance", level]) == 2
+    err = capsys.readouterr().err
+    assert "significance" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("blob, argv", [
+    (b"\xff\xfe01", ["stabilize"]),
+    (b"\xff\xfe1/2\n", ["padic", "--format", "csv"]),
+    (b"\xff\xfe1/2\n", ["marginal", "--format", "csv"]),
+    (b"\xff\xfe{}", ["marginal"]),
+    (b"\xff\xfe{}", ["signed"]),
+])
+def test_undecodable_input_exits_two(tmp_path, capsys, blob, argv):
+    f = tmp_path / "bad.bin"
+    f.write_bytes(blob)
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err or "utf-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"e12": [1], "e23": 1, "e13": 1},
+    {"e12": 0, "e23": 0, "e13": 0, "means": [0, None, 0]},
+    {"e12": 0, "e23": 0, "e13": 0, "means": 5},
+    {"e12": 0, "e23": 0, "e13": 0, "means": [0, 0]},
+])
+def test_marginal_non_numeric_correlation_exits_two(tmp_path, capsys, doc):
+    f = tmp_path / "corr.json"
+    f.write_text(json.dumps(doc))
+    assert main(["marginal", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "number" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("variable", [
+    {"a": "x", "b": 1}, {"a": [0], "b": 1}, {"a": True, "b": 1},
+])
+def test_signed_document_with_a_non_numeric_value_exits_two(tmp_path, capsys, variable):
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps({"weights": {"a": "-1/2", "b": "3/2"}, "variable": variable}))
+    assert main(["signed", str(doc)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_signed_document_with_boolean_weights_exits_two(tmp_path, capsys):
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps({"weights": {"a": True, "b": False}}))
+    assert main(["signed", str(doc)]) == 2
+    assert "not a number" in capsys.readouterr().err
 
 
 def test_window_without_two_checkpoints_exits_two(tmp_path, capsys):
@@ -300,6 +379,92 @@ def test_signed_space_from_a_file(tmp_path):
     assert code == 0
     assert report["payload"]["atoms"] == 3
     assert report["payload"]["weak_law"]["variable_mean"] == "9/4"
+
+
+def test_signed_document_with_rational_string_values(tmp_path):
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps({
+        "weights": {"u": "-1/2", "v": "3/4", "w": "3/4"},
+        "variable": {"u": "0", "v": "1/2", "w": "1"},
+    }))
+    code, report = run(["signed", str(doc), "--n", "8"], tmp_path)
+    assert code == 0
+    assert report["payload"]["weak_law"]["variable_mean"] == "9/8"
+
+
+def test_signed_values_far_apart_on_their_lattice(tmp_path):
+    """Values {0, 1, 10**6} at N = 64: a lattice range of 64 * 10**6 + 1
+    points but only 2145 attainable means; every weak-law row is exact."""
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({
+        "weights": {"u": "-1/2", "v": "3/4", "w": "3/4"},
+        "variable": {"u": 0, "v": 1, "w": 10**6},
+    }))
+    code, report = run(["signed", str(doc), "--n", "64"], tmp_path)
+    assert code == 0
+    m = Fraction(3, 4) * (1 + 10**6)
+    ex2 = Fraction(3, 4) * (1 + 10**12)
+    rows = report["payload"]["weak_law"]["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 32, 64]
+    for r in rows:
+        assert frac(r["expectation"]) == m * m + (ex2 - m * m) / r["n"]
+
+
+def test_signed_float_values_with_long_decimals(tmp_path):
+    doc = tmp_path / "float.json"
+    doc.write_text(json.dumps({
+        "weights": {"u": -0.5, "v": 0.75, "w": 0.75},
+        "variable": {"u": 0, "v": 0.5, "w": 0.3333333333333333},
+    }))
+    code, report = run(["signed", str(doc), "--n", "8"], tmp_path)
+    assert code == 0
+    m = 0.75 * (0.5 + 0.3333333333333333)
+    ex2 = 0.75 * (0.25 + 0.3333333333333333**2)
+    for r in report["payload"]["weak_law"]["rows"]:
+        assert r["expectation"] == pytest.approx(m * m + (ex2 - m * m) / r["n"], abs=1e-12)
+
+
+def test_signed_float_masses_beyond_the_float_range_exit_three(tmp_path, capsys):
+    doc = tmp_path / "float.json"
+    doc.write_text(json.dumps({
+        "weights": {"u": 2.0**52, "v": 1 - 2.0**52},
+        "variable": {"u": 0, "v": 1},
+    }))
+    assert main(["signed", str(doc), "--n", "32", "--out", str(tmp_path / "r.json")]) == 3
+    assert "float range" in capsys.readouterr().err
+
+
+def test_negativity_block_covers_up_to_32_atoms(tmp_path):
+    """24 atoms, twelve of weight -1/12 and twelve of 2/12: the most negative
+    event is the negative half, and an event with i negative and j positive
+    atoms is negative iff i > 2j."""
+    atoms = [f"n{i}" for i in range(12)] + [f"p{i}" for i in range(12)]
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps({
+        "weights": {a: "-1/12" if a[0] == "n" else "2/12" for a in atoms},
+    }))
+    code, report = run(["signed", str(doc)], tmp_path)
+    assert code == 0
+    neg = report["payload"]["negativity"]
+    assert frac(neg["min_event_prob"]) == -1
+    assert neg["argmin_event"] == atoms[:12]
+    assert frac(neg["complement_prob"]) == 2
+    assert neg["negative_event_count"] == sum(
+        math.comb(12, i) * math.comb(12, j)
+        for i in range(13)
+        for j in range(13)
+        if i > 2 * j
+    )
+
+
+def test_negativity_block_is_skipped_past_32_atoms(tmp_path):
+    atoms = [f"a{i}" for i in range(33)]
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps({"weights": {a: "1/33" for a in atoms}}))
+    code, report = run(["signed", str(doc)], tmp_path)
+    assert code == 0
+    assert "negativity" not in report["payload"]
+    assert any("more than 32 atoms" in w for w in report["warnings"])
 
 
 def test_signed_unknown_name_exits_two(tmp_path, capsys):

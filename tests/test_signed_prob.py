@@ -3,15 +3,19 @@ quotients beyond [0,1], exact convolution of mean laws, and the
 weak-but-not-strong convergence behaviour."""
 
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collectiva.cli import _negativity_scan
 from collectiva.errors import CapacityError, InputError, NullConditioningError
 from collectiva.signed_prob import (
     BUNDLED_SPACES,
+    CONVOLUTION_SUPPORT_CAP,
     BUNDLED_VARIABLES,
     POLY_TEST_FUNCTIONS,
     SignedProbabilitySpace,
@@ -23,14 +27,22 @@ from collectiva.signed_prob import (
     law_of,
     load_space,
     mean_law_table,
+    negative_event_count,
     product_space,
     space_from_document,
     sum_distribution,
     validate,
     weak_lln_check,
 )
+from collectiva.signed_prob import _lattice_law, _packed_powers, _sparse_powers
 
-from _oracles import TWO_POINT, binomial_mean_mass, mean_square_expectation
+from _oracles import (
+    TWO_POINT,
+    binomial_mean_mass,
+    convolution_mean_law,
+    mean_square_expectation,
+    subset_scan,
+)
 
 THREE = BUNDLED_SPACES["three-atom"]
 TWO = BUNDLED_SPACES["two-point"]
@@ -267,6 +279,148 @@ def test_total_signed_mass_is_one_at_every_n():
             assert sum_distribution(space, var, n).total() == 1
 
 
+# values with gaps between them, so the lattice positions do not fill their range
+GAPPED_VALUES = (0, 3, 7, -2, 12, Fraction(1, 2), Fraction(7, 3), Fraction(-5, 4))
+
+
+@st.composite
+def gapped_exact_laws(draw):
+    """A normalized exact space of 2..5 atoms with signed rational weights,
+    an int/Fraction variable drawn from a gapped pool, and N <= 12."""
+    k = draw(st.integers(2, 5))
+    den = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=k - 1, max_size=k - 1))
+    atoms = tuple(f"u{i}" for i in range(k))
+    w = {a: Fraction(v, den) for a, v in zip(atoms, nums)}
+    w[atoms[-1]] = 1 - sum(w.values())
+    var = {a: draw(st.sampled_from(GAPPED_VALUES)) for a in atoms}
+    ns = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    return SignedProbabilitySpace(atoms, w), var, ns
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapped_exact_laws())
+def test_mean_law_power_matches_the_convolution_oracle(case):
+    space, var, ns = case
+    laws = mean_law_table(space, var, ns)
+    for n in ns:
+        assert laws[n].mass == convolution_mean_law(space, var, n)
+    # both kernels, whichever one the table picked, give the same powers
+    lat, want = _lattice_law(space, var), sorted(set(ns))
+    cap = CONVOLUTION_SUPPORT_CAP
+    assert dict(_packed_powers(lat, want, cap)) == dict(_sparse_powers(lat, want, cap))
+
+
+def test_values_far_apart_on_their_lattice():
+    """Values {0, 1, 10**6}: the lattice range at N = 64 has 64 * 10**6 + 1
+    points but the law only C(66, 2) = 2145, so it is swept sparsely."""
+    space = THREE
+    var = {"w1": 0, "w2": 1, "w3": 10**6}
+    laws = mean_law_table(space, var, [1, 2, 3, 5, 64])
+    for n in (1, 2, 3, 5):
+        assert laws[n].mass == convolution_mean_law(space, var, n)
+    assert len(laws[64].mass) == math.comb(66, 2)
+    m = expectation_signed(space, var)
+    ex2 = expectation_signed(space, {a: v * v for a, v in var.items()})
+    assert laws[64].expect(lambda x: x * x) == m * m + (ex2 - m * m) / 64
+
+
+def test_float_values_with_long_decimals():
+    """0.3333333333333333 is 3333333333333333 / 10**16 exactly, which puts
+    the values 5 * 10**15 lattice steps apart; the law stays small."""
+    space = SignedProbabilitySpace(("a", "b", "c"), {"a": -0.5, "b": 0.75, "c": 0.75})
+    var = {"a": 0, "b": 0.5, "c": 0.3333333333333333}
+    dist = sum_distribution(space, var, 8)
+    assert len(dist.mass) <= math.comb(10, 2)
+    assert all(type(v) is float and type(m) is float for v, m in dist.mass.items())
+    assert dist.total() == pytest.approx(1.0, abs=1e-12)
+    m = expectation_signed(space, var)
+    ex2 = expectation_signed(space, {a: v * v for a, v in var.items()})
+    assert dist.expect(lambda x: x) == pytest.approx(m, abs=1e-12)
+    assert dist.expect(lambda x: x * x) == pytest.approx(m * m + (ex2 - m * m) / 8, abs=1e-12)
+
+
+def test_float_masses_beyond_the_float_range_hit_the_capacity_limit():
+    """Float weights 2^52 and 1 - 2^52 (both exact): the mass at mean 0 is
+    2^(52 N), a float up to N = 19 and past the float range from N = 20."""
+    space = SignedProbabilitySpace(("a", "b"), {"a": 2.0**52, "b": 1 - 2.0**52})
+    var = {"a": 0, "b": 1}
+    assert mean_law_table(space, var, [16])[16].mass[0.0] == 2.0 ** (52 * 16)
+    with pytest.raises(CapacityError, match="float range"):
+        mean_law_table(space, var, [32])
+
+
+def test_cancelled_mass_keeps_its_mean():
+    """Values 0 and 2 with weights 1/2 each and an atom at 1 of weight 0:
+    at N = 1 the mean 1 has mass 0 but is attainable, so it stays a key."""
+    space = SignedProbabilitySpace(
+        ("a", "b", "c"), {"a": Fraction(1, 2), "b": Fraction(0), "c": Fraction(1, 2)}
+    )
+    var = {"a": 0, "b": 1, "c": 2}
+    dist = sum_distribution(space, var, 1)
+    assert dist.mass == {0: Fraction(1, 2), 1: 0, 2: Fraction(1, 2)}
+    assert dist.mass == convolution_mean_law(space, var, 1)
+
+
+def test_packed_slots_hold_the_largest_coefficient():
+    """Integer weights 128 and -127: at N = 1 the coefficient 128 needs all
+    8 bits of (sum |c|)^N = 255^N plus the sign bit."""
+    space = SignedProbabilitySpace(("a", "b"), {"a": 128, "b": -127})
+    var = {"a": 0, "b": 1}
+    for n, dist in mean_law_table(space, var, [1, 2, 3, 8]).items():
+        assert dist.mass == convolution_mean_law(space, var, n)
+        assert dist.mass[0] == 128**n
+
+
+def test_float_inputs_give_float_keys_and_masses():
+    space = SignedProbabilitySpace(("a", "b", "c"), {"a": -0.5, "b": 0.75, "c": 0.75})
+    var = {"a": 0.1, "b": 0.2, "c": 0.7}
+    exact = SignedProbabilitySpace(
+        space.atoms, {"a": Fraction(-1, 2), "b": Fraction(3, 4), "c": Fraction(3, 4)}
+    )
+    exact_var = {"a": Fraction(1, 10), "b": Fraction(2, 10), "c": Fraction(7, 10)}
+    dist = sum_distribution(space, var, 5)
+    oracle = convolution_mean_law(exact, exact_var, 5)
+    assert len(dist.mass) == len(oracle)
+    for (v, m), (ov, om) in zip(sorted(dist.mass.items()), sorted(oracle.items())):
+        assert type(v) is float and type(m) is float
+        assert v == float(ov) and abs(m - float(om)) <= 1e-12
+
+
+def test_two_point_mean_law_at_1024_matches_the_binomial_oracle():
+    start = time.monotonic()
+    dist = sum_distribution(TWO, BUNDLED_VARIABLES["two-point"], 1024)
+    assert dist.mass == binomial_mean_mass(1024)
+    assert time.monotonic() - start < 5.0
+
+
+# --- negativity: Hahn set and event count -------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=11))
+def test_hahn_set_and_negative_event_count_match_the_full_scan(nums):
+    """k <= 12 atoms; zero weights exercise the tie between an event and its
+    union with null atoms."""
+    space = signed_spaces(nums)
+    worst, argmin, count = _negativity_scan(space, validate(space).negative_atoms)
+    assert (worst, argmin, count) == subset_scan(space)
+    assert negative_event_count(space) == count
+
+
+def test_negative_event_count_beyond_the_full_scan():
+    """20 atoms, ten of weight -1/10 and ten of 2/10: an event with i
+    negative and j positive atoms is negative iff i > 2j."""
+    atoms = tuple(f"n{i}" for i in range(10)) + tuple(f"p{i}" for i in range(10))
+    w = {a: Fraction(-1, 10) if a[0] == "n" else Fraction(2, 10) for a in atoms}
+    expected = sum(
+        math.comb(10, i) * math.comb(10, j)
+        for i in range(11)
+        for j in range(11)
+        if i > 2 * j
+    )
+    assert negative_event_count(SignedProbabilitySpace(atoms, w)) == expected
+
+
 def test_convolution_capacity_cap(monkeypatch):
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "2048")  # cap: 16 support points
     atoms = tuple(f"g{i}" for i in range(17))
@@ -362,6 +516,30 @@ def test_space_document_accepts_plain_numbers():
     space, var = space_from_document({"weights": {"a": 0.25, "b": 0.75}})
     assert var is None
     assert space.prob({"b"}) == 0.75
+
+
+def test_space_document_accepts_rational_string_values():
+    space, var = space_from_document({
+        "weights": {"w1": "-1/2", "w2": "3/4", "w3": "3/4"},
+        "variable": {"w1": "0", "w2": "1/3", "w3": "2/3"},
+    })
+    assert var == {"w1": 0, "w2": Fraction(1, 3), "w3": Fraction(2, 3)}
+    assert expectation_signed(space, var) == Fraction(3, 4)
+    assert sum_distribution(space, var, 2).total() == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"weights": {"a": "1/2", "b": "1/2"}, "variable": {"a": "x", "b": 1}},
+    {"weights": {"a": "1/2", "b": "1/2"}, "variable": {"a": [1], "b": 1}},
+    {"weights": {"a": "1/2", "b": "1/2"}, "variable": {"a": None, "b": 1}},
+    {"weights": {"a": "1/2", "b": "1/2"}, "variable": {"a": True, "b": 1}},
+    {"weights": {"a": True, "b": False}},
+    {"weights": {"a": {"p": 1}, "b": 0}},
+    {"weights": ["a", "b"]},
+])
+def test_space_documents_with_non_numbers_are_rejected(doc):
+    with pytest.raises(InputError, match="malformed"):
+        space_from_document(doc)
 
 
 def test_malformed_space_documents():

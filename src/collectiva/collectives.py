@@ -159,6 +159,18 @@ class StabilizationVerdict:
         return {lab: v.limit for lab, v in self.per_label.items() if v.stabilized}
 
 
+def window_stability(values: Sequence, epsilon) -> LabelStability:
+    """The window-oscillation rule on the values inside a final window:
+    stabilized iff max - min <= epsilon (which must be > 0), with the exact
+    mean of the values as the limit."""
+    if not epsilon > 0:
+        raise InputError(f"epsilon must be > 0, got {epsilon}")
+    osc = max(values) - min(values)
+    ok = osc <= epsilon
+    limit = sum(values, Fraction(0)) / len(values) if ok else None
+    return LabelStability(bool(ok), limit, osc)
+
+
 def detect_stabilization(
     trace: FrequencyTrace,
     window: int | None = None,
@@ -176,13 +188,8 @@ def detect_stabilization(
     sel = [k for k, c in enumerate(trace.checkpoints) if c >= lo]
     if len(sel) < 2:
         raise InputError("need at least two checkpoints inside the final window")
-    per = {}
-    for lab, vals in trace.values.items():
-        w = [vals[k] for k in sel]
-        osc = max(w) - min(w)
-        ok = osc <= epsilon
-        limit = sum(w, Fraction(0)) / len(w) if ok else None
-        per[lab] = LabelStability(bool(ok), limit, osc)
+    per = {lab: window_stability([vals[k] for k in sel], epsilon)
+           for lab, vals in trace.values.items()}
     return StabilizationVerdict(window, Fraction(epsilon) if not isinstance(epsilon, float) else epsilon, per)
 
 

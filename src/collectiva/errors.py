@@ -4,6 +4,8 @@ The CLI maps these onto its exit-code contract: InputError -> 2,
 CapacityError -> 3; everything that completes analysis exits 0.
 """
 
+import os
+
 
 class CollectivaError(Exception):
     """Base class for all package errors."""
@@ -23,6 +25,17 @@ class NullConditioningError(InputError):
 
 class CapacityError(CollectivaError):
     """A configured size/memory cap would be exceeded."""
+
+
+def max_mem_bytes() -> int | None:
+    """The COLLECTIVA_MAX_MEM byte budget, or None when it is unset."""
+    raw = os.environ.get("COLLECTIVA_MAX_MEM")
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"COLLECTIVA_MAX_MEM must be an integer byte count, got {raw!r}")
 
 
 class ConstructionError(CollectivaError):

@@ -1,11 +1,11 @@
-"""Finite probability spaces with explicit event algebras.
+"""Finite probability spaces as partitions.
 
 Events are bitmasks over a fixed atom ordering, so unions/intersections/
-complements are single integer operations and algebra membership is a set
-lookup.  Weights are assigned to *events of the algebra*, not to atoms:
-an atom whose singleton is missing from the algebra has no probability at
-all, and asking for one raises ``NotMeasurableError`` rather than
-returning 0.
+complements are single integer operations.  An algebra is stored as its
+blocks, and an event is in it iff each block lies inside it or outside it.
+Weights are assigned to *blocks*, not to atoms, and an event weighs the
+blocks inside it: an atom whose singleton is missing from the algebra has
+no probability at all, and asking for one raises ``NotMeasurableError``.
 
 Arithmetic is dual-mode: build everything from ``fractions.Fraction`` (or
 ints) and all identities are checked exactly; use floats and comparisons
@@ -15,7 +15,7 @@ fall back to an absolute tolerance of 1e-12.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -116,64 +116,74 @@ class Event:
     __invert__ = complement
 
 
-@dataclass(frozen=True)
-class EventAlgebra:
-    space: SampleSpace
-    masks: frozenset[int] = field(default_factory=frozenset)
+def _signature_blocks(space: SampleSpace, masks: Sequence[int]) -> tuple[int, ...]:
+    """Groups of atoms that every mask contains or omits together, in atom order."""
+    groups: dict[tuple, int] = {}
+    for i in range(space.size):
+        sig = tuple(m >> i & 1 for m in masks)
+        groups[sig] = groups.get(sig, 0) | (1 << i)
+    return tuple(groups.values())
 
-    def __post_init__(self):
-        masks = frozenset(self.masks)
-        object.__setattr__(self, "masks", masks)
-        if 0 not in masks or self.space.full_mask not in masks:
+
+@dataclass(frozen=True, init=False)
+class EventAlgebra:
+    """The 2^len(blocks) unions of blocks, stored as the blocks (atom-signature
+    groups, in atom order).  ``EventAlgebra(space, masks)`` needs a closed set."""
+
+    space: SampleSpace
+    block_masks: tuple[int, ...]
+
+    def __init__(self, space: SampleSpace, masks: Iterable[int] = frozenset()):
+        masks = tuple(frozenset(masks))
+        if 0 not in masks or space.full_mask not in masks:
             raise InputError("algebra must contain the empty event and the full space")
+        if any(m & ~space.full_mask for m in masks):
+            raise InputError("event mask outside the sample space")
+        blocks = _signature_blocks(space, masks)
+        if len(masks) != 1 << len(blocks):
+            raise InputError("event set is not closed under complement/union")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "block_masks", blocks)
+
+    @classmethod
+    def _from_blocks(cls, space: SampleSpace, blocks: tuple[int, ...]) -> "EventAlgebra":
+        alg = object.__new__(cls)
+        object.__setattr__(alg, "space", space)
+        object.__setattr__(alg, "block_masks", blocks)
+        return alg
+
+    def _has(self, mask) -> bool:
+        """Membership of a raw mask: every block lies inside it or is disjoint from it."""
+        return (isinstance(mask, int) and 0 <= mask <= self.space.full_mask
+                and all(mask & blk in (0, blk) for blk in self.block_masks))
 
     def __contains__(self, event: Event) -> bool:
-        return event.mask in self.masks
+        return self._has(event.mask)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return 1 << len(self.block_masks)
+
+    @property
+    def masks(self) -> frozenset[int]:
+        """Every event mask, enumerated over the blocks; capped at ALGEBRA_CAP."""
+        if 1 << len(self.block_masks) > ALGEBRA_CAP:
+            raise CapacityError(f"algebra has 2^{len(self.block_masks)} events (cap {ALGEBRA_CAP})")
+        out = [0]
+        for blk in self.block_masks:
+            out += [m | blk for m in out]
+        return frozenset(out)
 
     def events(self) -> list[Event]:
         return [Event(self.space, m) for m in sorted(self.masks)]
 
     def is_closed(self) -> bool:
-        """Exhaustive closure check: complements and pairwise unions/intersections."""
-        ms = self.masks
-        full = self.space.full_mask
-        if any(m ^ full not in ms for m in ms):
-            return False
-        for a in ms:
-            for b in ms:
-                if (a | b) not in ms or (a & b) not in ms:
-                    return False
-        return True
+        """Complements and unions with each block stay among the enumerated events."""
+        ms, full = self.masks, self.space.full_mask
+        return all(m ^ full in ms and all(m | b in ms for b in self.block_masks) for m in ms)
 
     def blocks(self) -> list[int]:
         """Minimal nonempty events (the partition the algebra is built from)."""
-        out = []
-        seen = 0
-        for i in range(self.space.size):
-            if seen >> i & 1:
-                continue
-            blk = self.space.full_mask
-            bit = 1 << i
-            for m in self.masks:
-                if m & bit:
-                    blk &= m
-            out.append(blk)
-            seen |= blk
-        return out
-
-
-def _union_sums(blocks: Sequence[int], weight: Mapping[int, Value], exact: bool) -> dict:
-    """Weight of every disjoint union of blocks, one addition per union
-    (doubling over the block lattice instead of re-summing per event)."""
-    acc = {0: Fraction(0) if exact else 0.0}
-    for blk in blocks:
-        wb = weight[blk]
-        for m, v in list(acc.items()):
-            acc[m | blk] = v + wb
-    return acc
+        return list(self.block_masks)
 
 
 def build_algebra(space: SampleSpace, generators: Sequence[Event]) -> EventAlgebra:
@@ -181,68 +191,66 @@ def build_algebra(space: SampleSpace, generators: Sequence[Event]) -> EventAlgeb
 
     Atoms sharing the same membership signature across all generators can
     never be separated, so the algebra is exactly the set of unions of
-    signature blocks.  Capped at 2^20 events.
+    signature blocks; only the blocks are built.
     """
     for g in generators:
         if g.space != space:
             raise InputError("generator references an unknown atom / foreign space")
-    sig_to_mask: dict[tuple, int] = {}
-    for i in range(space.size):
-        sig = tuple(g.mask >> i & 1 for g in generators)
-        sig_to_mask[sig] = sig_to_mask.get(sig, 0) | (1 << i)
-    blocks = list(sig_to_mask.values())
-    if 1 << len(blocks) > ALGEBRA_CAP:
-        raise CapacityError(
-            f"algebra would have 2^{len(blocks)} events (cap {ALGEBRA_CAP})"
-        )
-    masks = set()
-    for combo in range(1 << len(blocks)):
-        m = 0
-        for j, blk in enumerate(blocks):
-            if combo >> j & 1:
-                m |= blk
-        masks.add(m)
-    return EventAlgebra(space, frozenset(masks))
+    return EventAlgebra._from_blocks(space, _signature_blocks(space, [g.mask for g in generators]))
+
+
+class _EventWeights(Mapping):
+    """Read-only event mask -> weight: a lookup adds the blocks inside the mask in
+    block order (not by ``sum``, whose float rounding varies by Python version)."""
+
+    def __init__(self, algebra: EventAlgebra, block_weights: Iterable[Value]):
+        self.algebra = algebra
+        self.block_weights = tuple(block_weights)
+        self.zero = Fraction(0) if is_exact(*self.block_weights) else 0.0
+
+    def __getitem__(self, mask) -> Value:
+        if not self.algebra._has(mask):
+            raise KeyError(mask)
+        total = self.zero
+        for blk, v in zip(self.algebra.block_masks, self.block_weights):
+            if mask & blk:
+                total = total + v
+        return total
+
+    def __iter__(self):
+        return iter(self.algebra.masks)
+
+    def __len__(self) -> int:
+        return len(self.algebra)
 
 
 @dataclass(frozen=True)
 class FiniteProbabilitySpace:
-    """(sample space, event algebra, normalized additive weight) triple."""
+    """(sample space, event algebra, normalized additive weight) triple, stored as
+    one weight per block; a map over all events must weigh each as its blocks."""
 
     algebra: EventAlgebra
     weight: Mapping[int, Value]  # event mask -> value
 
     def __post_init__(self):
-        w = dict(self.weight)
-        object.__setattr__(self, "weight", w)
-        alg = self.algebra
-        if set(w) != alg.masks:
-            raise InputError("weight map must cover exactly the algebra's events")
-        exact = is_exact(*w.values())
-        one = Fraction(1) if exact else 1.0
-        if not values_equal(w[alg.space.full_mask], one, exact):
+        w, alg = self.weight, self.algebra
+        if not (isinstance(w, _EventWeights) and w.algebra == alg):
+            w = dict(w)
+            if len(w) != 1 << len(alg.block_masks) or set(w) != alg.masks:
+                raise InputError("weight map must cover exactly the algebra's events")
+            exact = is_exact(*w.values())
+            by_block = _EventWeights(alg, [w[blk] for blk in alg.block_masks])
+            for m, v in w.items():
+                if not values_equal(by_block[m], v, exact):
+                    raise InputError(f"additivity violated on event mask {m:b}: "
+                                     f"{v} != sum of blocks {by_block[m]}")
+            object.__setattr__(self, "weight", by_block)
+        exact = self.exact
+        if not values_equal(self.weight[alg.space.full_mask], 1, exact):
             raise InputError("weight of the full space must be 1")
-        if not values_equal(w[0], 0 * one, exact):
-            raise InputError("weight of the empty event must be 0")
-        for m, v in w.items():
-            if v < 0 or v > 1:
-                if exact or not (-FLOAT_TOL <= v <= 1 + FLOAT_TOL):
-                    raise InputError(f"weight {v} outside [0,1]")
-        # additivity: every event must weigh the sum of its minimal blocks
-        for blk_sum, m in self._block_sums():
-            if not values_equal(blk_sum, w[m], exact):
-                raise InputError(
-                    f"additivity violated on event mask {m:b}: "
-                    f"{w[m]} != sum of blocks {blk_sum}"
-                )
-
-    def _block_sums(self):
-        acc = _union_sums(self.algebra.blocks(), self.weight, self.exact)
-        for m in self.algebra.masks:
-            if m in acc:
-                yield acc[m], m
-            else:  # mask is not a disjoint union of blocks; sum what meets it
-                yield sum(self.weight[b] for b in self.algebra.blocks() if b & m) or 0, m
+        for v in self.weight.block_weights:
+            if (v < 0 or v > 1) and (exact or not -FLOAT_TOL <= v <= 1 + FLOAT_TOL):
+                raise InputError(f"weight {v} outside [0,1]")
 
     @property
     def space(self) -> SampleSpace:
@@ -250,23 +258,16 @@ class FiniteProbabilitySpace:
 
     @property
     def exact(self) -> bool:
-        return is_exact(*self.weight.values())
+        return is_exact(*self.weight.block_weights)
 
     @classmethod
     def from_block_weights(
         cls, algebra: EventAlgebra, block_weight: Mapping[int, Value]
     ) -> "FiniteProbabilitySpace":
-        """Fill the whole algebra from weights on its minimal blocks."""
-        blocks = algebra.blocks()
-        if set(block_weight) != set(blocks):
+        """The space with the given weight on each minimal block."""
+        if set(block_weight) != set(algebra.block_masks):
             raise InputError("need a weight for each minimal block exactly")
-        acc = _union_sums(blocks, block_weight, is_exact(*block_weight.values()))
-        w = {m: acc[m] for m in algebra.masks if m in acc}
-        for m in algebra.masks:  # masks that are not unions of blocks
-            if m not in w:
-                parts = [block_weight[b] for b in blocks if b & m]
-                w[m] = sum(parts) if parts else acc[0]
-        return cls(algebra, w)
+        return cls(algebra, _EventWeights(algebra, (block_weight[b] for b in algebra.block_masks)))
 
     @classmethod
     def from_atom_weights(
@@ -276,9 +277,7 @@ class FiniteProbabilitySpace:
         if set(atom_weight) != set(space.atoms):
             raise InputError("need a weight for every atom")
         alg = build_algebra(space, [Event(space, 1 << i) for i in range(space.size)])
-        return cls.from_block_weights(
-            alg, {1 << i: atom_weight[a] for i, a in enumerate(space.atoms)}
-        )
+        return cls(alg, _EventWeights(alg, (atom_weight[a] for a in space.atoms)))
 
     @classmethod
     def uniform(cls, space: SampleSpace) -> "FiniteProbabilitySpace":
@@ -372,8 +371,8 @@ def conditional_space(ps: FiniteProbabilitySpace, c: Event) -> FiniteProbability
     pc = probability(ps, c)
     if not pc > 0:
         raise NullConditioningError("conditioning on null event")
-    w = {m: ps.weight[m & c.mask] / pc for m in ps.algebra.masks}
-    return FiniteProbabilitySpace(ps.algebra, w)
+    w = {blk: ps.weight[blk & c.mask] / pc for blk in ps.algebra.block_masks}
+    return FiniteProbabilitySpace.from_block_weights(ps.algebra, w)
 
 
 def independent(ps: FiniteProbabilitySpace, a: Event, b: Event) -> bool:

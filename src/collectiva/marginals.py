@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,22 +22,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, max_mem_bytes
 from .finite_prob import FLOAT_TOL, is_exact, values_equal
 
 FLOAT_SLACK = 1e-9  # constraint slack in float mode
 SUPPORT_CAP = 10**6
 EXACT_SIMPLEX_CAP = 4096  # beyond this many joint atoms, use the float solver
-
-
-def _max_mem_cells(bytes_per_cell: int) -> int | None:
-    raw = os.environ.get("COLLECTIVA_MAX_MEM")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw) // bytes_per_cell)
-    except ValueError:
-        raise InputError(f"COLLECTIVA_MAX_MEM must be an integer byte count, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -245,8 +234,8 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     rows.append([1] * len(tuples))
     rhs.append(Fraction(1) if family.exact else 1.0)
 
-    cap = _max_mem_cells(bytes_per_cell=64)
-    if cap is not None and len(rows) * len(tuples) > cap:
+    mem = max_mem_bytes()
+    if mem is not None and len(rows) * len(tuples) > max(1, mem // 64):
         raise CapacityError("feasibility tableau exceeds COLLECTIVA_MAX_MEM")
 
     if family.exact and len(tuples) <= EXACT_SIMPLEX_CAP:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collectives import LabelAlphabet, TrialSequence
+from .collectives import LabelAlphabet, TrialSequence, window_stability
 from .errors import InputError
 
 import numpy as np
@@ -192,6 +192,8 @@ def detect_padic_stabilization(
     if len(vals) <= window:
         raise InputError("sequence must be longer than the window")
     epsilon = Fraction(epsilon)
+    if not epsilon > 0:
+        raise InputError(f"epsilon must be > 0, got {epsilon}")
     tail = vals[-window:]
     gaps = [padic_distance(a, b, ctx) for a, b in zip(tail, tail[1:])]
     osc = max(gaps) if gaps else Fraction(0)
@@ -203,16 +205,6 @@ def detect_padic_stabilization(
         limit = padic_expand(tail[-1], trunc_ctx)
     pv = MetricVerdict("p-adic", bool(ok), limit, osc, window, epsilon)
     return ConvergenceReport(real=None, padic=pv)
-
-
-def _real_stabilization(
-    vals: list[Fraction], window: int, epsilon: Fraction
-) -> MetricVerdict:
-    tail = vals[-window:]
-    osc = max(tail) - min(tail)
-    ok = osc <= epsilon
-    limit = sum(tail, Fraction(0)) / len(tail) if ok else None
-    return MetricVerdict("real", bool(ok), limit, osc, window, epsilon)
 
 
 def compare_convergence(
@@ -227,7 +219,9 @@ def compare_convergence(
         window = max(2, len(vals) // 10)
     if len(vals) <= window:
         raise InputError("sequence must be longer than the window")
-    rv = _real_stabilization(vals, window, Fraction(eps_real))
+    eps_real = Fraction(eps_real)
+    s = window_stability(vals[-window:], eps_real)
+    rv = MetricVerdict("real", s.stabilized, s.limit, s.oscillation, window, eps_real)
     pv = detect_padic_stabilization(vals, ctx, window, Fraction(eps_padic)).padic
     return ConvergenceReport(real=rv, padic=pv)
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import CapacityError, InputError, NullConditioningError
+from .errors import CapacityError, InputError, NullConditioningError, max_mem_bytes
 from .finite_prob import is_exact, values_equal
 
 CONVOLUTION_SUPPORT_CAP = 10**6  # mean-law points
@@ -193,20 +192,10 @@ def _rational(v) -> Fraction:
         raise InputError(f"value {v!r} is not a finite number: {exc}") from exc
 
 
-def _max_mem() -> int | None:
-    raw = os.environ.get("COLLECTIVA_MAX_MEM")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"COLLECTIVA_MAX_MEM must be an integer byte count, got {raw!r}")
-
-
 def _support_cap() -> int:
     """Mean-law points either kernel may hold: CONVOLUTION_SUPPORT_CAP, or
     COLLECTIVA_MAX_MEM / 128 when that is lower (but at least 16)."""
-    mem = _max_mem()
+    mem = max_mem_bytes()
     if mem is None:
         return CONVOLUTION_SUPPORT_CAP
     return max(16, min(CONVOLUTION_SUPPORT_CAP, mem // 128))
@@ -215,7 +204,7 @@ def _support_cap() -> int:
 def _byte_budget() -> int:
     """Bytes a packed power may take: PACKED_LAW_BYTE_BUDGET, or
     COLLECTIVA_MAX_MEM when that is lower."""
-    mem = _max_mem()
+    mem = max_mem_bytes()
     return PACKED_LAW_BYTE_BUDGET if mem is None else min(PACKED_LAW_BYTE_BUDGET, mem)
 
 

@@ -102,6 +102,22 @@ def test_ville_zero_eps_without_min_count_exits_two(capsys):
     assert "epsilon" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "seq.txt", "--eps", "-1"],
+    ["mix", "seq.txt", "--labels", "0", "--eps", "-1"],
+    ["padic", "r.csv", "--format", "csv", "--eps", "-1"],
+    ["padic", "r.csv", "--format", "csv", "--padic-eps", "0"],
+])
+def test_non_positive_epsilon_exits_two(tmp_path, capsys, argv):
+    files = {
+        "seq.txt": write_ascii(tmp_path, "01" * 2000),
+        "r.csv": write_ascii(tmp_path, "".join(f"{k}/{k + 1}\n" for k in range(1, 60)), "r.csv"),
+    }
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon" in err and len(err.strip().splitlines()) == 1
+
+
 def test_coin_rule_with_a_non_integer_seed_exits_two(tmp_path, capsys):
     f = write_ascii(tmp_path, "01" * 50)
     assert main(["randomness", f, "--rules", "coin:abc"]) == 2

@@ -1,0 +1,20 @@
+"""Every script under demos/ runs to completion against the package under test."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import subprocess_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True,
+        cwd=tmp_path, env=subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -85,10 +85,14 @@ def test_generator_with_unknown_atom_is_rejected():
 
 
 def test_algebra_size_is_capped():
+    """Only enumerating the events is capped; building and membership are not."""
     space = SampleSpace(tuple(range(21)))
     gens = [Event(space, 1 << i) for i in range(21)]
+    alg = build_algebra(space, gens)
+    assert len(alg) == 2**21
+    assert Event(space, 0b1010_0000_0000_0000_0011) in alg
     with pytest.raises(CapacityError):
-        build_algebra(space, gens)
+        alg.masks
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,9 +103,42 @@ def test_generated_algebra_always_equals_the_closure_fixpoint(data):
     gens = data.draw(st.lists(st.integers(0, full), max_size=3))
     space = SampleSpace(tuple(range(n)))
     alg = build_algebra(space, [Event(space, g) for g in gens])
-    assert alg.masks == closure_fixpoint(n, gens)
+    closure = closure_fixpoint(n, gens)
+    assert alg.masks == closure
     assert alg.is_closed()
     assert len(alg) & (len(alg) - 1) == 0  # power of two
+
+    raw = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    atom_w = [Fraction(r, sum(raw)) for r in raw]
+    ps = FiniteProbabilitySpace.from_block_weights(alg, {
+        b: sum(w for i, w in enumerate(atom_w) if b >> i & 1) for b in alg.blocks()
+    })
+    for m in closure:
+        assert ps.weight[m] == sum(
+            (w for i, w in enumerate(atom_w) if m >> i & 1), Fraction(0)
+        )
+    for m in set(range(full + 1)) - closure:
+        with pytest.raises(KeyError):
+            ps.weight[m]
+
+
+def test_a_64_atom_power_set_space_needs_no_enumeration():
+    space = SampleSpace(tuple(range(64)))
+    ps = FiniteProbabilitySpace.from_atom_weights(
+        space, {a: Fraction(a + 1, 2080) for a in space.atoms}  # 2080 = 1 + ... + 64
+    )
+    event = Event(space, (1 << 40) - 1)
+    assert probability(ps, event) == Fraction(820, 2080)  # 1 + ... + 40
+
+
+@pytest.mark.parametrize("p_a", ["0", "1/2"])
+def test_a_non_closed_event_set_is_rejected_as_not_closed(p_a):
+    """{}, {a} and the full space miss the complement {b, c}; the weight of
+    {a} must not decide whether that is noticed."""
+    doc = {"atoms": ["a", "b", "c"], "events": [[], [0], [0, 1, 2]],
+           "weights": {"0": "0", "1": p_a, "2": "1"}}
+    with pytest.raises(InputError, match="not closed"):
+        space_from_document(doc)
 
 
 # --- probability lookups -----------------------------------------------------------

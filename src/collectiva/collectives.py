@@ -396,6 +396,8 @@ def randomness_check(
     within epsilon of the full-sequence frequency; subsequences shorter than
     min_length are inconclusive rather than failed.
     """
+    if not epsilon >= 0:
+        raise InputError(f"epsilon must be >= 0, got {epsilon}")
     base = frequencies(x, [len(x)]).final()
     out = []
     for rule in family:
@@ -489,6 +491,8 @@ def ville_generator(
         if not eps > 0:
             raise InputError(f"epsilon must be > 0 unless min_count is given, got {eps}")
         min_count = max(30, int(np.ceil(2 / float(eps))))
+    elif not eps >= 0:
+        raise InputError(f"epsilon must be >= 0, got {eps}")
 
     overrides: dict[int, int] = {}
     budget = backtrack_budget

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 from .errors import CodecIntegrityError, InputError
 
@@ -329,6 +328,8 @@ def monobit_test(bits: np.ndarray) -> TestResult:
     if n < 100:
         return TestResult("monobit", math.nan, None, None, True, "needs n >= 100")
     s = abs(int(2 * int(bits.sum()) - n))
+    from scipy.special import erfc
+
     p = float(erfc(s / math.sqrt(2 * n)))
     return TestResult("monobit", float(s), p, None)
 
@@ -341,6 +342,8 @@ def block_frequency_test(bits: np.ndarray, block: int = 128) -> TestResult:
     nblocks = n // block
     pi = bits[: nblocks * block].reshape(nblocks, block).mean(axis=1)
     chi2 = 4.0 * block * float(((pi - 0.5) ** 2).sum())
+    from scipy.special import gammaincc
+
     p = float(gammaincc(nblocks / 2.0, chi2 / 2.0))
     return TestResult("block-frequency", chi2, p, None)
 
@@ -356,6 +359,8 @@ def runs_test(bits: np.ndarray) -> TestResult:
     v = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
     num = abs(v - 2.0 * n * pi * (1 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)
+    from scipy.special import erfc
+
     p = float(erfc(num / den))
     return TestResult("runs", float(v), p, None)
 
@@ -389,6 +394,8 @@ def longest_run_test(bits: np.ndarray) -> TestResult:
     expected = nblocks * np.asarray(pis)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     k = hi - lo
+    from scipy.special import gammaincc
+
     p = float(gammaincc(k / 2.0, chi2 / 2.0))
     return TestResult("longest-run", chi2, p, None)
 

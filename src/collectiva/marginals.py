@@ -5,6 +5,11 @@ finite-valued observables, decide whether one joint distribution produces
 all of them, produce a witness when it does, and evaluate the linear
 correlation inequalities that are necessary for existence.
 
+Existence is one HiGHS LP for every family.  Float families take its answer
+("lp-highs"); exact ones get it certified in `Fraction` ("lp-certified"): a
+witness, or a Farkas vector y with A^T y <= 0 < b.y, a Boole/Bell-type
+inequality the marginals violate.  Disagreeing overlaps: "marginal-consistency".
+
 The inequality catalogue is *generated*, not transcribed: the facets of
 the correlation polytope (convex hull of the pair-correlation vectors of
 deterministic +-1 assignments) are enumerated once by exact rational
@@ -14,6 +19,7 @@ hyperplane fitting and cached.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +33,6 @@ from .finite_prob import FLOAT_TOL, is_exact, values_equal
 
 FLOAT_SLACK = 1e-9  # constraint slack in float mode
 SUPPORT_CAP = 10**6
-EXACT_SIMPLEX_CAP = 4096  # beyond this many joint atoms, use the float solver
 
 
 @dataclass(frozen=True)
@@ -132,17 +137,20 @@ def check_no_signaling(family: MarginalFamily) -> tuple[bool, list]:
         common = tuple(sorted(set(pa.observables) & set(pb.observables)))
         if not common:
             continue
-        ma, mb = marginalize(pa, common), marginalize(pb, common)
-        exact = ma.exact and mb.exact
-        dev = Fraction(0) if exact else 0.0
-        for t in ma.support():
-            d = abs(ma.prob(t) - mb.prob(t))
-            if d > dev:
-                dev = d
-        tol = 0 if exact else FLOAT_SLACK
-        if dev > tol:
+        dev, bad = _max_deviation(marginalize(pa, common), marginalize(pb, common))
+        if bad:
             violations.append((pa.observables, pb.observables, common, dev))
     return not violations, violations
+
+
+def _max_deviation(p: JointPMF, q: JointPMF, perm=None) -> tuple:
+    """max |p(t) - q(t')| over p's support, t' being t reordered by `perm`,
+    and whether it exceeds the slack (none when both pmfs are exact)."""
+    exact = p.exact and q.exact
+    dev = Fraction(0) if exact else 0.0
+    for t in p.support():
+        dev = max(dev, abs(p.prob(t) - q.prob(t if perm is None else tuple(t[i] for i in perm))))
+    return dev, dev > (0 if exact else FLOAT_SLACK)
 
 
 @dataclass(frozen=True)
@@ -153,57 +161,93 @@ class FeasibilityVerdict:
     method: str = ""
 
 
-def _phase1_simplex(A: list[list[Fraction]], b: list[Fraction]):
-    """Exact feasibility of {Ax = b, x >= 0} (b >= 0) via phase-1 simplex.
+def _pivot(T: list[list], r: int, c: int):
+    """Scale row r so T[r][c] == 1 and clear column c from every other row."""
+    piv = Fraction(T[r][c])
+    T[r] = [v / piv for v in T[r]]
+    nz = [(j, v) for j, v in enumerate(T[r]) if v]
+    for i, row in enumerate(T):
+        f = row[c]
+        if i != r and f:
+            for j, v in nz:
+                row[j] -= f * v
 
-    Bland's rule; artificial columns are dropped once they leave the basis.
-    Returns the basic feasible solution as a dict var->Fraction, or None.
-    """
-    m, n = len(A), len(A[0])
-    T = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    basis = list(range(n, n + m))
-    obj = [-sum(T[i][j] for i in range(m)) for j in range(n + 1)]
-    while True:
-        enter = next((j for j in range(n) if obj[j] < 0), None)
-        if enter is None:
-            break
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][n] / T[i][enter]
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
-            raise AssertionError("phase-1 objective unbounded (cannot happen)")
-        r = best[1]
-        piv = T[r][enter]
-        T[r] = [v / piv for v in T[r]]
-        for i in range(m):
-            if i != r and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [u - f * v for u, v in zip(T[i], T[r])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [u - f * v for u, v in zip(obj, T[r])]
-        basis[r] = enter
-    if obj[n] != 0:
+
+def _row_reduce(T: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan on the first ncols columns of T, in place; returns the
+    pivot column of each leading row (the rows below are zero there)."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        pr = next((i for i in range(len(pivots), len(T)) if T[i][c] != 0), None)
+        if pr is not None:
+            T[len(pivots)], T[pr] = T[pr], T[len(pivots)]
+            _pivot(T, len(pivots), c)
+            pivots.append(c)
+    return pivots
+
+
+def _check_cells(cells: int, what: str, cap: float = math.inf):
+    """CapacityError past `cap` cells or the COLLECTIVA_MAX_MEM budget at 64 bytes a cell."""
+    if cells > cap:
+        raise CapacityError(f"{what} exceeds {cap} cells")
+    mem = max_mem_bytes()
+    if mem is not None and cells > max(1, mem // 64):
+        raise CapacityError(f"{what} exceeds COLLECTIVA_MAX_MEM")
+
+
+def _price(R: np.ndarray, y: list) -> np.ndarray:
+    """(A^T y)_j of every atom j, times the lcm of y's denominators to sum ints."""
+    scale = math.lcm(*(v.denominator for v in y))
+    Y = np.array([v.numerator * (scale // v.denominator) for v in y] + [0], dtype=object)
+    return sum(Y[row] for row in R)
+
+
+def _support_solve(R: np.ndarray, b: list[Fraction], atoms) -> dict | None:
+    """The exact solution of A_S x = b on the atoms S, free columns at 0, if it is >= 0."""
+    T = [[0] * len(atoms) + [v] for v in b]
+    for k, j in enumerate(atoms):
+        for r in R[:, j][R[:, j] >= 0]:
+            T[r][k] = 1
+    pivots = _row_reduce(T, len(atoms))
+    if any(row[-1] for row in T[len(pivots):]) or any(row[-1] < 0 for row in T):
         return None
-    x = {j: Fraction(0) for j in range(n)}
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = T[i][n]
-    return x
+    return {atoms[c]: T[i][-1] for i, c in enumerate(pivots) if T[i][-1]}
+
+
+def _repair_simplex(R: np.ndarray, b: list[Fraction], atoms) -> tuple:
+    """Exact phase-1 simplex, min 1.a s.t. A_S x + a = b (Bland's rule), on the atoms S;
+    its dual y is priced against every atom and up to m atoms of positive price join
+    until it decides: (witness, None) or (None, b.y).  Rows are [b_i | B^-1 | atoms],
+    the last [-objective | -y | reduced costs]: an atom's entry sums those of its rows."""
+    m = len(b)
+    T = [[v] + [int(i == r) for i in range(m)] for r, v in enumerate(b)]
+    T.append([-sum(b)] + [-1] * m)
+    basis, cols, new = list(range(1, m + 1)), [], list(atoms)
+    while True:
+        _check_cells((m + 1) * (1 + m + len(cols) + len(new)), "exact repair tableau", SUPPORT_CAP)
+        for j in new:
+            rows = [1 + r for r in R[:, j] if r >= 0]
+            for row in T:
+                row.append(sum(row[r] for r in rows))
+        cols.extend(new)
+        while (c := next((c for c in range(1 + m, len(T[-1])) if T[-1][c] < 0), None)):
+            r = min((T[i][0] / T[i][c], basis[i], i) for i in range(m) if T[i][c] > 0)[2]
+            _pivot(T, r, c)
+            basis[r] = c
+        if T[-1][0] == 0:
+            return {cols[c - 1 - m]: T[i][0] for i, c in enumerate(basis) if c > m and T[i][0]}, None
+        new = np.flatnonzero(_price(R, [-v for v in T[-1][1:m + 1]]) > 0)[:m]
+        if not len(new):
+            return None, -T[-1][0]
 
 
 def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     """Linear feasibility: is there a joint pmf with the given marginals?
 
-    Exact rational solve (phase-1 simplex) when all masses are rational and
-    the joint support is small; scipy's HiGHS LP otherwise.  Inconsistent
-    overlapping marginals short-circuit to infeasible.
-    """
+    HiGHS solves min 1.a s.t. A x + a = b, x, a >= 0, which is 0 just when a joint
+    exists.  Float families take its answer; exact ones are certified by its dual y
+    rationalized and checked as A^T y <= 0 < b.y on every atom, else an exact solve
+    on its support, else the repair simplex.  Disagreeing overlaps short-circuit."""
     ok, violations = check_no_signaling(family)
     if not ok:
         worst = max(violations, key=lambda v: v[3])
@@ -212,75 +256,65 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
         )
     names = family.observables()
     ranges = {o: family.range_of(o) for o in names}
+    dims = [len(ranges[o]) for o in names]
     support = 1
-    for o in names:
-        support *= len(ranges[o])
+    for d in dims:
+        support *= d
         if support > SUPPORT_CAP:
             raise CapacityError(f"joint support exceeds {SUPPORT_CAP} atoms")
-    tuples = list(itertools.product(*(ranges[o] for o in names)))
-    col = {t: j for j, t in enumerate(tuples)}
+    _check_cells((len(family.pmfs) + 1) * support, "feasibility LP")
 
-    rows: list[list] = []
-    rhs: list = []
+    # R[k, j]: atom j's row among pmf k's cells (mixed-radix index into its ranges),
+    # -1 when a value is outside them; the last block is the total-mass row
+    grid, blocks, rhs = np.indices(dims, sparse=True), [], []
     for p in family.pmfs:
-        pos = [names.index(o) for o in p.observables]
-        for sub in p.support():
-            row = [0] * len(tuples)
-            for t, j in col.items():
-                if tuple(t[i] for i in pos) == sub:
-                    row[j] = 1
-            rows.append(row)
-            rhs.append(p.prob(sub))
-    rows.append([1] * len(tuples))
+        loc = np.broadcast_arrays(*(
+            np.array([p.ranges[o].index(v) if v in p.ranges[o] else -1
+                      for v in ranges[o]])[grid[names.index(o)]] for o in p.observables))
+        cell = np.ravel_multi_index(loc, [len(p.ranges[o]) for o in p.observables], mode="clip")
+        blocks.append(np.broadcast_to(
+            np.where(np.min(loc, axis=0) < 0, -1, cell + len(rhs)), dims).ravel())
+        rhs.extend(p.prob(t) for t in p.support())
+    R = np.array(blocks + [np.full(support, len(rhs))])
     rhs.append(Fraction(1) if family.exact else 1.0)
 
-    mem = max_mem_bytes()
-    if mem is not None and len(rows) * len(tuples) > max(1, mem // 64):
-        raise CapacityError("feasibility tableau exceeds COLLECTIVA_MAX_MEM")
-
-    if family.exact and len(tuples) <= EXACT_SIMPLEX_CAP:
-        sol = _phase1_simplex(
-            [[Fraction(v) for v in row] for row in rows], [Fraction(v) for v in rhs]
-        )
-        if sol is None:
-            return FeasibilityVerdict(False, violated=("linear-system", None),
-                                      method="exact-simplex")
-        mass = {t: sol[col[t]] for t in tuples if sol[col[t]] != 0}
-        witness = JointPMF(names, ranges, mass)
-        _verify_witness(witness, family, exact=True)
-        return FeasibilityVerdict(True, witness=witness, method="exact-simplex")
-
     from scipy.optimize import linprog
+    from scipy.sparse import csc_array, hstack, identity
 
-    A = np.array([[float(v) for v in row] for row in rows])
-    bvec = np.array([float(v) for v in rhs])
-    res = linprog(np.zeros(len(tuples)), A_eq=A, b_eq=bvec,
-                  bounds=[(0, None)] * len(tuples), method="highs")
-    if res.status == 2:
-        return FeasibilityVerdict(False, violated=("linear-system", None),
-                                  method="lp-highs")
+    m, keep = len(rhs), R >= 0
+    A = csc_array((np.ones(keep.sum()), (R[keep], keep.nonzero()[1])), shape=(m, support))
+    res = linprog(np.r_[np.zeros(support), np.ones(m)], A_eq=hstack([A, identity(m)], format="csc"),
+                  b_eq=np.array([float(v) for v in rhs]), bounds=(0, None), method="highs")
     if res.status != 0:
         raise AssertionError(f"LP solver returned status {res.status}: {res.message}")
-    mass = {t: max(float(res.x[col[t]]), 0.0) for t in tuples if res.x[col[t]] > 1e-15}
-    total = sum(mass.values())
-    mass = {t: v / total for t, v in mass.items()}
-    witness = JointPMF(names, ranges, mass)
-    _verify_witness(witness, family, exact=False)
-    return FeasibilityVerdict(True, witness=witness, method="lp-highs")
+    x, method = res.x[:support], "lp-certified" if family.exact else "lp-highs"
+    if not family.exact:
+        if res.fun > FLOAT_SLACK:
+            return FeasibilityVerdict(False, violated=("linear-system", None), method=method)
+        mass = {j: float(x[j]) for j in np.flatnonzero(x > 1e-15)}
+        total = sum(mass.values())
+        mass = {j: v / total for j, v in mass.items()}
+    else:
+        b = [Fraction(v) for v in rhs]
+        y = [Fraction(v).limit_denominator() for v in res.eqlin.marginals]
+        by, mass = sum(u * v for u, v in zip(b, y)), None
+        if not (by > 0 and (_price(R, y) <= 0).all()):
+            mass = _support_solve(R, b, np.flatnonzero(x > 0))
+            if mass is None:
+                mass, by = _repair_simplex(R, b, np.flatnonzero(x > 0))
+        if mass is None:
+            return FeasibilityVerdict(False, violated=("farkas", by), method=method)
+    digits = np.unravel_index(list(mass), dims or [1])  # no pmfs: one empty atom
+    witness = JointPMF(names, ranges, {
+        tuple(ranges[o][d[k]] for o, d in zip(names, digits)): v for k, v in enumerate(mass.values())})
+    _verify_witness(witness, family)
+    return FeasibilityVerdict(True, witness=witness, method=method)
 
 
-def _verify_witness(witness: JointPMF, family: MarginalFamily, exact: bool):
+def _verify_witness(witness: JointPMF, family: MarginalFamily):
     for p in family.pmfs:
-        m = marginalize(witness, p.observables)
-        for t in p.support():
-            if exact:
-                ok = m.prob(t) == p.prob(t)
-            else:
-                ok = abs(m.prob(t) - p.prob(t)) <= FLOAT_SLACK
-            if not ok:
-                raise AssertionError(
-                    f"witness fails to reproduce marginal {p.observables} at {t}"
-                )
+        if _max_deviation(p, marginalize(witness, p.observables))[1]:
+            raise AssertionError(f"witness fails to reproduce marginal {p.observables}")
 
 
 # --- correlation polytope --------------------------------------------------
@@ -310,24 +344,8 @@ def _rational_nullspace_vector(rows: list[list[Fraction]]):
     """One nonzero nullspace vector of a (d x d+1) rational matrix, or None
     if the nullspace is not one-dimensional."""
     m = [row[:] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [v / piv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    ncols = len(m[0])
+    pivots = _row_reduce(m, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None
@@ -426,22 +444,14 @@ def kolmogorov_consistency(family: MarginalFamily) -> tuple[bool, list]:
         sa, sb = set(pa.observables), set(pb.observables)
         if sa == sb and pa.observables != pb.observables:
             perm = [pa.observables.index(o) for o in pb.observables]
-            exact = pa.exact and pb.exact
-            dev = Fraction(0) if exact else 0.0
-            for t in pa.support():
-                d = abs(pa.prob(t) - pb.prob(tuple(t[i] for i in perm)))
-                dev = max(dev, d)
-            if dev > (0 if exact else FLOAT_SLACK):
+            dev, bad = _max_deviation(pa, pb, perm)
+            if bad:
                 violations.append(("permutation", pa.observables, pb.observables, dev))
     for pa, pb in itertools.permutations(family.pmfs, 2):
         sa, sb = set(pa.observables), set(pb.observables)
         if sb < sa:
-            proj = marginalize(pa, pb.observables)
-            exact = proj.exact and pb.exact
-            dev = Fraction(0) if exact else 0.0
-            for t in pb.support():
-                dev = max(dev, abs(proj.prob(t) - pb.prob(t)))
-            if dev > (0 if exact else FLOAT_SLACK):
+            dev, bad = _max_deviation(pb, marginalize(pa, pb.observables))
+            if bad:
                 violations.append(("projection", pa.observables, pb.observables, dev))
     return not violations, violations
 

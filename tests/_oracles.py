@@ -95,6 +95,71 @@ def correlations_of_joint(mass8) -> tuple:
     return e12, e23, e13
 
 
+# --- marginal feasibility: dense exact simplex over one row per cell -------------
+
+def _phase1_simplex(A: list[list[Fraction]], b: list[Fraction]):
+    """Exact feasibility of {Ax = b, x >= 0} (b >= 0) via phase-1 simplex.
+
+    Bland's rule; artificial columns are dropped once they leave the basis.
+    Returns the basic feasible solution as a dict var->Fraction, or None.
+    """
+    m, n = len(A), len(A[0])
+    T = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    basis = list(range(n, n + m))
+    obj = [-sum(T[i][j] for i in range(m)) for j in range(n + 1)]
+    while True:
+        enter = next((j for j in range(n) if obj[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][n] / T[i][enter]
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        if best is None:
+            raise AssertionError("phase-1 objective unbounded (cannot happen)")
+        r = best[1]
+        piv = T[r][enter]
+        T[r] = [v / piv for v in T[r]]
+        for i in range(m):
+            if i != r and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [u - f * v for u, v in zip(T[i], T[r])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [u - f * v for u, v in zip(obj, T[r])]
+        basis[r] = enter
+    if obj[n] != 0:
+        return None
+    x = {j: Fraction(0) for j in range(n)}
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = T[i][n]
+    return x
+
+
+def simplex_feasible(family) -> bool:
+    """Does one joint pmf reproduce every marginal of an exact family?
+    Decided by a dense Fraction phase-1 simplex over the full system, one
+    row per marginal cell plus the total-mass row, built atom by atom --
+    no LP proposal, no certificate and no sparse index arithmetic."""
+    names = family.observables()
+    ranges = {o: family.range_of(o) for o in names}
+    tuples = list(itertools.product(*(ranges[o] for o in names)))
+    rows, rhs = [], []
+    for p in family.pmfs:
+        pos = [names.index(o) for o in p.observables]
+        for sub in p.support():
+            rows.append([int(tuple(t[i] for i in pos) == sub) for t in tuples])
+            rhs.append(Fraction(p.prob(sub)))
+    rows.append([1] * len(tuples))
+    rhs.append(Fraction(1))
+    return _phase1_simplex(rows, rhs) is not None
+
+
 # --- signed two-point law: closed forms ------------------------------------------
 
 TWO_POINT = {Fraction(0): Fraction(-1, 2), Fraction(1): Fraction(3, 2)}

@@ -107,6 +107,9 @@ def test_ville_zero_eps_without_min_count_exits_two(capsys):
     ["mix", "seq.txt", "--labels", "0", "--eps", "-1"],
     ["padic", "r.csv", "--format", "csv", "--eps", "-1"],
     ["padic", "r.csv", "--format", "csv", "--padic-eps", "0"],
+    ["randomness", "seq.txt", "--eps", "-1"],
+    ["select", "seq.txt", "--eps", "-1"],
+    ["ville", "--eps", "-1", "--min-count", "1"],
 ])
 def test_non_positive_epsilon_exits_two(tmp_path, capsys, argv):
     files = {
@@ -303,7 +306,7 @@ def test_marginal_document_with_pmfs_is_feasible(tmp_path):
     assert code == 0
     pl = report["payload"]
     assert pl["feasibility"]["feasible"] is True
-    assert pl["feasibility"]["method"] == "exact-simplex"
+    assert pl["feasibility"]["method"] == "lp-certified"
     mass = pl["feasibility"]["witness"]["mass"]
     assert sum(frac(v) for v in mass.values()) == 1
 
@@ -539,6 +542,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "stabilize"
+
+
+def test_cli_import_loads_no_heavy_scipy_module(tmp_path):
+    """Every command pays for what `import collectiva.cli` loads, so the
+    scipy submodules stay behind the functions that call them."""
+    heavy = ("scipy.special", "scipy.optimize", "scipy.sparse")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, collectiva.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script(tmp_path):

@@ -4,6 +4,7 @@ consistency conditions."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from collectiva.marginals import (
 from _oracles import (
     correlations_of_joint,
     pair_feasible_interval,
+    simplex_feasible,
     tetrahedron_facets,
     triangle_facets_4,
 )
@@ -212,7 +214,7 @@ def test_product_joint_marginals_are_feasible_with_sound_witness():
     )
     fam = pair_family_of(joint)
     verdict = joint_exists(fam)
-    assert verdict.feasible and verdict.method == "exact-simplex"
+    assert verdict.feasible and verdict.method == "lp-certified"
     for p in fam.pmfs:
         back = marginalize(verdict.witness, p.observables)
         assert all(back.prob(t) == p.prob(t) for t in p.support())
@@ -222,7 +224,7 @@ def test_perfectly_correlated_pair_with_anticorrelated_closure_is_infeasible():
     verdict = joint_exists(triple_to_family(CorrelationTriple(1, 1, -1)))
     assert not verdict.feasible
     assert verdict.witness is None
-    assert verdict.violated[0] == "linear-system"
+    assert verdict.violated[0] == "farkas"
 
 
 def test_uncorrelated_triple_is_feasible():
@@ -313,6 +315,133 @@ def test_memory_budget_must_be_an_integer(monkeypatch):
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "lots")
     with pytest.raises(InputError, match="COLLECTIVA_MAX_MEM"):
         joint_exists(triple_to_family(CorrelationTriple(0, 0, 0)))
+
+
+# --- certified verdicts ------------------------------------------------------------
+
+def correlation_pair(a: str, b: str, e) -> JointPMF:
+    """Two +-1 observables with zero means and correlation e."""
+    return JointPMF((a, b), {a: SIGNS, b: SIGNS}, {
+        (s, t): (1 + s * t * Fraction(e)) / 4 for s, t in itertools.product(SIGNS, repeat=2)
+    })
+
+
+def assert_certified(verdict, family):
+    """An exact verdict: a Fraction witness that reproduces every marginal
+    exactly, or a Farkas certificate of positive value."""
+    assert verdict.method == "lp-certified"
+    if verdict.feasible:
+        assert all(type(m) is Fraction for m in verdict.witness.mass.values())
+        for p in family.pmfs:
+            back = marginalize(verdict.witness, p.observables)
+            assert all(back.prob(t) == p.prob(t) for t in p.support())
+    else:
+        name, value = verdict.violated
+        assert name == "farkas" and value > 0
+
+
+def spoil_the_proposal(monkeypatch, value: float):
+    """HiGHS still solves, but every entry of its primal and dual comes back
+    as `value`: 0 leaves the repair simplex no atoms to start from, and 1
+    proposes every atom and a dual that no Farkas check may accept."""
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+
+    def spoiled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x[:] = value
+        res.eqlin.marginals[:] = value
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spoiled)
+
+
+SHIFTS = (Fraction(0), Fraction(1, 10**12), Fraction(-1, 10**12),
+          Fraction(1, 10**30), Fraction(-1, 10**30))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_certified_verdicts_match_the_dense_simplex_oracle(data):
+    k = data.draw(st.integers(3, 4), label="observables")
+    pairs = data.draw(st.lists(st.sampled_from(list(itertools.combinations(range(k), 2))),
+                               min_size=1, unique=True), label="pairs")
+    es = [Fraction(data.draw(st.integers(-8, 8)), 8) for _ in pairs]
+    shift = data.draw(st.sampled_from(SHIFTS), label="shift")
+    if abs(es[0] + shift) <= 1:
+        es[0] += shift
+    fam = MarginalFamily(tuple(correlation_pair(f"a{i}", f"a{j}", e)
+                               for (i, j), e in zip(pairs, es)))
+    verdict = joint_exists(fam)
+    assert verdict.feasible == simplex_feasible(fam)
+    assert_certified(verdict, fam)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_bad_proposals_still_get_exact_verdicts_on_the_triple_grid(monkeypatch, value):
+    spoil_the_proposal(monkeypatch, value)
+    grid = [Fraction(k, 2) for k in range(-2, 3)]
+    for e in itertools.product(grid, repeat=3):
+        fam = triple_to_family(CorrelationTriple(*e))
+        verdict = joint_exists(fam)
+        assert verdict.feasible == pair_feasible_interval(*e), e
+        assert_certified(verdict, fam)
+
+
+def test_repair_tableau_past_the_memory_budget_is_a_capacity_error(monkeypatch):
+    spoil_the_proposal(monkeypatch, 0.0)
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "4096")  # room for the LP, not the tableau
+    with pytest.raises(CapacityError, match="repair tableau exceeds COLLECTIVA_MAX_MEM"):
+        joint_exists(triple_to_family(CorrelationTriple(0, 0, 0)))
+
+
+def test_thirteen_observable_chain_is_certified_past_4096_atoms():
+    names = [f"a{i:02d}" for i in range(13)]
+    fam = MarginalFamily(tuple(correlation_pair(names[i], names[i + 1], Fraction(1, 3))
+                               for i in range(12)))
+    verdict = joint_exists(fam)
+    assert verdict.feasible
+    assert_certified(verdict, fam)
+
+
+def test_anticorrelated_thirteen_cycle_gets_a_farkas_certificate():
+    names = [f"a{i:02d}" for i in range(13)]
+    fam = MarginalFamily(tuple(correlation_pair(names[i], names[(i + 1) % 13], -1)
+                               for i in range(13)))
+    verdict = joint_exists(fam)
+    assert not verdict.feasible
+    assert_certified(verdict, fam)
+
+
+def test_all_pairs_of_eight_binary_observables_are_decided_within_two_seconds():
+    names = tuple(f"x{i}" for i in range(8))
+    rng = random.Random(8)
+    atoms = list(itertools.product((0, 1), repeat=8))
+    raw = [rng.randint(0, 7) for _ in atoms]
+    joint = JointPMF(names, {o: (0, 1) for o in names},
+                     {t: Fraction(r, sum(raw)) for t, r in zip(atoms, raw) if r})
+    anticorrelated = MarginalFamily(tuple(correlation_pair(a, b, Fraction(-1, 2))
+                                          for a, b in itertools.combinations(names, 2)))
+    for fam, feasible in ((pair_family_of(joint), True), (anticorrelated, False)):
+        start = time.monotonic()
+        verdict = joint_exists(fam)
+        assert time.monotonic() - start < 2
+        assert verdict.feasible is feasible
+        assert_certified(verdict, fam)
+
+
+@pytest.mark.parametrize("delta, feasible", [(Fraction(-1, 10**12), False),
+                                             (Fraction(1, 10**12), True)])
+def test_six_observables_either_side_of_the_balanced_face(delta, feasible):
+    """(sum_i s_i)^2 >= 0 gives sum_{i<j} E_ij >= -3 for six +-1 observables;
+    every E_ij = -1/5 meets it with equality."""
+    names = [f"b{i}" for i in range(6)]
+    fam = MarginalFamily(tuple(correlation_pair(a, b, Fraction(-1, 5) + delta)
+                               for a, b in itertools.combinations(names, 2)))
+    verdict = joint_exists(fam)
+    assert verdict.feasible is feasible
+    assert_certified(verdict, fam)
 
 
 # --- consistency conditions ---------------------------------------------------------

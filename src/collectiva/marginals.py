@@ -23,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,6 +49,8 @@ class JointPMF:
         if len(set(obs)) != len(obs):
             raise InputError("duplicate observable names")
         ranges = {o: tuple(self.ranges[o]) for o in obs}
+        if any(len(set(r)) != len(r) for r in ranges.values()):
+            raise InputError("duplicate value in an observable's range")
         object.__setattr__(self, "ranges", ranges)
         mass = dict(self.mass)
         object.__setattr__(self, "mass", mass)
@@ -63,7 +65,7 @@ class JointPMF:
         if not values_equal(total, Fraction(1) if exact else 1.0, exact):
             raise InputError(f"masses sum to {total}, not 1")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return is_exact(*self.mass.values()) if self.mass else True
 
@@ -164,7 +166,7 @@ class FeasibilityVerdict:
 def _pivot(T: list[list], r: int, c: int):
     """Scale row r so T[r][c] == 1 and clear column c from every other row."""
     piv = Fraction(T[r][c])
-    T[r] = [v / piv for v in T[r]]
+    T[r] = [v / piv if v else v for v in T[r]]
     nz = [(j, v) for j, v in enumerate(T[r]) if v]
     for i, row in enumerate(T):
         f = row[c]
@@ -204,6 +206,7 @@ def _price(R: np.ndarray, y: list) -> np.ndarray:
 
 def _support_solve(R: np.ndarray, b: list[Fraction], atoms) -> dict | None:
     """The exact solution of A_S x = b on the atoms S, free columns at 0, if it is >= 0."""
+    _check_cells(len(b) * (len(atoms) + 1), "exact support solve", SUPPORT_CAP)
     T = [[0] * len(atoms) + [v] for v in b]
     for k, j in enumerate(atoms):
         for r in R[:, j][R[:, j] >= 0]:
@@ -215,13 +218,11 @@ def _support_solve(R: np.ndarray, b: list[Fraction], atoms) -> dict | None:
 
 
 def _repair_simplex(R: np.ndarray, b: list[Fraction], atoms) -> tuple:
-    """Exact phase-1 simplex, min 1.a s.t. A_S x + a = b (Bland's rule), on the atoms S;
-    its dual y is priced against every atom and up to m atoms of positive price join
-    until it decides: (witness, None) or (None, b.y).  Rows are [b_i | B^-1 | atoms],
-    the last [-objective | -y | reduced costs]: an atom's entry sums those of its rows."""
+    """Exact phase-1 simplex (Bland's rule), min 1.a s.t. A_S x + a = b, on the atoms S; atoms
+    its dual y prices positive join, at most m a round, until it decides: (witness, None) or
+    (None, b.y).  Rows [b_i | B^-1 | atoms], the last [-objective | -y | reduced costs]."""
     m = len(b)
-    T = [[v] + [int(i == r) for i in range(m)] for r, v in enumerate(b)]
-    T.append([-sum(b)] + [-1] * m)
+    T = [[v] + [int(i == r) for i in range(m)] for r, v in enumerate(b)] + [[-sum(b)] + [-1] * m]
     basis, cols, new = list(range(1, m + 1)), [], list(atoms)
     while True:
         _check_cells((m + 1) * (1 + m + len(cols) + len(new)), "exact repair tableau", SUPPORT_CAP)
@@ -244,10 +245,9 @@ def _repair_simplex(R: np.ndarray, b: list[Fraction], atoms) -> tuple:
 def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     """Linear feasibility: is there a joint pmf with the given marginals?
 
-    HiGHS solves min 1.a s.t. A x + a = b, x, a >= 0, which is 0 just when a joint
-    exists.  Float families take its answer; exact ones are certified by its dual y
-    rationalized and checked as A^T y <= 0 < b.y on every atom, else an exact solve
-    on its support, else the repair simplex.  Disagreeing overlaps short-circuit."""
+    HiGHS solves min 1.a s.t. A x + a = b, x, a >= 0 (0 just when a joint exists).  Float
+    families take its answer; exact ones its dual y if A^T y <= 0 < b.y holds exactly on
+    every atom, else an exact solve on its support, else the repair simplex."""
     ok, violations = check_no_signaling(family)
     if not ok:
         worst = max(violations, key=lambda v: v[3])

@@ -77,6 +77,15 @@ def test_joint_pmf_rejects_bad_mass():
         JointPMF(("a", "a"), {"a": SIGNS}, {(1, 1): Fraction(1)})
 
 
+def test_a_range_that_repeats_a_value_is_rejected():
+    """A repeated value would be a cell of the pmf that no joint atom reaches."""
+    with pytest.raises(InputError, match="duplicate value"):
+        JointPMF(("a",), {"a": (0, 0)}, {(0,): Fraction(1)})
+    with pytest.raises(InputError, match="duplicate value"):
+        family_from_document({"pmfs": [
+            {"observables": ["a"], "ranges": {"a": [0, 0]}, "mass": {"0": "1"}}]})
+
+
 def test_family_rejects_exact_duplicates_but_allows_reorderings():
     p12 = uniform_joint(("a1", "a2"))
     with pytest.raises(InputError, match="duplicate index subset"):
@@ -394,6 +403,17 @@ def test_repair_tableau_past_the_memory_budget_is_a_capacity_error(monkeypatch):
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "4096")  # room for the LP, not the tableau
     with pytest.raises(CapacityError, match="repair tableau exceeds COLLECTIVA_MAX_MEM"):
         joint_exists(triple_to_family(CorrelationTriple(0, 0, 0)))
+
+
+def test_one_exact_pmf_of_8000_cells_is_refused_before_the_support_solve():
+    """Its own joint, but the exact support solve would hold 8001 x 8001 cells."""
+    vals = tuple(range(20))
+    pmf = JointPMF(("a", "b", "c"), {o: vals for o in "abc"},
+                   {t: Fraction(1, 8000) for t in itertools.product(vals, repeat=3)})
+    start = time.monotonic()
+    with pytest.raises(CapacityError, match="exact support solve exceeds"):
+        joint_exists(MarginalFamily((pmf,)))
+    assert time.monotonic() - start < 5
 
 
 def test_thirteen_observable_chain_is_certified_past_4096_atoms():

@@ -51,7 +51,7 @@ print("additivity exact at every checkpoint:", lhs == rhs)
 # a sequence whose running mean never dips below 1/2, yet every default
 # rule sees frequency 1/2 +- 0.01
 v = ville_generator(default_family(), 10**4)
-ones = np.cumsum(v.data)
+ones = np.cumsum(v.data, dtype=np.int64)
 margins = 2 * ones - np.arange(1, len(v) + 1)
 print("\nconstructed sequence: n =", len(v),
       " min(2*ones - n) =", int(margins.min()),

@@ -294,7 +294,7 @@ def cmd_marginal(args) -> tuple[dict, list[str]]:
             "satisfied": satisfied,
             "tight_coefficients": list(coeffs),
         }
-    ns_ok, ns_viol = marginals.check_no_signaling(family)
+    ns_ok, ns_viol = family.no_signaling
     payload["no_signaling"] = {
         "consistent": ns_ok,
         "violations": [list(v) for v in ns_viol],
@@ -305,7 +305,7 @@ def cmd_marginal(args) -> tuple[dict, list[str]]:
 
 def cmd_consistency(args) -> tuple[dict, list[str]]:
     family, _ = _family_from_input(args)
-    ns_ok, ns_viol = marginals.check_no_signaling(family)
+    ns_ok, ns_viol = family.no_signaling
     ko_ok, ko_viol = marginals.kolmogorov_consistency(family)
     payload = {
         "observables": list(family.observables()),
@@ -461,17 +461,17 @@ def cmd_ville(args) -> tuple[dict, list[str]]:
             "detail": str(exc),
         }
         return payload, ["construction failed; no sequence emitted"]
-    ones = np.cumsum(x.data)
-    margins = 2 * ones - np.arange(1, len(x) + 1)
+    ones = int(np.count_nonzero(x.data))
+    margins = collectives.running_margins(x.data)
     reports = collectives.randomness_check(x, family, epsilon=eps, min_length=1)
     payload = {
         "constructed": True,
         "n": len(x),
         "epsilon": eps,
-        "ones": int(ones[-1]),
+        "ones": ones,
         "never_below_half": bool(margins.min() >= 0),
         "min_twice_ones_minus_n": int(margins.min()),
-        "final_mean": Fraction(int(ones[-1]), len(x)),
+        "final_mean": Fraction(ones, len(x)),
         "unit_interval_value": collectives.seq_to_unit_interval(x),
         "rules": _rule_rows(reports),
     }

@@ -17,9 +17,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, check_mem
 
 DEFAULT_EPSILON = Fraction(1, 100)
+CHUNK = 1 << 18  # elements per step of the chunked kernels, bounding their temporaries
+VILLE_BYTES_PER_TRIAL = 64  # construction state, selection masks and the margin scan
 
 
 @dataclass(frozen=True)
@@ -48,17 +50,30 @@ class LabelAlphabet:
 BINARY = LabelAlphabet(("0", "1"))
 
 
+def index_dtype(size: int) -> np.dtype:
+    """Storage type of the trial indices over an alphabet of `size` labels:
+    one byte per trial when the indices fit in one."""
+    return np.dtype(np.uint8 if size <= 256 else np.int64)
+
+
 class TrialSequence:
-    """Immutable sequence of labels, stored as an index array."""
+    """Immutable sequence of labels, stored as an index array of
+    index_dtype(alphabet.size)."""
 
     __slots__ = ("alphabet", "data")
 
     def __init__(self, alphabet: LabelAlphabet, data: np.ndarray):
-        data = np.ascontiguousarray(data, dtype=np.int64)
+        data = np.asarray(data)
+        if data.dtype == bool:
+            data = data.view(np.uint8)
+        elif data.dtype.kind not in "iu":
+            data = data.astype(np.int64)
         if data.ndim != 1:
             raise InputError("trial data must be one-dimensional")
+        # range check before the narrowing cast, which would wrap a bad index
         if data.size and (data.min() < 0 or data.max() >= alphabet.size):
             raise InputError("trial index outside the alphabet")
+        data = np.ascontiguousarray(data, dtype=index_dtype(alphabet.size))
         data.setflags(write=False)
         self.alphabet = alphabet
         self.data = data
@@ -70,7 +85,7 @@ class TrialSequence:
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "TrialSequence":
-        return cls(BINARY, np.asarray(bits, dtype=np.int64))
+        return cls(BINARY, bits)
 
     def __len__(self) -> int:
         return int(self.data.size)
@@ -104,6 +119,18 @@ class FrequencyTrace:
         return {lab: vals[-1] for lab, vals in self.values.items()}
 
 
+def prefix_counts(data: np.ndarray, value: int, checkpoints: Sequence[int]) -> list[int]:
+    """Occurrences of `value` in data[:c] for each checkpoint c, in the given
+    order.  Counts each segment between sorted distinct checkpoints at most
+    CHUNK elements at a time, so no full-length temporary is built."""
+    counts, total, lo = {}, 0, 0
+    for c in sorted(set(checkpoints)):
+        for a in range(lo, c, CHUNK):
+            total += int(np.count_nonzero(data[a:min(a + CHUNK, c)] == value))
+        counts[c], lo = total, c
+    return [counts[c] for c in checkpoints]
+
+
 def frequencies(x: TrialSequence, checkpoints: Sequence[int]) -> FrequencyTrace:
     """Exact rational frequency of every label at each checkpoint."""
     cps = tuple(int(c) for c in checkpoints)
@@ -113,11 +140,10 @@ def frequencies(x: TrialSequence, checkpoints: Sequence[int]) -> FrequencyTrace:
         raise InputError("checkpoints must be >= 1")
     if max(cps) > len(x):
         raise InputError(f"checkpoint {max(cps)} beyond data length {len(x)}")
-    idx = np.array(cps, dtype=np.int64) - 1
-    values = {}
-    for j, lab in enumerate(x.alphabet.labels):
-        cum = np.cumsum(x.data == j)
-        values[lab] = tuple(Fraction(int(cum[i]), int(i) + 1) for i in idx)
+    values = {
+        lab: tuple(Fraction(k, c) for k, c in zip(prefix_counts(x.data, j, cps), cps))
+        for j, lab in enumerate(x.alphabet.labels)
+    }
     return FrequencyTrace(x.alphabet, cps, values)
 
 
@@ -224,11 +250,17 @@ def identity_rule() -> PlaceSelectionRule:
     )
 
 
+def _every_other(n: int, start: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[start::2] = True
+    return mask
+
+
 def evens_rule() -> PlaceSelectionRule:
     return PlaceSelectionRule(
         "evens",
         lambda alphabet: (lambda n, prefix: n % 2 == 0),
-        vector_decider=lambda alphabet, data: (np.arange(1, len(data) + 1) % 2) == 0,
+        vector_decider=lambda alphabet, data: _every_other(len(data), 1),
     )
 
 
@@ -236,7 +268,7 @@ def odds_rule() -> PlaceSelectionRule:
     return PlaceSelectionRule(
         "odds",
         lambda alphabet: (lambda n, prefix: n % 2 == 1),
-        vector_decider=lambda alphabet, data: (np.arange(1, len(data) + 1) % 2) == 1,
+        vector_decider=lambda alphabet, data: _every_other(len(data), 0),
     )
 
 
@@ -308,8 +340,12 @@ def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
         return lambda n, prefix: bool(rng.random() < p)
 
     def vector(alphabet, data):
+        # the same PCG64 stream as one rng.random(len(data)), CHUNK doubles at a time
         rng = np.random.default_rng(seed)
-        return rng.random(len(data)) < p
+        mask = np.empty(len(data), dtype=bool)
+        for a in range(0, len(data), CHUNK):
+            np.less(rng.random(min(CHUNK, len(data) - a)), p, out=mask[a:a + CHUNK])
+        return mask
 
     return PlaceSelectionRule("coin", make, vector_decider=vector, params=(seed,))
 
@@ -424,9 +460,9 @@ def mix(x: TrialSequence, members: Iterable) -> TrialSequence:
     frequency probability holds exactly at every finite N.  Empty and full
     subsets are allowed and produce the degenerate all-0/all-1 sequences.
     """
-    idxs = {x.alphabet.index(lab) for lab in members}
-    bits = np.isin(x.data, list(idxs)).astype(np.int64) if idxs else np.zeros(len(x), dtype=np.int64)
-    return TrialSequence(BINARY, bits)
+    member = np.zeros(x.alphabet.size, dtype=bool)
+    member[[x.alphabet.index(lab) for lab in members]] = True
+    return TrialSequence(BINARY, member[x.data])
 
 
 @dataclass(frozen=True)
@@ -494,6 +530,7 @@ def ville_generator(
     elif not eps >= 0:
         raise InputError(f"epsilon must be >= 0, got {eps}")
 
+    check_mem(VILLE_BYTES_PER_TRIAL * n_trials, f"ville construction of {n_trials} trials")
     overrides: dict[int, int] = {}
     budget = backtrack_budget
 
@@ -501,11 +538,11 @@ def ville_generator(
         bits, free_alternatives, counts = _ville_attempt(family, n_trials, overrides)
         failure = _ville_scan(bits, counts, eps, min_count)
         if failure is None:
-            return TrialSequence(BINARY, np.array(bits, dtype=np.int64))
+            return TrialSequence(BINARY, bits)
         if budget > 0 and free_alternatives:
             pos = free_alternatives.pop()
             overrides = {p: b for p, b in overrides.items() if p < pos}
-            overrides[pos] = 1 - bits[pos]
+            overrides[pos] = 1 - int(bits[pos])
             budget -= 1
         else:
             raise ConstructionError(
@@ -515,8 +552,7 @@ def ville_generator(
 
 def _ville_attempt(family, n_trials, overrides):
     deciders = [rule.make_decider(BINARY) for rule in family]
-    bits: list[int] = []
-    arr = np.empty(n_trials, dtype=np.int64)
+    arr = np.empty(n_trials, dtype=np.uint8)
     ones = 0
     counts = [[0, 0] for _ in family]  # selected, ones among selected
     free_alternatives: list[int] = []
@@ -537,21 +573,23 @@ def _ville_attempt(family, n_trials, overrides):
 
             b = min((0, 1), key=lambda bb: (cost(bb), abs(ones + bb - n / 2 - 1.5), bb))
             free_alternatives.append(n - 1)
-        bits.append(b)
         arr[n - 1] = b
         ones += b
         for i in names:
             counts[i][0] += 1
             counts[i][1] += b
-    return bits, free_alternatives, counts
+    return arr, free_alternatives, counts
+
+
+def running_margins(bits: np.ndarray) -> np.ndarray:
+    """2 * ones - n at every prefix length n of a 0/1 array, as int64."""
+    return 2 * np.cumsum(bits, dtype=np.int64) - np.arange(1, len(bits) + 1)
 
 
 def _ville_scan(bits, counts, eps, min_count):
-    ones = 0
-    for n, b in enumerate(bits, start=1):
-        ones += b
-        if 2 * ones < n:
-            return f"running mean below 1/2 at position {n}"
+    below = np.flatnonzero(running_margins(bits) < 0)
+    if below.size:
+        return f"running mean below 1/2 at position {below[0] + 1}"
     for i, (k, o) in enumerate(counts):
         if k >= min_count and abs(Fraction(o, k) - Fraction(1, 2)) > eps:
             return f"rule #{i} deviation {o}/{k} exceeds epsilon"

@@ -37,7 +37,7 @@ def as_bits(x) -> np.ndarray:
     if isinstance(x, TrialSequence):
         if x.alphabet.size != 2:
             raise InputError("complexity estimates need a binary sequence")
-        bits = x.data.astype(np.uint8)
+        bits = x.data.astype(np.uint8, copy=False)
     elif isinstance(x, str):
         bits = np.frombuffer(x.encode("ascii"), dtype=np.uint8) - ord("0")
     else:

@@ -38,6 +38,14 @@ def max_mem_bytes() -> int | None:
         raise InputError(f"COLLECTIVA_MAX_MEM must be an integer byte count, got {raw!r}")
 
 
+def check_mem(nbytes: int, what: str):
+    """CapacityError when `what`, needing about `nbytes`, exceeds the
+    COLLECTIVA_MAX_MEM budget; nothing when the budget is unset."""
+    mem = max_mem_bytes()
+    if mem is not None and nbytes > mem:
+        raise CapacityError(f"{what} exceeds COLLECTIVA_MAX_MEM ({nbytes} > {mem} bytes)")
+
+
 class ConstructionError(CollectivaError):
     """A constructive search exhausted its budget without a valid object."""
 

@@ -28,10 +28,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, max_mem_bytes
+from .errors import CapacityError, InputError, check_mem
 from .finite_prob import FLOAT_TOL, is_exact, values_equal
 
 FLOAT_SLACK = 1e-9  # constraint slack in float mode
+# HiGHS feasibility tolerances, below FLOAT_SLACK: at its default of 1e-7 a float
+# family 1e-8 off the feasibility boundary got a witness _verify_witness rejects
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": FLOAT_SLACK / 10,
+                 "dual_feasibility_tolerance": FLOAT_SLACK / 10}
 SUPPORT_CAP = 10**6
 
 
@@ -109,6 +113,11 @@ class MarginalFamily:
     @property
     def exact(self) -> bool:
         return all(p.exact for p in self.pmfs)
+
+    @cached_property
+    def no_signaling(self) -> tuple[bool, list]:
+        """check_no_signaling of this family, computed once."""
+        return check_no_signaling(self)
 
     def observables(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -192,9 +201,7 @@ def _check_cells(cells: int, what: str, cap: float = math.inf):
     """CapacityError past `cap` cells or the COLLECTIVA_MAX_MEM budget at 64 bytes a cell."""
     if cells > cap:
         raise CapacityError(f"{what} exceeds {cap} cells")
-    mem = max_mem_bytes()
-    if mem is not None and cells > max(1, mem // 64):
-        raise CapacityError(f"{what} exceeds COLLECTIVA_MAX_MEM")
+    check_mem(64 * cells, what)
 
 
 def _price(R: np.ndarray, y: list) -> np.ndarray:
@@ -248,7 +255,7 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     HiGHS solves min 1.a s.t. A x + a = b, x, a >= 0 (0 just when a joint exists).  Float
     families take its answer; exact ones its dual y if A^T y <= 0 < b.y holds exactly on
     every atom, else an exact solve on its support, else the repair simplex."""
-    ok, violations = check_no_signaling(family)
+    ok, violations = family.no_signaling
     if not ok:
         worst = max(violations, key=lambda v: v[3])
         return FeasibilityVerdict(
@@ -284,9 +291,10 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     m, keep = len(rhs), R >= 0
     A = csc_array((np.ones(keep.sum()), (R[keep], keep.nonzero()[1])), shape=(m, support))
     res = linprog(np.r_[np.zeros(support), np.ones(m)], A_eq=hstack([A, identity(m)], format="csc"),
-                  b_eq=np.array([float(v) for v in rhs]), bounds=(0, None), method="highs")
+                  b_eq=np.array([float(v) for v in rhs]), bounds=(0, None), method="highs",
+                  options=HIGHS_OPTIONS)
     if res.status != 0:
-        raise AssertionError(f"LP solver returned status {res.status}: {res.message}")
+        raise CapacityError(f"LP solver returned status {res.status}: {res.message}")
     x, method = res.x[:support], "lp-certified" if family.exact else "lp-highs"
     if not family.exact:
         if res.fun > FLOAT_SLACK:
@@ -312,9 +320,17 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
 
 
 def _verify_witness(witness: JointPMF, family: MarginalFamily):
+    """An exact witness that misses a marginal is a bug; a float one sits at the
+    limit of float precision, where the family must be given exactly."""
     for p in family.pmfs:
-        if _max_deviation(p, marginalize(witness, p.observables))[1]:
+        dev, bad = _max_deviation(p, marginalize(witness, p.observables))
+        if bad and family.exact:
             raise AssertionError(f"witness fails to reproduce marginal {p.observables}")
+        if bad:
+            raise CapacityError(
+                f"float witness misses marginal {p.observables} by {dev:.3g} > {FLOAT_SLACK}: "
+                "the family is too close to the feasibility boundary to decide in floats; "
+                "give its masses as exact rationals")
 
 
 # --- correlation polytope --------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collectives import LabelAlphabet, TrialSequence, window_stability
+from .collectives import LabelAlphabet, TrialSequence, prefix_counts, window_stability
 from .errors import InputError
 
 import numpy as np
@@ -235,7 +235,7 @@ def frequency_path_realizer(checkpoints: Sequence[tuple[int, int]]) -> TrialSequ
     if not checkpoints:
         raise InputError("need at least one checkpoint")
     prev_n, prev_c = 0, 0
-    data = []
+    runs = []  # lengths of alternating runs of label 0 and label 1
     for k, (n_k, c_k) in enumerate(checkpoints):
         if n_k <= prev_n:
             raise InputError(f"checkpoint {k}: N={n_k} does not increase (prev {prev_n})")
@@ -248,20 +248,17 @@ def frequency_path_realizer(checkpoints: Sequence[tuple[int, int]]) -> TrialSequ
             raise InputError(
                 f"checkpoint {k}: needs {dc} occurrences in {dn} new trials"
             )
-        data.extend([0] * dc)
-        data.extend([1] * (dn - dc))
+        runs += [dc, dn - dc]
         prev_n, prev_c = n_k, c_k
-    return TrialSequence(REALIZER_ALPHABET, np.array(data, dtype=np.int64))
+    labels = np.tile(np.array([0, 1], dtype=np.uint8), len(runs) // 2)
+    return TrialSequence(REALIZER_ALPHABET, np.repeat(labels, runs))
 
 
 def realized_trace(x: TrialSequence, checkpoints: Sequence[int],
                    label="A") -> list[Fraction]:
     """Rational frequency of the label at the given positions."""
-    j = x.alphabet.index(label)
-    cum = np.cumsum(x.data == j)
-    out = []
+    j, checkpoints = x.alphabet.index(label), tuple(checkpoints)
     for n in checkpoints:
         if not 1 <= n <= len(x):
             raise InputError(f"checkpoint {n} out of range")
-        out.append(Fraction(int(cum[n - 1]), n))
-    return out
+    return [Fraction(k, n) for k, n in zip(prefix_counts(x.data, j, checkpoints), checkpoints)]

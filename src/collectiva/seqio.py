@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .collectives import BINARY, LabelAlphabet, TrialSequence
-from .errors import InputError
+from .collectives import BINARY, CHUNK, LabelAlphabet, TrialSequence, index_dtype
+from .errors import InputError, check_mem
 
 FORMATS = ("raw", "ascii", "csv")
 
@@ -25,13 +25,14 @@ def read_sequence(path, fmt: str, alphabet: LabelAlphabet | None = None) -> Tria
     if fmt == "raw":
         if not blob:
             raise InputError(f"{path}: empty input")
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
-        return TrialSequence(BINARY, bits.astype(np.int64))
+        check_mem(8 * len(blob), f"{path}: unpacking {len(blob)} raw bytes into trials")
+        return TrialSequence(BINARY, np.unpackbits(np.frombuffer(blob, dtype=np.uint8)))
     if fmt == "ascii":
-        text = _decode_text(blob, path).replace("\n", "").replace("\r", "")
-        if not text:
+        codes = np.frombuffer(_decode_text(blob, path).encode("utf-32-le"), dtype="<u4")
+        codes = codes[(codes != ord("\n")) & (codes != ord("\r"))]
+        if not codes.size:
             raise InputError(f"{path}: empty input")
-        return TrialSequence.from_labels(alphabet or _inferred(text), text)
+        return _from_code_points(codes, alphabet)
     if fmt == "csv":
         rows = [r for r in csv.reader(_decode_text(blob, path).splitlines()) if r]
         if not rows:
@@ -59,6 +60,31 @@ def read_text(path) -> str:
     """The whole file as UTF-8 text; unreadable or undecodable input is an
     InputError."""
     return _decode_text(_read_bytes(path), path)
+
+
+def _from_code_points(codes: np.ndarray, alphabet: LabelAlphabet | None) -> TrialSequence:
+    """One trial per character code.  Without an alphabet it is the sorted
+    distinct characters; each code is looked up among the sorted codes of the
+    single-character labels, CHUNK codes at a time."""
+    if alphabet is None:
+        keys = np.unique(codes)
+        alphabet, index = _inferred(chr(c) for c in keys), range(len(keys))
+    else:
+        chars = sorted((ord(lab), j) for j, lab in enumerate(alphabet.labels)
+                       if isinstance(lab, str) and len(lab) == 1)
+        keys, index = [c for c, _ in chars], [j for _, j in chars]
+    # a sentinel past every code point keeps each lookup in bounds
+    keys = np.array([*keys, 0x110000], dtype=np.uint32)
+    index = np.array([*index, 0], dtype=index_dtype(alphabet.size))
+    data = np.empty(codes.size, dtype=index.dtype)
+    for a in range(0, codes.size, CHUNK):
+        part = codes[a:a + CHUNK]
+        pos = np.searchsorted(keys, part)
+        miss = np.flatnonzero(keys[pos] != part)
+        if miss.size:
+            alphabet.index(chr(part[miss[0]]))  # raises: label not in alphabet
+        data[a:a + CHUNK] = index[pos]
+    return TrialSequence(alphabet, data)
 
 
 def _inferred(values) -> LabelAlphabet:

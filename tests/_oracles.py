@@ -257,3 +257,27 @@ def factor_product(q: int, spf: np.ndarray) -> int:
 def geometric_partial_sums(count: int) -> list[Fraction]:
     """S_k = 1 + 2 + 4 + ... + 2^k = 2^(k+1) - 1 for k = 0..count-1."""
     return [Fraction(2 ** (k + 1) - 1) for k in range(count)]
+
+
+# --- trial sequences by full-length prefix sums ------------------------------------
+
+def cumsum_prefix_counts(data, value: int, checkpoints) -> list[int]:
+    """Occurrences of `value` in data[:c] for each checkpoint c, read off one
+    full-length running count (the kernel the segment counts replaced)."""
+    cum = np.cumsum(np.asarray(data) == value)
+    return [int(cum[c - 1]) if c else 0 for c in checkpoints]
+
+
+def per_character_parse(text: str, labels: tuple | None = None) -> tuple[tuple, list[int]]:
+    """(labels, trial indices) of an ascii trial text, one dictionary lookup
+    per character after newlines and carriage returns are dropped.  Without
+    labels they are the sorted distinct characters; a constant text gets a
+    NUL (or, when NUL is the label, SOH) as a second label.  A character
+    outside the labels raises KeyError with that character."""
+    text = text.replace("\n", "").replace("\r", "")
+    if labels is None:
+        labels = tuple(sorted(set(text)))
+        if len(labels) == 1:
+            labels += ("\x01" if labels == ("\x00",) else "\x00",)
+    pos = {lab: j for j, lab in enumerate(labels)}
+    return labels, [pos[ch] for ch in text]

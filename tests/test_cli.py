@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, report determinism, and one
 payload smoke test per command."""
 
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import collectiva
+from collectiva import marginals
 from collectiva.cli import main
 from collectiva.complexity import pack_bits
 from collectiva.report import validate_report
@@ -517,6 +519,93 @@ def test_large_ville_run_omits_the_sequence(tmp_path):
     assert code == 0
     assert "sequence" not in report["payload"]
     assert any("omitted" in w for w in report["warnings"])
+
+
+def test_memory_budget_stops_raw_reads_and_ville_with_one_line(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "x.bin"
+    f.write_bytes(bytes(4096))
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "10000")
+    for argv in (["stabilize", str(f), "--format", "raw"], ["ville", "--n", "1000"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity limit:") and "COLLECTIVA_MAX_MEM" in err
+        assert len(err.splitlines()) == 1
+
+
+# --- marginal feasibility at the float boundary ---------------------------------------
+
+@pytest.mark.parametrize("e13", [0.99999999, 1 - 5e-9, 1 - 1e-7])
+def test_near_boundary_float_family_ends_in_a_verdict_or_one_line(tmp_path, capsys, e13):
+    doc = tmp_path / "corr.json"
+    doc.write_text(json.dumps({"e12": 1.0, "e23": 1.0, "e13": e13}))
+    code, report = run(["marginal", str(doc)], tmp_path)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.splitlines()) == 1
+        return
+    feas = report["payload"]["feasibility"]
+    if e13 < 1 - 5e-9:  # 1e-8 or more off the only feasible value, 1
+        assert feas["feasible"] is False
+    if feas["feasible"]:
+        assert report["payload"]["no_signaling"]["consistent"] is True
+
+
+def test_marginal_checks_no_signaling_once(tmp_path, monkeypatch):
+    calls = []
+    real = marginals.check_no_signaling
+    monkeypatch.setattr(marginals, "check_no_signaling",
+                        lambda family: calls.append(family) or real(family))
+    doc = tmp_path / "corr.json"
+    doc.write_text(json.dumps({"e12": "1/2", "e23": "1/2", "e13": "-1/2"}))
+    code, report = run(["marginal", str(doc)], tmp_path)
+    assert code == 0 and report["payload"]["no_signaling"]["consistent"] is True
+    assert len(calls) == 1
+
+
+# --- reports on byte-sized trials -----------------------------------------------------
+
+# sha256 prefixes of [payload, warnings] on the inputs below, as recorded when
+# trials were stored as int64 and counted by full-length running sums
+PAYLOAD_DIGESTS = {
+    "stabilize": "f072f77c20de8b02",
+    "randomness": "3a7ac72cddc38e72",
+    "padic": "1c3e99bc15b75fd4",
+    "mix": "40ab8a9c9a1d8a02",
+    "select": "184fc5754946a9b6",
+    "ville": "4327353bec7e075c",
+}
+
+
+@pytest.fixture(scope="module")
+def byte_trial_argv(tmp_path_factory):
+    """Seeded inputs longer than two counting chunks: 2^19 raw bits, and
+    300000 ternary trials with a non-ASCII label in CRLF lines of 100."""
+    d = tmp_path_factory.mktemp("byte_trials")
+    raw = d / "seq.raw"
+    raw.write_bytes(np.random.default_rng(2014).integers(0, 256, size=1 << 16, dtype=np.uint8).tobytes())
+    codes = np.frombuffer("aβc".encode("utf-32-le"), dtype="<u4")
+    tern = codes[np.random.default_rng(2015).integers(0, 3, size=300_000)]
+    lines = (tern[i:i + 100].tobytes().decode("utf-32-le") for i in range(0, tern.size, 100))
+    asc = d / "seq.txt"
+    asc.write_bytes("\r\n".join(lines).encode("utf-8"))
+    return {
+        "stabilize": ["stabilize", raw, "--format", "raw"],
+        "randomness": ["randomness", raw, "--format", "raw",
+                       "--rules", "identity,primes,after:10,coin", "--seed", "1"],
+        "padic": ["padic", raw, "--format", "raw", "--label", "1"],
+        "mix": ["mix", asc, "--labels", "a,c"],
+        "select": ["select", asc, "--rules", "identity,evens,after:aβ,coin"],
+        "ville": ["ville", "--n", "4096"],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_DIGESTS))
+def test_reports_match_those_of_int64_trials(tmp_path, byte_trial_argv, name):
+    code, report = run([str(a) for a in byte_trial_argv[name]], tmp_path)
+    assert code == 0
+    body = json.dumps([report["payload"], report["warnings"]], sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest()[:16] == PAYLOAD_DIGESTS[name]
 
 
 # --- entry points ---------------------------------------------------------------------

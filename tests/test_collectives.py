@@ -2,6 +2,7 @@
 mixing additivity, the adversarial selection, and the regular-sequence
 generator."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collectiva import collectives
 from collectiva.collectives import (
     BINARY,
+    CHUNK,
     FrequencyProbability,
     LabelAlphabet,
     PlaceSelectionRule,
@@ -29,13 +32,19 @@ from collectiva.collectives import (
     log_checkpoints,
     mix,
     odds_rule,
+    prefix_counts,
     primes_rule,
     randomness_check,
+    running_margins,
     rule_from_spec,
     seq_to_unit_interval,
     ville_generator,
 )
-from collectiva.errors import ConstructionError, InputError
+from collectiva.errors import CapacityError, ConstructionError, InputError
+from collectiva.padic import realized_trace
+from collectiva.seqio import read_sequence
+
+from _oracles import cumsum_prefix_counts
 
 TERNARY = LabelAlphabet(("a", "b", "c"))
 
@@ -85,6 +94,22 @@ def test_trial_sequence_ingestion():
         TrialSequence(BINARY, np.array([0, 3]))
 
 
+def test_indices_are_stored_as_bytes_up_to_256_labels():
+    small = LabelAlphabet(tuple(range(256)))
+    big = LabelAlphabet(tuple(range(257)))
+    assert TrialSequence(small, np.array([0, 255])).data.dtype == np.uint8
+    assert TrialSequence(big, np.array([0, 256])).data.dtype == np.int64
+    assert TrialSequence.from_bits(np.array([True, False])).data.dtype == np.uint8
+    assert mix(seeded_ternary(100, 1), ["a"]).data.dtype == np.uint8
+
+
+@pytest.mark.parametrize("bad", [[0, 256], [0, 258], [-1, 1], [0, -255]])
+def test_bad_indices_are_rejected_before_narrowing(bad):
+    # 256 and -255 wrap to 0 and 1 as uint8, which would pass a later check
+    with pytest.raises(InputError, match="outside the alphabet"):
+        TrialSequence(BINARY, np.array(bad, dtype=np.int64))
+
+
 # --- frequencies -------------------------------------------------------------------
 
 def test_alternating_frequencies_are_half_at_even_checkpoints():
@@ -125,6 +150,32 @@ def test_frequencies_sum_to_one_exactly_at_every_checkpoint(idx):
     for k in range(len(cps)):
         assert sum(tr.nu(lab, k) for lab in TERNARY.labels) == 1
         assert all(0 <= tr.nu(lab, k) <= 1 for lab in TERNARY.labels)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prefix_counts_match_the_running_sum_kernel(data):
+    k = data.draw(st.integers(2, 300), label="labels")
+    n = data.draw(st.integers(1, 400), label="trials")
+    chunk = data.draw(st.integers(1, 64), label="chunk")
+    x = TrialSequence(LabelAlphabet(tuple(range(k))),
+                      np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, k, n))
+    cps = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=12), label="checkpoints")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "CHUNK", chunk)
+        for j in {0, k - 1, int(x.data[0])}:
+            assert prefix_counts(x.data, j, cps) == cumsum_prefix_counts(x.data, j, cps)
+    tr = frequencies(x, cps)
+    j = int(x.data[-1])
+    assert [v * c for v, c in zip(tr.values[j], cps)] == cumsum_prefix_counts(x.data, j, cps)
+    assert realized_trace(x, cps, label=j) == list(tr.values[j])
+
+
+def test_prefix_counts_across_many_default_chunks():
+    x = seeded_ternary(2 * CHUNK + 1000, 5)
+    cps = [2 * CHUNK + 1000, 3, CHUNK + 1, 3, 1, 2 * CHUNK + 999]
+    for j in range(3):
+        assert prefix_counts(x.data, j, cps) == cumsum_prefix_counts(x.data, j, cps)
 
 
 def test_log_checkpoints_cover_both_ends():
@@ -239,6 +290,16 @@ def test_aux_coin_is_seed_deterministic():
     c = apply_selection(aux_coin_rule(43), x)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1])
+def test_chunked_coin_mask_is_one_uniform_stream(p):
+    n = 3 * CHUNK + 17
+    data = np.zeros(n, dtype=np.uint8)
+    mask = aux_coin_rule(11, p).vector_decider(BINARY, data)
+    assert np.array_equal(mask, np.random.default_rng(11).random(n) < p)
+    decide = aux_coin_rule(11, p).make_decider(BINARY)
+    assert [decide(i + 1, data[:i]) for i in range(500)] == list(mask[:500])
 
 
 def test_rule_spec_parsing():
@@ -404,6 +465,20 @@ def test_generator_failure_is_explicit():
         ville_generator([identity_rule()], 0)
 
 
+def test_running_margins_stay_signed_on_byte_trials():
+    x = TrialSequence.from_bits(np.array([0, 0, 1, 1, 1]))
+    margins = running_margins(x.data)
+    assert margins.dtype == np.int64
+    assert margins.tolist() == [-1, -2, -1, 0, 1]
+
+
+def test_generator_checks_the_memory_budget_first(monkeypatch):
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(1000 * collectives.VILLE_BYTES_PER_TRIAL))
+    assert len(ville_generator([identity_rule()], 1000, Fraction(1, 10))) == 1000
+    with pytest.raises(CapacityError, match="ville construction of 1001 trials"):
+        ville_generator([identity_rule()], 1001, Fraction(1, 10))
+
+
 # --- unit-interval map ----------------------------------------------------------------
 
 def test_unit_interval_examples():
@@ -417,3 +492,35 @@ def test_unit_interval_examples():
 def test_unit_interval_requires_binary():
     with pytest.raises(InputError, match="binary"):
         seq_to_unit_interval(seeded_ternary(8, 0))
+
+
+# --- memory of the read path -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def raw_8mbit(tmp_path_factory):
+    path = tmp_path_factory.mktemp("raw") / "uniform.raw"
+    path.write_bytes(np.random.default_rng([1, 1]).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes())
+    return path
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_randomness_on_8_mbit_peaks_under_64_mb(raw_8mbit):
+    family = [rule_from_spec(s) for s in ("identity", "primes", "after:10", "coin:1")]
+    peak = traced_peak_mb(lambda: randomness_check(read_sequence(raw_8mbit, "raw"), family))
+    assert peak < 64
+
+
+def test_frequency_trace_of_8_mbit_peaks_under_32_mb(raw_8mbit):
+    def trace():
+        x = read_sequence(raw_8mbit, "raw")
+        frequencies(x, log_checkpoints(len(x)))
+
+    assert traced_peak_mb(trace) < 32

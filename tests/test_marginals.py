@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collectiva import marginals
 from collectiva.errors import CapacityError, InputError
 from collectiva.marginals import (
     CorrelationTriple,
@@ -252,6 +253,32 @@ def test_no_signaling_violation_short_circuits_feasibility():
     assert not verdict.feasible
     assert verdict.method == "marginal-consistency"
     assert verdict.violated == ("no-signaling", Fraction(2, 5))
+
+
+def test_no_signaling_is_computed_once_per_family(monkeypatch):
+    calls = []
+    monkeypatch.setattr(marginals, "check_no_signaling",
+                        lambda family: calls.append(family) or check_no_signaling(family))
+    family = triple_to_family(CorrelationTriple(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)))
+    assert family.no_signaling == (True, [])
+    assert joint_exists(family).feasible is False
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("e13", [0.99999999, 1 - 5e-9, 1 - 1e-7])
+def test_float_triples_just_off_the_equality_face_are_infeasible(e13):
+    verdict = joint_exists(triple_to_family(CorrelationTriple(1.0, 1.0, e13)))
+    assert not verdict.feasible and verdict.method == "lp-highs"
+
+
+def test_float_witness_off_by_more_than_the_slack_is_a_capacity_error():
+    p = JointPMF(("a",), {"a": SIGNS}, {(1,): 0.5, (-1,): 0.5})
+    off = JointPMF(("a",), {"a": SIGNS}, {(1,): 0.5 + 1e-8, (-1,): 0.5 - 1e-8})
+    with pytest.raises(CapacityError, match="exact rationals"):
+        marginals._verify_witness(off, MarginalFamily((p,)))
+    exact = JointPMF(("a",), {"a": SIGNS}, {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)})
+    with pytest.raises(AssertionError):
+        marginals._verify_witness(off, MarginalFamily((exact,)))
 
 
 def test_grid_of_correlation_triples_matches_interval_oracle():

@@ -10,10 +10,12 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collectiva.collectives import BINARY, LabelAlphabet
-from collectiva.complexity import pack_bits
-from collectiva.errors import InputError
+from collectiva.complexity import as_bits, pack_bits
+from collectiva.errors import CapacityError, InputError
 from collectiva.report import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
@@ -24,6 +26,8 @@ from collectiva.report import (
     write_report,
 )
 from collectiva.seqio import FORMATS, read_rationals, read_sequence
+
+from _oracles import per_character_parse
 
 
 # --- raw format -----------------------------------------------------------------------
@@ -42,6 +46,24 @@ def test_raw_round_trips_with_the_bit_packer(tmp_path):
     f = tmp_path / "x.bin"
     f.write_bytes(pack_bits(bits))
     assert list(read_sequence(f, "raw").data) == list(bits)
+
+
+def test_raw_trials_are_bytes_shared_with_the_bit_view(tmp_path):
+    f = tmp_path / "x.bin"
+    f.write_bytes(bytes([0x5A, 0xFF]))
+    x = read_sequence(f, "raw")
+    assert x.data.dtype == np.uint8
+    assert np.shares_memory(as_bits(x), x.data)
+
+
+def test_raw_unpack_checks_the_memory_budget(tmp_path, monkeypatch):
+    f = tmp_path / "x.bin"
+    f.write_bytes(bytes(100))
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "800")
+    assert len(read_sequence(f, "raw")) == 800
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "799")
+    with pytest.raises(CapacityError, match="unpacking 100 raw bytes"):
+        read_sequence(f, "raw")
 
 
 def test_raw_empty_file_is_rejected(tmp_path):
@@ -81,6 +103,47 @@ def test_ascii_label_outside_the_alphabet_is_rejected(tmp_path):
     f.write_text("012")
     with pytest.raises(InputError, match="not in alphabet"):
         read_sequence(f, "ascii", alphabet=BINARY)
+
+
+TEXT_CHARS = st.sampled_from(["a", "b", "0", "1", "\x00", "\x01", "ß", "β", "€", "😀", "\n", "\r"])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_ascii_parse_matches_the_per_character_parse(tmp_path_factory, data):
+    chars = st.one_of(TEXT_CHARS, st.characters())
+    text = data.draw(st.text(chars, min_size=1, max_size=300), label="text")
+    if not text.replace("\n", "").replace("\r", ""):
+        text += "a"
+    if data.draw(st.booleans(), label="constant"):
+        text = text.replace("\n", "").replace("\r", "")[0] * len(text) + "\r\n"
+    labels = None
+    if data.draw(st.booleans(), label="explicit alphabet"):
+        pool = [*sorted(set(text.replace("\n", "").replace("\r", "")) | {"x", "yz"}), 7]
+        labels = tuple(data.draw(st.permutations(pool), label="order"))
+        labels = labels[:data.draw(st.integers(2, len(labels)), label="kept")]
+    f = tmp_path_factory.mktemp("ascii") / "x.txt"
+    f.write_bytes(text.encode("utf-8"))
+    try:
+        want = per_character_parse(text, labels)
+    except KeyError as exc:
+        alphabet = LabelAlphabet(labels)
+        with pytest.raises(InputError) as err:
+            read_sequence(f, "ascii", alphabet=alphabet)
+        assert str(err.value) == f"label {exc.args[0]!r} not in alphabet {alphabet.labels!r}"
+        return
+    x = read_sequence(f, "ascii", alphabet=None if labels is None else LabelAlphabet(labels))
+    assert (x.alphabet.labels, x.data.tolist()) == want
+    assert x.data.dtype == (np.uint8 if len(want[0]) <= 256 else np.int64)
+
+
+def test_ascii_over_256_distinct_characters_stores_int64(tmp_path):
+    f = tmp_path / "x.txt"
+    text = "".join(chr(0x400 + i) for i in range(300)) * 2 + "\n"
+    f.write_text(text, encoding="utf-8")
+    x = read_sequence(f, "ascii")
+    assert x.data.dtype == np.int64
+    assert (x.alphabet.labels, x.data.tolist()) == per_character_parse(text)
 
 
 # --- csv format -----------------------------------------------------------------------

@@ -15,6 +15,7 @@ fall back to an absolute tolerance of 1e-12.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -161,7 +162,10 @@ class EventAlgebra:
         return self._has(event.mask)
 
     def __len__(self) -> int:
-        return 1 << len(self.block_masks)
+        k = len(self.block_masks)
+        if k >= sys.maxsize.bit_length():
+            raise CapacityError(f"algebra has 2^{k} events, more than len() can count")
+        return 1 << k
 
     @property
     def masks(self) -> frozenset[int]:
@@ -222,6 +226,18 @@ class _EventWeights(Mapping):
 
     def __len__(self) -> int:
         return len(self.algebra)
+
+    def __eq__(self, other):
+        """Block by block against another block-weight map, without
+        enumerating the events; by event against any other mapping."""
+        if isinstance(other, _EventWeights):
+            return self.algebra == other.algebra and self.block_weights == other.block_weights
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        pairs = zip(self.algebra.block_masks, self.block_weights)
+        blocks = ", ".join(f"{m:#b}: {v!r}" for m, v in pairs)
+        return f"{type(self).__name__}({{{blocks}}})"
 
 
 @dataclass(frozen=True)

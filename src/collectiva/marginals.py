@@ -297,7 +297,7 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
         raise CapacityError(f"LP solver returned status {res.status}: {res.message}")
     x, method = res.x[:support], "lp-certified" if family.exact else "lp-highs"
     if not family.exact:
-        if res.fun > FLOAT_SLACK:
+        if res.x[support:].max() > FLOAT_SLACK:  # per cell, as _verify_witness checks
             return FeasibilityVerdict(False, violated=("linear-system", None), method=method)
         mass = {j: float(x[j]) for j in np.flatnonzero(x > 1e-15)}
         total = sum(mass.values())

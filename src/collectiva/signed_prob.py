@@ -4,9 +4,9 @@ Weights of any sign summing to exactly 1: additivity and the Bayes quotient
 survive, nonnegativity does not — a set of negative probability forces its
 complement above 1.  Almost-sure convergence of empirical means can fail
 outright, but the weak form E f(mean of N copies) -> f(m) still holds for
-smooth f, and is verified here by *exact convolution*, computed as integer
-polynomial powers: sampling from a signed law is ill-defined, so no
-Monte-Carlo is attempted.
+polynomial f.  Sampling from a signed law is ill-defined, so no Monte-Carlo
+is attempted: the weak law is checked on exact moments, at any N, and the
+N-fold law, where wanted, is an exact integer polynomial power.
 """
 
 from __future__ import annotations
@@ -18,11 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import CapacityError, InputError, NullConditioningError, max_mem_bytes
+from .errors import CapacityError, InputError, NullConditioningError, check_mem, max_mem_bytes
 from .finite_prob import is_exact, values_equal
 
+# per subset sum of the negativity count (tracemalloc: 13-31 bytes at 12-24 atoms)
+NEGATIVITY_BYTES_PER_SUM = 64
 CONVOLUTION_SUPPORT_CAP = 10**6  # mean-law points
-PACKED_LAW_BYTE_BUDGET = 128 * 10**6  # bytes of one packed power
+LAW_BYTE_BUDGET = 128 * 10**6  # bytes of the largest requested law
+# per mean-law point besides two coefficients (tracemalloc, bundled laws, N <= 2048)
+LAW_POINT_BYTES = 320
 
 
 @dataclass(frozen=True)
@@ -127,11 +131,16 @@ def expectation_signed(space: SignedProbabilitySpace, a: Mapping) -> object:
 def negative_event_count(space: SignedProbabilitySpace) -> int:
     """Number of events of negative signed mass, by meet in the middle: the
     2^(k/2) subset sums of each half of the atoms, one half sorted and
-    bisected for every sum of the other, instead of all 2^k events."""
+    bisected for every sum of the other, instead of all 2^k events.  The
+    sorted half and its unsorted copy, 2 * 2^ceil(k/2) sums, are checked
+    against COLLECTIVA_MAX_MEM first."""
     weights = [_rational(space.weight[a]) for a in space.atoms]
     den = math.lcm(*(w.denominator for w in weights))
     ints = [w.numerator * (den // w.denominator) for w in weights]
     half = len(ints) // 2
+    per_sum = NEGATIVITY_BYTES_PER_SUM + sum(map(abs, ints)).bit_length() // 8
+    sums = 2 << (len(ints) - half)
+    check_mem(sums * per_sum, f"the negativity count's {sums} subset sums")
     right = sorted(_subset_sums(ints[half:]))
     return sum(bisect.bisect_left(right, -s) for s in _subset_sums(ints[:half]))
 
@@ -181,6 +190,25 @@ class SumDistribution:
         return sum(f(v) * m for v, m in self.mass.items())
 
 
+@dataclass(frozen=True)
+class Polynomial:
+    """The test function sum_k coeffs[k] x^k, lowest degree first, evaluated
+    by Horner's rule (so x^2 is x*x)."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if not self.coeffs:
+            raise InputError("a polynomial needs at least one coefficient")
+
+    def __call__(self, x):
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
+
 def _rational(v) -> Fraction:
     """Exact rational of a numeric value; a float by its shortest repr, so
     0.1 is 1/10 rather than its 55-bit binary expansion."""
@@ -192,20 +220,30 @@ def _rational(v) -> Fraction:
         raise InputError(f"value {v!r} is not a finite number: {exc}") from exc
 
 
-def _support_cap() -> int:
-    """Mean-law points either kernel may hold: CONVOLUTION_SUPPORT_CAP, or
-    COLLECTIVA_MAX_MEM / 128 when that is lower (but at least 16)."""
+def _checked_ns(ns: Sequence[int]) -> list[int]:
+    want = sorted({int(n) for n in ns})
+    if not want:
+        raise InputError("need at least one N")
+    if want[0] < 1:
+        raise InputError("n must be >= 1")
+    return want
+
+
+def _rational_pairs(space: SignedProbabilitySpace, a: Mapping) -> list[tuple[Fraction, Fraction]]:
+    """(value, weight) of every atom, as exact rationals."""
+    if set(a) != set(space.atoms):
+        raise InputError("variable must assign a value to every atom")
+    return [(_rational(a[atom]), _rational(space.weight[atom])) for atom in space.atoms]
+
+
+def _law_budget() -> tuple[int, int]:
+    """(points, bytes) the sweep may hold: CONVOLUTION_SUPPORT_CAP and
+    LAW_BYTE_BUDGET, or COLLECTIVA_MAX_MEM / 128 points (but at least 16) and
+    COLLECTIVA_MAX_MEM bytes when those are lower."""
     mem = max_mem_bytes()
     if mem is None:
-        return CONVOLUTION_SUPPORT_CAP
-    return max(16, min(CONVOLUTION_SUPPORT_CAP, mem // 128))
-
-
-def _byte_budget() -> int:
-    """Bytes a packed power may take: PACKED_LAW_BYTE_BUDGET, or
-    COLLECTIVA_MAX_MEM when that is lower."""
-    mem = max_mem_bytes()
-    return PACKED_LAW_BYTE_BUDGET if mem is None else min(PACKED_LAW_BYTE_BUDGET, mem)
+        return CONVOLUTION_SUPPORT_CAP, LAW_BYTE_BUDGET
+    return max(16, min(CONVOLUTION_SUPPORT_CAP, mem // 128)), min(LAW_BYTE_BUDGET, mem)
 
 
 @dataclass(frozen=True)
@@ -222,12 +260,9 @@ class _LatticeLaw:
 
 
 def _lattice_law(space: SignedProbabilitySpace, a: Mapping) -> _LatticeLaw:
-    if set(a) != set(space.atoms):
-        raise InputError("variable must assign a value to every atom")
     weights: dict[Fraction, Fraction] = {}
-    for atom in space.atoms:
-        v = _rational(a[atom])
-        weights[v] = weights.get(v, 0) + _rational(space.weight[atom])
+    for v, w in _rational_pairs(space, a):
+        weights[v] = weights.get(v, 0) + w
     scale = math.lcm(*(v.denominator for v in weights))
     denom = math.lcm(*(w.denominator for w in weights.values()))
     ints = {v: v.numerator * (scale // v.denominator) for v in weights}
@@ -240,78 +275,23 @@ def _lattice_law(space: SignedProbabilitySpace, a: Mapping) -> _LatticeLaw:
     return _LatticeLaw(coeffs, max(coeffs), denom, base, step, scale)
 
 
-def _is_dense(lat: _LatticeLaw, n: int) -> bool:
-    """Whether the N-fold law fills enough of its lattice range 0..n*span
-    for the packed power: the range may be at most twice the number of
-    multisets of N occupied positions, which bounds the sumset.  Values
-    on a narrow lattice, such as small integers, are dense; values far
-    apart on theirs, such as {0, 1, 10**6} or floats with long decimals,
-    are not."""
-    k = len(lat.coeffs)
-    return n * lat.span + 1 <= 2 * math.comb(n + k - 1, k - 1)
-
-
-def _slot_bytes(coeffs: dict, n: int) -> int:
-    """Bytes per coefficient of the n-th power: |coefficient| <= (sum |c|)^n,
-    plus one sign bit, rounded up to whole bytes."""
-    return (n * sum(abs(c) for c in coeffs.values()).bit_length() + 8) // 8
-
-
-def _power_coeffs(coeffs: dict, span: int, n: int) -> list[int]:
-    """Coefficients of (sum_p coeffs[p] z^p)^n for powers 0..n*span, by
-    Kronecker substitution: pack the polynomial into one int with slots
-    wide enough for any coefficient of the power, raise it to the n-th
-    power, then bias every slot by half its range so no slot borrows from
-    the next and read them all off one to_bytes call (linear, where shifting
-    the int once per slot would be quadratic)."""
-    slot = _slot_bytes(coeffs, n)
-    bits = 8 * slot
-    packed = sum(c << (bits * p) for p, c in coeffs.items())
-    count = n * span + 1
-    half = 1 << (bits - 1)
-    bias = int.from_bytes((bytes(slot - 1) + b"\x80") * count, "little")
-    raw = (packed**n + bias).to_bytes(count * slot, "little")
-    return [
-        int.from_bytes(raw[i : i + slot], "little") - half
-        for i in range(0, count * slot, slot)
-    ]
-
-
-def _packed_powers(lat: _LatticeLaw, want: Sequence[int], cap: int):
-    """(N, position -> coefficient of P(z)^N) for each N in `want`, one
-    packed power each.  The keys are the N-fold sumset of the occupied
-    positions: the whole range when they fill 0..span, otherwise the
-    support of the power of their indicator polynomial."""
-    indicator = None if len(lat.coeffs) == lat.span + 1 else dict.fromkeys(lat.coeffs, 1)
-    n = want[-1]
-    count = n * lat.span + 1
-    if count > cap:
-        raise CapacityError(f"convolution support exceeded cap of {cap} points")
-    slot = _slot_bytes(lat.coeffs, n)
-    if indicator is not None:
-        slot = max(slot, _slot_bytes(indicator, n))
-    # the power and its byte string take `slot` bytes per slot each, and
-    # the unpacked list a pointer and an int of about 28 + slot bytes
-    size = count * (3 * slot + 36) * (1 if indicator is None else 2)
-    budget = _byte_budget()
-    if size > budget:
-        raise CapacityError(
-            f"convolution support exceeded: the N={n} law packs into {size} "
-            f"bytes, over the budget of {budget}"
-        )
-    for n in want:
-        coeffs = _power_coeffs(lat.coeffs, lat.span, n)
-        if indicator is None:
-            yield n, dict(enumerate(coeffs))
-        else:
-            hits = _power_coeffs(indicator, lat.span, n)
-            yield n, {p: c for p, c in enumerate(coeffs) if hits[p]}
-
-
-def _sparse_powers(lat: _LatticeLaw, want: Sequence[int], cap: int):
+def _sparse_powers(lat: _LatticeLaw, want: Sequence[int]):
     """(N, position -> coefficient of P(z)^N) for each N in `want`, by one
     step-by-step sweep of integer dicts; every reached position keeps its
-    key, even when its coefficient cancels to 0."""
+    key, even when its coefficient cancels to 0.  Before the first step the
+    largest law is bounded by its points, at most the lattice range and at
+    most the multisets of N occupied positions, times their bytes: each
+    coefficient is at most (sum |c|)^N, plus a sign bit."""
+    n, k = want[-1], len(lat.coeffs)
+    points = min(n * lat.span + 1, math.comb(n + k - 1, k - 1))
+    coeff_bytes = (n * sum(map(abs, lat.coeffs.values())).bit_length() + 8) // 8
+    size = points * (2 * coeff_bytes + LAW_POINT_BYTES)
+    cap, budget = _law_budget()
+    if size > budget:
+        raise CapacityError(
+            f"convolution support exceeded: the N={n} law may take {size} "
+            f"bytes, over the budget of {budget}"
+        )
     marks = set(want)
     sums = {0: 1}
     for step in range(1, want[-1] + 1):
@@ -332,32 +312,23 @@ def mean_law_table(
     """Mean laws at each requested N, from exact integer polynomial powers.
 
     On the integer lattice of the variable's values its law is P(z) / W with
-    integer coefficients, so the law of the sum of N copies is P(z)^N / W^N.
-    When the values sit densely on their lattice each power is one packed
-    big-int power; otherwise one sparse sweep snapshots every requested N.
-    The support is the N-fold sumset of the occupied positions, so a mean
-    whose mass cancels to 0 keeps its key.  Keys are floats when any value
-    or weight is a float, masses when any weight is.  Every law's total
-    signed mass is checked to be exactly 1, and either kernel's size
-    against the support cap (and the packed one's bytes against the byte
-    budget) before it can exceed them.
+    integer coefficients, so the law of the sum of N copies is P(z)^N / W^N,
+    and one sparse sweep snapshots every requested N.  The support is the
+    N-fold sumset of the occupied positions, so a mean whose mass cancels
+    to 0 keeps its key.  Keys are floats when any value or weight is a
+    float, masses when any weight is.  Every law's total signed mass is
+    checked to be exactly 1, the sweep's bytes against the byte budget
+    before it starts and its points against the support cap as it goes.
     """
-    want = sorted({int(n) for n in ns})
-    if not want:
-        raise InputError("need at least one N")
-    if want[0] < 1:
-        raise InputError("n must be >= 1")
+    want = _checked_ns(ns)
     lat = _lattice_law(space, a)
     float_keys = not (space.exact and is_exact(*a.values()))
-    kernel = _packed_powers if _is_dense(lat, want[-1]) else _sparse_powers
     out: dict[int, SumDistribution] = {}
-    for n, coeffs in kernel(lat, want, _support_cap()):
+    for n, coeffs in _sparse_powers(lat, want):
         wn = lat.denom**n
         total = sum(coeffs.values())
         if not (total == wn if space.exact else values_equal(total / wn, 1.0, False)):
-            raise AssertionError(
-                f"signed mass of the mean law is {Fraction(total, wn)}, not 1"
-            )
+            raise AssertionError(f"signed mass of the mean law is {Fraction(total, wn)}, not 1")
         key_den = n * lat.scale
         mass: dict = {}
         try:
@@ -381,46 +352,70 @@ def mean_law_table(
 def sum_distribution(space: SignedProbabilitySpace, a: Mapping, n: int) -> SumDistribution:
     """Exact N-fold signed convolution of the variable's law, as a law of the
     mean; total signed mass is checked to be exactly 1."""
-    if n < 1:
-        raise InputError("n must be >= 1")
     return mean_law_table(space, a, [n])[n]
 
 
 def weak_lln_check(
     space: SignedProbabilitySpace,
     a: Mapping,
-    f: Callable,
+    f: Polynomial,
     schedule: Sequence[int],
 ) -> list[tuple[int, object, object]]:
     """Rows (N, E f(mean_N), |E f(mean_N) - f(m)|) over the schedule, where m
-    is the signed expectation of the variable — the weak-convergence table."""
-    m = expectation_signed(space, a)
-    fm = f(m)
-    laws = mean_law_table(space, a, schedule)
+    is the signed expectation of the variable — the weak-convergence table.
+
+    No law is built: with a_j = E[X^j] / j!, the sum S_N of N copies has
+    E[S_N^k] = k! [t^k] (sum_j a_j t^j)^N, whose coefficients J. C. P.
+    Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) gives in O(deg^2) exact
+    steps at any N.  Weights summing to 1 within float tolerance are rescaled
+    to exactly 1.  Rows are exact when every weight and value is; otherwise
+    each is rounded to float once, and one beyond the float range is a
+    CapacityError."""
+    if not isinstance(f, Polynomial):
+        raise TypeError(f"f must be a Polynomial, not {type(f).__name__}")
+    _checked_ns(schedule)
+    pairs = _rational_pairs(space, a)
+    exact = space.exact and is_exact(*a.values(), *f.coeffs)
+    deg = len(f.coeffs) - 1
+    mu = [sum(w * x**j for x, w in pairs) for j in range(max(deg, 1) + 1)]
+    if not values_equal(mu[0], 1, space.exact):
+        raise InputError(f"weights sum to {mu[0]}, not 1")
+    fact = [math.factorial(j) for j in range(deg + 1)]
+    aj = [mu[j] / (mu[0] * fact[j]) for j in range(deg + 1)]
+    g = Polynomial(tuple(map(_rational, f.coeffs)))
+    fm = g(mu[1] / mu[0])
+    if not exact:
+        _finite(fm, "f(m)")
     rows = []
-    for n in schedule:
-        ef = laws[int(n)].expect(f)
-        rows.append((n, ef, abs(ef - fm)))
+    for n in map(int, schedule):
+        b = [Fraction(1)]  # b_k = (1/k) sum_j ((N + 1) j - k) a_j b_{k-j}
+        for k in range(1, deg + 1):
+            b.append(sum(((n + 1) * j - k) * aj[j] * b[k - j] for j in range(1, k + 1)) / k)
+        ef = sum(c * fact[k] * b[k] / Fraction(n) ** k for k, c in enumerate(g.coeffs))
+        gap = abs(ef - fm)
+        if not exact:
+            ef, gap = _finite(ef, f"E f at N={n}"), _finite(gap, f"the gap at N={n}")
+        rows.append((n, ef, gap))
     return rows
+
+
+def _finite(x: Fraction, what: str) -> float:
+    """x rounded to float; a CapacityError when it is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise CapacityError(f"{what} is beyond the float range") from None
 
 
 # shipped smooth test functions: each one's weak-convergence error at
 # N = 256 falls below 1% of its N = 1 value on every bundled space; the
 # quartic misses that margin there (its 1/N coefficient 6 m^2 mu_2 is too
 # large next to the N = 1 error), so it is left to callers
-POLY_TEST_FUNCTIONS: tuple[tuple[str, Callable], ...] = (
-    ("x", lambda x: x),
-    ("x^2", lambda x: x * x),
-    ("x^3", lambda x: x * x * x),
+POLY_TEST_FUNCTIONS: tuple[tuple[str, Polynomial], ...] = (
+    ("x", Polynomial((0, 1))),
+    ("x^2", Polynomial((0, 0, 1))),
+    ("x^3", Polynomial((0, 0, 0, 1))),
 )
-
-
-def _mixed_sixteen() -> SignedProbabilitySpace:
-    atoms = tuple(f"s{i}" for i in range(16))
-    w = {}
-    for i, a in enumerate(atoms):
-        w[a] = Fraction(3, 8) if i % 2 == 0 else Fraction(-1, 4)
-    return SignedProbabilitySpace(atoms, w)
 
 
 BUNDLED_SPACES: dict[str, SignedProbabilitySpace] = {
@@ -431,7 +426,10 @@ BUNDLED_SPACES: dict[str, SignedProbabilitySpace] = {
     "two-point": SignedProbabilitySpace(
         ("a0", "a1"), {"a0": Fraction(-1, 2), "a1": Fraction(3, 2)}
     ),
-    "sixteen-atom": _mixed_sixteen(),
+    "sixteen-atom": SignedProbabilitySpace(
+        tuple(f"s{i}" for i in range(16)),
+        {f"s{i}": Fraction(-1, 4) if i % 2 else Fraction(3, 8) for i in range(16)},
+    ),
 }
 
 BUNDLED_VARIABLES: dict[str, Mapping] = {

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import collectiva
-from collectiva import marginals
+from collectiva import marginals, signed_prob
 from collectiva.cli import main
 from collectiva.complexity import pack_bits
 from collectiva.report import validate_report
@@ -91,11 +91,16 @@ def test_capacity_limit_exits_three(tmp_path, capsys, monkeypatch):
     assert "capacity limit" in capsys.readouterr().err
 
 
-def test_huge_signed_schedule_exits_three_quickly(tmp_path, capsys):
+def test_huge_signed_schedule_exits_zero_quickly(tmp_path):
+    """Weak-law rows come from moments, so no N-fold law of 10^5 points is built."""
     start = time.monotonic()
-    assert main(["signed", "two-point", "--n", "100000"]) == 3
+    code, report = run(["signed", "two-point", "--n", "100000"], tmp_path)
+    assert code == 0
     assert time.monotonic() - start < 2.0
-    assert "support exceeded" in capsys.readouterr().err
+    rows = report["payload"]["weak_law"]["rows"]
+    assert [r["n"] for r in rows] == [2**i for i in range(17)]
+    for r in rows:
+        assert frac(r["expectation"]) == Fraction(9, 4) - Fraction(3, 4) / r["n"]
 
 
 def test_ville_zero_eps_without_min_count_exits_two(capsys):
@@ -445,14 +450,82 @@ def test_signed_float_values_with_long_decimals(tmp_path):
         assert r["expectation"] == pytest.approx(m * m + (ex2 - m * m) / r["n"], abs=1e-12)
 
 
-def test_signed_float_masses_beyond_the_float_range_exit_three(tmp_path, capsys):
+def test_signed_float_masses_beyond_the_float_range_give_closed_form_rows(tmp_path):
+    """Weights 2^52 and 1 - 2^52: the N = 32 law has masses past the float
+    range, but its moments do not, and each row is rounded once."""
     doc = tmp_path / "float.json"
     doc.write_text(json.dumps({
         "weights": {"u": 2.0**52, "v": 1 - 2.0**52},
         "variable": {"u": 0, "v": 1},
     }))
-    assert main(["signed", str(doc), "--n", "32", "--out", str(tmp_path / "r.json")]) == 3
-    assert "float range" in capsys.readouterr().err
+    code, report = run(["signed", str(doc), "--n", "32"], tmp_path)
+    assert code == 0
+    m = mu2 = Fraction(1 - 2**52)
+    rows = report["payload"]["weak_law"]["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 4, 8, 16, 32]
+    for r in rows:
+        assert r["expectation"] == float(m * m + (mu2 - m * m) / r["n"])
+        assert r["gap"] == float(abs(mu2 - m * m) / r["n"])
+
+
+def test_signed_rows_beyond_the_float_range_exit_three(tmp_path, capsys):
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({
+        "weights": {"u": "-1/2", "v": "3/4", "w": "3/4"},
+        "variable": {"u": 0, "v": 1e200, "w": 2e200},
+    }))
+    assert main(["signed", str(doc), "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "float range" in err and len(err.strip().splitlines()) == 1
+
+
+def test_signed_never_builds_a_mean_law(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mean_law_table called")
+
+    monkeypatch.setattr(signed_prob, "mean_law_table", refuse)
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({
+        "weights": {"u": "-1/2", "v": "3/4", "w": "3/4"},
+        "variable": {"u": 0, "v": 1, "w": 10**6},
+    }))
+    for space in [*signed_prob.BUNDLED_SPACES, str(doc)]:
+        code, report = run(["signed", space], tmp_path)
+        assert code == 0 and report["payload"]["weak_law"]["rows"], space
+
+
+@pytest.mark.parametrize("n", [4096, 2**30])
+def test_signed_sixteen_atom_at_large_n_is_fast_and_exact(tmp_path, n):
+    space = signed_prob.BUNDLED_SPACES["sixteen-atom"]
+    var = signed_prob.BUNDLED_VARIABLES["sixteen-atom"]
+    m = signed_prob.expectation_signed(space, var)
+    mu2 = signed_prob.expectation_signed(space, {a: v * v for a, v in var.items()})
+    start = time.monotonic()
+    code, report = run(["signed", "sixteen-atom", "--n", str(n)], tmp_path)
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    rows = report["payload"]["weak_law"]["rows"]
+    assert rows[-1]["n"] == n
+    for r in rows:
+        assert frac(r["expectation"]) == m * m + (mu2 - m * m) / r["n"]
+
+
+def test_signed_float_weights_at_n_2048_are_fast(tmp_path):
+    """Float weights -0.5, 0.75, 0.75 on 0, 1, 2: the N = 2048 law has
+    masses past the float range, found only after its whole exact power;
+    the moments give every row at once."""
+    doc = tmp_path / "float.json"
+    doc.write_text(json.dumps({
+        "weights": {"u": -0.5, "v": 0.75, "w": 0.75},
+        "variable": {"u": 0, "v": 1, "w": 2},
+    }))
+    start = time.monotonic()
+    code, report = run(["signed", str(doc), "--n", "2048"], tmp_path)
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    m, mu2 = Fraction(9, 4), Fraction(15, 4)
+    for r in report["payload"]["weak_law"]["rows"]:
+        assert r["expectation"] == float(m * m + (mu2 - m * m) / r["n"])
 
 
 def test_negativity_block_covers_up_to_32_atoms(tmp_path):

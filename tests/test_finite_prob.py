@@ -131,6 +131,34 @@ def test_a_64_atom_power_set_space_needs_no_enumeration():
     assert probability(ps, event) == Fraction(820, 2080)  # 1 + ... + 40
 
 
+def test_equal_21_atom_spaces_compare_without_enumerating_events():
+    space = SampleSpace(tuple(range(21)))  # 2^21 events, past ALGEBRA_CAP
+    a, b = FiniteProbabilitySpace.uniform(space), FiniteProbabilitySpace.uniform(space)
+    assert a == b
+    skewed = {x: Fraction(2 if x == 0 else 1, 22) for x in space.atoms}
+    assert a != FiniteProbabilitySpace.from_atom_weights(space, skewed)
+    small = FiniteProbabilitySpace.uniform(SampleSpace(("x", "y")))
+    assert small.weight == dict(small.weight)  # any other mapping: by event
+    assert small.weight != {0: Fraction(0)}
+
+
+def test_event_weights_repr_lists_the_block_weights():
+    ps = FiniteProbabilitySpace.uniform(SampleSpace(("x", "y", "z")))
+    text = repr(ps.weight)
+    assert "0b1: Fraction(1, 3)" in text and "0b100: Fraction(1, 3)" in text
+    assert " at 0x" not in text
+
+
+def test_len_of_an_algebra_past_the_index_range_is_a_capacity_error():
+    space = SampleSpace(tuple(range(63)))
+    ps = FiniteProbabilitySpace.uniform(space)
+    with pytest.raises(CapacityError, match=r"2\^63"):
+        len(ps.algebra)
+    with pytest.raises(CapacityError, match=r"2\^63"):
+        len(ps.weight)
+    assert len(FiniteProbabilitySpace.uniform(SampleSpace(tuple(range(62)))).algebra) == 2**62
+
+
 @pytest.mark.parametrize("p_a", ["0", "1/2"])
 def test_a_non_closed_event_set_is_rejected_as_not_closed(p_a):
     """{}, {a} and the full space miss the complement {b, c}; the weight of

@@ -271,6 +271,22 @@ def test_float_triples_just_off_the_equality_face_are_infeasible(e13):
     assert not verdict.feasible and verdict.method == "lp-highs"
 
 
+@pytest.mark.parametrize("e13", [1 - 1e-9, 1 - 5e-10])
+def test_float_triples_within_the_slack_per_cell_are_feasible(e13):
+    """The all-equal joint misses each cell by (1 - e13) / 4 <= FLOAT_SLACK,
+    the tolerance _verify_witness allows per cell."""
+    family = triple_to_family(CorrelationTriple(1.0, 1.0, e13))
+    verdict = joint_exists(family)
+    assert verdict.feasible and verdict.method == "lp-highs"
+    marginals._verify_witness(verdict.witness, family)
+
+
+@pytest.mark.parametrize("e13", [1 - 1e-8, 1 - 1e-5])
+def test_float_triples_past_the_slack_per_cell_stay_infeasible(e13):
+    verdict = joint_exists(triple_to_family(CorrelationTriple(1.0, 1.0, e13)))
+    assert not verdict.feasible and verdict.witness is None
+
+
 def test_float_witness_off_by_more_than_the_slack_is_a_capacity_error():
     p = JointPMF(("a",), {"a": SIGNS}, {(1,): 0.5, (-1,): 0.5})
     off = JointPMF(("a",), {"a": SIGNS}, {(1,): 0.5 + 1e-8, (-1,): 0.5 - 1e-8})

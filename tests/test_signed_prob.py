@@ -5,6 +5,7 @@ weak-but-not-strong convergence behaviour."""
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from collectiva.cli import _negativity_scan
 from collectiva.errors import CapacityError, InputError, NullConditioningError
 from collectiva.signed_prob import (
     BUNDLED_SPACES,
-    CONVOLUTION_SUPPORT_CAP,
     BUNDLED_VARIABLES,
+    NEGATIVITY_BYTES_PER_SUM,
     POLY_TEST_FUNCTIONS,
+    Polynomial,
     SignedProbabilitySpace,
     complement_excess,
     conditional_signed,
@@ -34,7 +36,6 @@ from collectiva.signed_prob import (
     validate,
     weak_lln_check,
 )
-from collectiva.signed_prob import _lattice_law, _packed_powers, _sparse_powers
 
 from _oracles import (
     TWO_POINT,
@@ -305,10 +306,6 @@ def test_mean_law_power_matches_the_convolution_oracle(case):
     laws = mean_law_table(space, var, ns)
     for n in ns:
         assert laws[n].mass == convolution_mean_law(space, var, n)
-    # both kernels, whichever one the table picked, give the same powers
-    lat, want = _lattice_law(space, var), sorted(set(ns))
-    cap = CONVOLUTION_SUPPORT_CAP
-    assert dict(_packed_powers(lat, want, cap)) == dict(_sparse_powers(lat, want, cap))
 
 
 def test_values_far_apart_on_their_lattice():
@@ -394,6 +391,33 @@ def test_two_point_mean_law_at_1024_matches_the_binomial_oracle():
     assert time.monotonic() - start < 5.0
 
 
+def test_a_law_past_the_byte_budget_is_refused_before_the_sweep():
+    """two-point at N = 10**5: 100001 points of up to 37501 bytes each."""
+    start = time.monotonic()
+    with pytest.raises(CapacityError, match="support exceeded"):
+        mean_law_table(TWO, BUNDLED_VARIABLES["two-point"], [100000])
+    assert time.monotonic() - start < 2.0
+
+
+@pytest.mark.parametrize("name, var, n", [
+    ("two-point", BUNDLED_VARIABLES["two-point"], 256),
+    ("sixteen-atom", BUNDLED_VARIABLES["sixteen-atom"], 64),
+    ("three-atom", {"w1": 0, "w2": 1, "w3": 10**6}, 64),
+])
+def test_law_byte_estimate_covers_the_measured_peak(monkeypatch, name, var, n):
+    """A budget below what tracemalloc sees a law take is refused up front."""
+    space = BUNDLED_SPACES[name]
+    tracemalloc.start()
+    try:
+        mean_law_table(space, var, [n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(peak - 1))
+    with pytest.raises(CapacityError, match="bytes, over the budget"):
+        mean_law_table(space, var, [n])
+
+
 # --- negativity: Hahn set and event count -------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
@@ -421,6 +445,40 @@ def test_negative_event_count_beyond_the_full_scan():
     assert negative_event_count(SignedProbabilitySpace(atoms, w)) == expected
 
 
+def _alternating_space(k: int, den: int) -> SignedProbabilitySpace:
+    atoms = tuple(f"a{i}" for i in range(k))
+    w = {a: Fraction((-1) ** i * (i + 1), den) for i, a in enumerate(atoms)}
+    w[atoms[-1]] += 1 - sum(w.values())
+    return SignedProbabilitySpace(atoms, w)
+
+
+@pytest.mark.parametrize("k, den", [(12, 1), (16, 8), (20, 10**20), (24, 10**40)])
+def test_negativity_byte_estimate_covers_the_measured_peak(monkeypatch, k, den):
+    """The bytes the count declares for its subset sums are at least what
+    tracemalloc sees it allocate: a budget below that peak is refused."""
+    space = _alternating_space(k, den)
+    tracemalloc.start()
+    try:
+        negative_event_count(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(peak - 1))
+    with pytest.raises(CapacityError, match="subset sums"):
+        negative_event_count(space)
+
+
+def test_negative_event_count_checks_the_memory_budget(monkeypatch):
+    """Sixteen atoms: 2 * 2^8 subset sums of 64 bytes, 32 KB."""
+    need = 2 * 2**8 * NEGATIVITY_BYTES_PER_SUM
+    count = negative_event_count(SIXTEEN)
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(need - 1))
+    with pytest.raises(CapacityError, match="512 subset sums"):
+        negative_event_count(SIXTEEN)
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(need))
+    assert negative_event_count(SIXTEEN) == count
+
+
 def test_convolution_capacity_cap(monkeypatch):
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "2048")  # cap: 16 support points
     atoms = tuple(f"g{i}" for i in range(17))
@@ -444,13 +502,13 @@ def test_convolution_needs_positive_n():
 # --- weak convergence, strong failure ---------------------------------------------------------
 
 def test_linear_test_function_is_exact_at_every_n():
-    rows = weak_lln_check(fair_coin(), {"h": 1, "t": -1}, lambda x: x, [1, 2, 4, 8])
+    rows = weak_lln_check(fair_coin(), {"h": 1, "t": -1}, Polynomial((0, 1)), [1, 2, 4, 8])
     assert all(err == 0 for _, _, err in rows)
 
 
 def test_square_error_decays_like_one_over_n():
     rows = weak_lln_check(
-        TWO, BUNDLED_VARIABLES["two-point"], lambda x: x * x, [1, 2, 4, 64, 256]
+        TWO, BUNDLED_VARIABLES["two-point"], Polynomial((0, 0, 1)), [1, 2, 4, 64, 256]
     )
     for n, ef, err in rows:
         assert ef == mean_square_expectation(n)
@@ -479,9 +537,104 @@ def test_weak_error_is_nonincreasing_for_all_shipped_polynomials():
                 )
 
 
+def test_polynomials_evaluate_by_horner():
+    sq = dict(POLY_TEST_FUNCTIONS)["x^2"]
+    assert sq(Fraction(3, 2)) == Fraction(9, 4)
+    for x in (0.1, 1 / 3, -2.5e150):
+        assert sq(x) == x * x
+        assert dict(POLY_TEST_FUNCTIONS)["x^3"](x) == x * x * x
+    assert Polynomial((1, -2, 3))(2) == 9
+    assert Polynomial([5]).coeffs == (5,)
+    with pytest.raises(InputError):
+        Polynomial(())
+
+
+@st.composite
+def polynomials(draw):
+    """Integer polynomials of degree <= 4."""
+    return Polynomial(tuple(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapped_exact_laws(), polynomials())
+def test_weak_law_rows_equal_the_mean_law_expectations(case, f):
+    space, var, ns = case
+    laws = mean_law_table(space, var, ns)
+    fm = f(expectation_signed(space, var))
+    rows = weak_lln_check(space, var, f, ns)
+    assert rows == [(n, laws[n].expect(f), abs(laws[n].expect(f) - fm)) for n in ns]
+
+
+# dyadic values with gaps: as floats they are the same numbers
+DYADIC_VALUES = (0, 3, 7, -2, 12, Fraction(1, 2), Fraction(-5, 4), Fraction(9, 8))
+
+
+@st.composite
+def dyadic_float_laws(draw):
+    """A gapped law with dyadic weights and values, given exactly and as floats."""
+    k = draw(st.integers(2, 5))
+    den = draw(st.sampled_from([1, 2, 4, 8]))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=k - 1, max_size=k - 1))
+    atoms = tuple(f"u{i}" for i in range(k))
+    w = {a: Fraction(v, den) for a, v in zip(atoms, nums)}
+    w[atoms[-1]] = 1 - sum(w.values())
+    var = {a: draw(st.sampled_from(DYADIC_VALUES)) for a in atoms}
+    ns = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    floats = SignedProbabilitySpace(atoms, {a: float(v) for a, v in w.items()})
+    return SignedProbabilitySpace(atoms, w), var, floats, {a: float(v) for a, v in var.items()}, ns
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_float_laws(), polynomials())
+def test_float_weak_law_rows_are_the_exact_rows_rounded_once(case, f):
+    """The float law sums signed masses in floats, so it agrees with the
+    rows within 1e-12 of the absolute mass of that sum."""
+    space, var, fspace, fvar, ns = case
+    rows = weak_lln_check(fspace, fvar, f, ns)
+    exact_rows = weak_lln_check(space, var, f, ns)
+    assert rows == [(n, float(ef), float(gap)) for n, ef, gap in exact_rows]
+    laws = mean_law_table(fspace, fvar, ns)
+    for n, ef, _ in rows:
+        scale = sum(abs(f(v) * m) for v, m in laws[n].mass.items())
+        assert abs(ef - laws[n].expect(f)) <= 1e-12 * scale
+
+
+def test_weak_law_rows_at_huge_n_are_exact():
+    """E (mean_N)^2 = m^2 + (mu_2 - m^2) / N at N up to 2^40, without a law."""
+    m, mu2 = Fraction(3, 2), Fraction(3, 2)
+    schedule = [2**i for i in range(41)]
+    start = time.monotonic()
+    rows = weak_lln_check(TWO, BUNDLED_VARIABLES["two-point"], Polynomial((0, 0, 1)), schedule)
+    assert time.monotonic() - start < 1.0
+    assert rows == [(n, m * m + (mu2 - m * m) / n, abs(mu2 - m * m) / n) for n in schedule]
+
+
+def test_weak_law_input_checks():
+    var, sq = BUNDLED_VARIABLES["two-point"], Polynomial((0, 0, 1))
+    with pytest.raises(InputError, match="at least one N"):
+        weak_lln_check(TWO, var, sq, [])
+    with pytest.raises(InputError, match=">= 1"):
+        weak_lln_check(TWO, var, sq, [4, 0])
+    with pytest.raises(InputError, match="every atom"):
+        weak_lln_check(TWO, {"a0": 0}, sq, [1])
+    with pytest.raises(TypeError, match="Polynomial"):
+        weak_lln_check(TWO, var, lambda x: x * x, [1])
+    lopsided = SignedProbabilitySpace(("a", "b"), {"a": Fraction(1, 2), "b": Fraction(1, 3)})
+    with pytest.raises(InputError, match="not 1"):
+        weak_lln_check(lopsided, {"a": 0, "b": 1}, sq, [1])
+
+
+def test_weak_law_rows_beyond_the_float_range_are_a_capacity_error():
+    var = {"w1": 0, "w2": 1e200, "w3": 2e200}
+    with pytest.raises(CapacityError, match="float range"):
+        weak_lln_check(THREE, var, Polynomial((0, 0, 1)), [1, 2])
+    rows = weak_lln_check(THREE, var, Polynomial((0, 1)), [1, 2])
+    assert rows == [(1, 2.25e200, 0.0), (2, 2.25e200, 0.0)]
+
+
 def test_quartic_misses_the_one_percent_margin_on_the_two_point_law():
     rows = weak_lln_check(
-        TWO, BUNDLED_VARIABLES["two-point"], lambda x: (x * x) * (x * x), [1, 256]
+        TWO, BUNDLED_VARIABLES["two-point"], Polynomial((0, 0, 0, 0, 1)), [1, 256]
     )
     assert rows[1][2] > Fraction(1, 100) * rows[0][2]
 

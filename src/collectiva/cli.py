@@ -489,23 +489,18 @@ def cmd_ville(args) -> tuple[dict, list[str]]:
 # --- parser --------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("raw", "ascii", "csv"), default="ascii",
-        help="input encoding: raw bit-packed bytes, ascii labels, or csv",
-    )
-    common.add_argument("--seed", type=int, default=0, metavar="U64",
-                        help="seed for any randomized rule (default 0)")
-    common.add_argument("--window", type=int, default=None, metavar="N",
-                        help="stabilization window (default: data-dependent)")
-    common.add_argument("--eps", default="0.01", metavar="X",
-                        help="tolerance, decimal or rational (default 0.01)")
-    common.add_argument("--prime", type=int, default=2, metavar="P",
-                        help="prime for the p-adic metric (default 2)")
-    common.add_argument("--rules", default=DEFAULT_RULES, metavar="NAME[:PARAM],...",
-                        help=f"selection-rule family (default {DEFAULT_RULES})")
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="write the JSON report here instead of stdout")
+    shared = {  # each command declares only the options its handler reads
+        "format": dict(choices=("raw", "ascii", "csv"), default="ascii",
+                       help="input encoding: raw bit-packed bytes, ascii labels, or csv"),
+        "rules": dict(default=DEFAULT_RULES, metavar="NAME[:PARAM],...",
+                      help=f"selection-rule family (default {DEFAULT_RULES})"),
+        "seed": dict(type=int, default=0, metavar="U64",
+                     help="seed for any randomized rule (default 0)"),
+        "window": dict(type=int, default=None, metavar="N",
+                       help="stabilization window (default: data-dependent)"),
+        "eps": dict(default="0.01", metavar="X",
+                    help="tolerance, decimal or rational (default 0.01)"),
+    }
 
     parser = argparse.ArgumentParser(
         prog="collectiva",
@@ -515,37 +510,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, handler, help_text, needs_input=True):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, handler, help_text, flags=(), needs_input=True):
+        p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("input", help="input file path")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write the JSON report here instead of stdout")
         p.set_defaults(handler=handler)
         return p
 
     add("stabilize", cmd_stabilize,
-        "frequency trace and stabilization verdict of a label sequence")
+        "frequency trace and stabilization verdict of a label sequence",
+        ("format", "window", "eps"))
     add("select", cmd_select,
-        "per-rule selected-subsequence frequencies against the base rates")
+        "per-rule selected-subsequence frequencies against the base rates",
+        ("format", "rules", "seed", "eps"))
     p_mix = add("mix", cmd_mix,
-                "indicator sequence of a label subset; exact additivity check")
+                "indicator sequence of a label subset; exact additivity check",
+                ("format", "window", "eps"))
     p_mix.add_argument("--labels", required=True, metavar="A,B,...",
                        help="comma-separated member labels of the mixture")
     p_rand = add("randomness", cmd_randomness,
-                 "frequency invariance under a family of selection rules")
+                 "frequency invariance under a family of selection rules",
+                 ("format", "rules", "seed", "eps"))
     p_rand.add_argument("--min-count", type=int, default=10**3, metavar="N",
                         help="selections below this are inconclusive (default 1000)")
     add("complexity", cmd_complexity,
-        "compression-based description-length estimates and dip scan")
+        "compression-based description-length estimates and dip scan", ("format",))
     p_bat = add("battery", cmd_battery,
-                "statistical test battery on a binary word")
+                "statistical test battery on a binary word", ("format",))
     p_bat.add_argument("--significance", type=float, default=0.01, metavar="A",
                        help="per-test significance level (default 0.01)")
-    add("marginal", cmd_marginal,
-        "joint-distribution feasibility of a marginal family or correlations")
-    add("consistency", cmd_consistency,
-        "no-signaling and projective-consistency checks on a family")
+    family_format = dict(choices=("json", "csv"), default="json",
+                         help="input encoding (default json; a .csv suffix also means csv)")
+    add("marginal", cmd_marginal, "joint-distribution feasibility of a marginal "
+        "family or correlations").add_argument("--format", **family_format)
+    add("consistency", cmd_consistency, "no-signaling and projective-consistency "
+        "checks on a family").add_argument("--format", **family_format)
     p_padic = add("padic", cmd_padic,
-                  "real vs p-adic stabilization of a rational sequence")
+                  "real vs p-adic stabilization of a rational sequence",
+                  ("format", "window", "eps"))
+    p_padic.add_argument("--prime", type=int, default=2, metavar="P",
+                         help="prime for the p-adic metric (default 2)")
     p_padic.add_argument("--label", default=None, metavar="L",
                          help="label whose frequency path is analyzed "
                               "(default: first alphabet label)")
@@ -558,9 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_signed.add_argument("--n", type=int, default=256, metavar="N",
                           help="largest sample size in the weak-law table "
                                "(default 256)")
-    p_ville = add("ville", cmd_ville,
-                  "construct a rule-balanced binary sequence whose running "
-                  "mean never drops below 1/2", needs_input=False)
+    p_ville = add("ville", cmd_ville, "construct a rule-balanced binary sequence whose "
+                  "running mean never drops below 1/2", ("rules", "seed", "eps"), False)
     p_ville.add_argument("--n", type=int, default=10**4, metavar="N",
                          help="number of trials to construct (default 10000)")
     p_ville.add_argument("--min-count", type=int, default=None, metavar="N",

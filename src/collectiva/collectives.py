@@ -11,6 +11,7 @@ positions precisely to demonstrate why such selections must be excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -434,6 +435,7 @@ def randomness_check(
     """
     if not epsilon >= 0:
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
+    _check_min_count(min_length)
     base = frequencies(x, [len(x)]).final()
     out = []
     for rule in family:
@@ -526,9 +528,10 @@ def ville_generator(
     if min_count is None:
         if not eps > 0:
             raise InputError(f"epsilon must be > 0 unless min_count is given, got {eps}")
-        min_count = max(30, int(np.ceil(2 / float(eps))))
+        min_count = _derived_min_count(eps)
     elif not eps >= 0:
         raise InputError(f"epsilon must be >= 0, got {eps}")
+    _check_min_count(min_count)
 
     check_mem(VILLE_BYTES_PER_TRIAL * n_trials, f"ville construction of {n_trials} trials")
     overrides: dict[int, int] = {}
@@ -548,6 +551,23 @@ def ville_generator(
             raise ConstructionError(
                 f"construction failed within the backtracking budget: {failure}"
             )
+
+
+def _check_min_count(min_count: int):
+    if min_count < 1:
+        raise InputError(f"min_count must be >= 1, got {min_count}")
+
+
+def _derived_min_count(eps) -> int:
+    """max(30, ceil(2 / eps)) in floats; an eps past the float range gives 30."""
+    try:
+        f = float(eps)
+    except OverflowError:
+        return 30
+    ratio = 2 / f if f else math.inf
+    if math.isinf(ratio):
+        raise InputError("epsilon is too small for 2/eps in floats; give min_count")
+    return max(30, int(np.ceil(ratio)))
 
 
 def _ville_attempt(family, n_trials, overrides):

@@ -61,10 +61,12 @@ class Codec:
     compress: Callable[[bytes], bytes]
     decompress: Callable[[bytes], bytes]
 
-    def check_roundtrip(self, data: bytes):
-        out = self.decompress(self.compress(data))
-        if out != data:
+    def compressed(self, data: bytes, verify: bool = True) -> bytes:
+        """compress(data); with verify, checked to decompress back to data."""
+        blob = self.compress(data)
+        if verify and self.decompress(blob) != data:
             raise CodecIntegrityError(f"codec {self.name} failed round-trip")
+        return blob
 
 
 def _deflate_compress(data: bytes) -> bytes:
@@ -247,9 +249,7 @@ def estimate_K(x, codec: Codec | None = None, verify: bool = True) -> Complexity
     bits = as_bits(x)
     codec = codec or DEFAULT_CODEC()
     packed = pack_bits(bits)
-    if verify:
-        codec.check_roundtrip(packed)
-    body = 8 * len(codec.compress(packed))
+    body = 8 * len(codec.compressed(packed, verify))
     return ComplexityEstimate(bits.size, body + header_bits(bits.size), codec.name)
 
 
@@ -262,9 +262,7 @@ def estimate_K_conditional(x, n: int, codec: Codec | None = None,
         raise InputError(f"declared length {n} != actual {bits.size}")
     codec = codec or DEFAULT_CODEC()
     packed = pack_bits(bits)
-    if verify:
-        codec.check_roundtrip(packed)
-    body = 8 * len(codec.compress(packed))
+    body = 8 * len(codec.compressed(packed, verify))
     return ComplexityEstimate(n, body, codec.name, conditional=True)
 
 

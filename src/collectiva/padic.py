@@ -175,6 +175,17 @@ def _eps_to_digit_precision(epsilon: Fraction, p: int) -> int:
     return max(m, 1)
 
 
+def _checked_window(window: int | None, n: int) -> int:
+    """The window (default max(2, n // 10)): at least two values, fewer than n."""
+    if window is None:
+        window = max(2, n // 10)
+    if window < 2:
+        raise InputError(f"window must be >= 2, got {window}")
+    if n <= window:
+        raise InputError("sequence must be longer than the window")
+    return window
+
+
 def detect_padic_stabilization(
     seq: Sequence, ctx: PAdicContext, window: int | None = None,
     epsilon: Fraction = Fraction(1, 2**20),
@@ -187,10 +198,7 @@ def detect_padic_stabilization(
     digit precision implied by epsilon.
     """
     vals = [Fraction(v) for v in seq]
-    if window is None:
-        window = max(2, len(vals) // 10)
-    if len(vals) <= window:
-        raise InputError("sequence must be longer than the window")
+    window = _checked_window(window, len(vals))
     epsilon = Fraction(epsilon)
     if not epsilon > 0:
         raise InputError(f"epsilon must be > 0, got {epsilon}")
@@ -215,10 +223,7 @@ def compare_convergence(
     """Both metrics on one sequence; the four-way verdict is in .verdict.
     The two verdicts are reported side by side, never merged."""
     vals = [Fraction(v) for v in seq]
-    if window is None:
-        window = max(2, len(vals) // 10)
-    if len(vals) <= window:
-        raise InputError("sequence must be longer than the window")
+    window = _checked_window(window, len(vals))
     eps_real = Fraction(eps_real)
     s = window_stability(vals[-window:], eps_real)
     rv = MetricVerdict("real", s.stabilized, s.limit, s.oscillation, window, eps_real)

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import CapacityError
+
 SCHEMA_VERSION = "1"
 
 REPORT_SCHEMA = {
@@ -42,7 +44,7 @@ def jsonable(value):
     Python numbers/lists; mapping keys become strings.
     """
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _ratio(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -62,11 +64,21 @@ def jsonable(value):
     return value
 
 
+def _ratio(q: Fraction) -> str:
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # int -> str past sys.get_int_max_str_digits()
+        raise CapacityError(
+            f"a rational in the report exceeds the {sys.get_int_max_str_digits()}-digit "
+            "limit of integer string conversion"
+        ) from exc
+
+
 def _key(k) -> str:
     if isinstance(k, str):
         return k
     if isinstance(k, Fraction):
-        return f"{k.numerator}/{k.denominator}"
+        return _ratio(k)
     if isinstance(k, tuple):
         return "|".join(str(x) for x in k)
     return str(k)

@@ -23,7 +23,6 @@ from .finite_prob import is_exact, values_equal
 
 # per subset sum of the negativity count (tracemalloc: 13-31 bytes at 12-24 atoms)
 NEGATIVITY_BYTES_PER_SUM = 64
-CONVOLUTION_SUPPORT_CAP = 10**6  # mean-law points
 LAW_BYTE_BUDGET = 128 * 10**6  # bytes of the largest requested law
 # per mean-law point besides two coefficients (tracemalloc, bundled laws, N <= 2048)
 LAW_POINT_BYTES = 320
@@ -236,16 +235,6 @@ def _rational_pairs(space: SignedProbabilitySpace, a: Mapping) -> list[tuple[Fra
     return [(_rational(a[atom]), _rational(space.weight[atom])) for atom in space.atoms]
 
 
-def _law_budget() -> tuple[int, int]:
-    """(points, bytes) the sweep may hold: CONVOLUTION_SUPPORT_CAP and
-    LAW_BYTE_BUDGET, or COLLECTIVA_MAX_MEM / 128 points (but at least 16) and
-    COLLECTIVA_MAX_MEM bytes when those are lower."""
-    mem = max_mem_bytes()
-    if mem is None:
-        return CONVOLUTION_SUPPORT_CAP, LAW_BYTE_BUDGET
-    return max(16, min(CONVOLUTION_SUPPORT_CAP, mem // 128)), min(LAW_BYTE_BUDGET, mem)
-
-
 @dataclass(frozen=True)
 class _LatticeLaw:
     """A variable's law on an integer lattice: the value at position p is
@@ -286,7 +275,8 @@ def _sparse_powers(lat: _LatticeLaw, want: Sequence[int]):
     points = min(n * lat.span + 1, math.comb(n + k - 1, k - 1))
     coeff_bytes = (n * sum(map(abs, lat.coeffs.values())).bit_length() + 8) // 8
     size = points * (2 * coeff_bytes + LAW_POINT_BYTES)
-    cap, budget = _law_budget()
+    mem = max_mem_bytes()
+    budget = LAW_BYTE_BUDGET if mem is None else min(LAW_BYTE_BUDGET, mem)
     if size > budget:
         raise CapacityError(
             f"convolution support exceeded: the N={n} law may take {size} "
@@ -299,8 +289,6 @@ def _sparse_powers(lat: _LatticeLaw, want: Sequence[int]):
         for s, ms in sums.items():
             for p, c in lat.coeffs.items():
                 nxt[s + p] = nxt.get(s + p, 0) + ms * c
-            if len(nxt) > cap:
-                raise CapacityError(f"convolution support exceeded cap of {cap} points")
         sums = nxt
         if step in marks:
             yield step, sums
@@ -317,8 +305,8 @@ def mean_law_table(
     N-fold sumset of the occupied positions, so a mean whose mass cancels
     to 0 keeps its key.  Keys are floats when any value or weight is a
     float, masses when any weight is.  Every law's total signed mass is
-    checked to be exactly 1, the sweep's bytes against the byte budget
-    before it starts and its points against the support cap as it goes.
+    checked to be exactly 1, and the sweep's bytes against the byte budget
+    before it starts.
     """
     want = _checked_ns(ns)
     lat = _lattice_law(space, a)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, report determinism, and one
 payload smoke test per command."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 
 import collectiva
 from collectiva import marginals, signed_prob
-from collectiva.cli import main
+from collectiva.cli import build_parser, main
 from collectiva.complexity import pack_bits
 from collectiva.report import validate_report
 
@@ -751,3 +752,105 @@ def test_installed_console_script(tmp_path):
     assert proc.returncode == 0
     for name in ("stabilize", "battery", "marginal", "padic", "ville"):
         assert name in proc.stdout
+
+
+# --- per-command options --------------------------------------------------------------
+
+# the options each command declares among the seven that every command once took
+DECLARED_SHARED = {
+    "stabilize": {"--format", "--window", "--eps", "--out"},
+    "select": {"--format", "--rules", "--seed", "--eps", "--out"},
+    "mix": {"--format", "--window", "--eps", "--out"},
+    "randomness": {"--format", "--rules", "--seed", "--eps", "--out"},
+    "complexity": {"--format", "--out"},
+    "battery": {"--format", "--out"},
+    "marginal": {"--format", "--out"},
+    "consistency": {"--format", "--out"},
+    "padic": {"--format", "--window", "--eps", "--prime", "--out"},
+    "signed": {"--out"},
+    "ville": {"--rules", "--seed", "--eps", "--out"},
+}
+SHARED_VALUES = {"--format": "csv", "--rules": "identity", "--seed": "0", "--window": "2",
+                 "--eps": "0.01", "--prime": "2", "--out": "r.json"}
+
+
+def command_argv(command):
+    return [command, *([] if command == "ville" else ["in.txt"]),
+            *(["--labels", "0"] if command == "mix" else [])]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c in sorted(DECLARED_SHARED) for f in sorted(SHARED_VALUES)
+    if f not in DECLARED_SHARED[c]
+])
+def test_undeclared_shared_flag_exits_two(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*command_argv(command), flag, SHARED_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c in sorted(DECLARED_SHARED) for f in sorted(DECLARED_SHARED[c])
+])
+def test_declared_shared_flag_is_parsed(command, flag):
+    args = build_parser().parse_args([*command_argv(command), flag, SHARED_VALUES[flag]])
+    assert str(getattr(args, flag[2:])) == SHARED_VALUES[flag]
+
+
+def test_commands_declare_45_options():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    count = sum(
+        1 for p in sub.choices.values() for a in p._actions
+        if a.option_strings and "-h" not in a.option_strings
+    )
+    assert count == 45
+
+
+def test_ignored_options_are_rejected_not_echoed(capsys):
+    argv = ["signed", "three-atom", "--eps", "banana", "--prime", "9", "--rules", "nope",
+            "--format", "raw", "--window", "-7", "--seed", "-4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_echoes_only_the_options_that_ran(tmp_path):
+    code, report = run(["signed", "three-atom", "--n", "4"], tmp_path)
+    assert code == 0 and set(report["config"]) == {"input", "n"}
+    f = write_ascii(tmp_path, '{"e12": 1, "e23": 1, "e13": -1}', "corr.json")
+    code, report = run(["marginal", f], tmp_path)
+    assert code == 0 and report["config"] == {"format": "json", "input": f}
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["ville", "--n", "3", "--min-count", "0", "--rules", "after:11"], "min_count"),
+    (["ville", "--n", "10", "--eps", "1e-400"], "epsilon"),
+    (["randomness", "seq.txt", "--min-count", "0", "--rules", "after:111"], "min_count"),
+    (["padic", "r.csv", "--format", "csv", "--window", "0"], "window"),
+    (["padic", "r.csv", "--format", "csv", "--window", "-3"], "window"),
+])
+def test_out_of_domain_counts_and_windows_exit_two(tmp_path, capsys, argv, reason):
+    files = {
+        "seq.txt": write_ascii(tmp_path, "01" * 200),
+        "r.csv": write_ascii(tmp_path, "".join(f"{k}/{k + 1}\n" for k in range(1, 60)), "r.csv"),
+    }
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and len(err.strip().splitlines()) == 1
+
+
+def test_ville_epsilon_past_the_float_range_checks_from_30_selections(tmp_path):
+    code, report = run(["ville", "--n", "3", "--rules", "coin:5", "--eps", "1e999"], tmp_path)
+    assert code == 0 and report["payload"]["constructed"] is True
+
+
+@pytest.mark.parametrize("command", ["stabilize", "select"])
+def test_rationals_past_the_string_digit_limit_exit_three(tmp_path, capsys, command):
+    f = write_ascii(tmp_path, "01" * 200)
+    assert main([command, f, "--eps", "1e-5000"]) == 3
+    err = capsys.readouterr().err
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
+    assert len(err.strip().splitlines()) == 1

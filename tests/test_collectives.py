@@ -524,3 +524,22 @@ def test_frequency_trace_of_8_mbit_peaks_under_32_mb(raw_8mbit):
         frequencies(x, log_checkpoints(len(x)))
 
     assert traced_peak_mb(trace) < 32
+
+
+def test_min_count_below_one_is_rejected_by_name():
+    x = TrialSequence(BINARY, np.array([0, 1, 1], dtype=np.uint8))
+    with pytest.raises(InputError, match="min_count"):
+        randomness_check(x, [after_pattern_rule("111")], min_length=0)
+    with pytest.raises(InputError, match="min_count"):
+        ville_generator([after_pattern_rule("11")], 3, min_count=0)
+
+
+def test_ville_derives_min_count_in_floats():
+    assert collectives._derived_min_count(Fraction(1, 100)) == 200
+    assert collectives._derived_min_count(Fraction(1, 3)) == 30
+    assert collectives._derived_min_count(Fraction(10**999)) == 30  # past the float range
+    for tiny in (Fraction(1, 10**400), Fraction(1, 10**310)):  # 2/eps is not finite
+        with pytest.raises(InputError, match="min_count"):
+            collectives._derived_min_count(tiny)
+    x = ville_generator([aux_coin_rule(5)], 3, epsilon=Fraction(10**999))
+    assert len(x) == 3

@@ -305,3 +305,22 @@ def test_subadditivity_constant_is_measured_and_stable():
         for b in words[:3]:
             joint = estimate_K(np.concatenate([a, b])).k_hat
             assert joint <= estimate_K(a).k_hat + estimate_K(b).k_hat + c
+
+
+def test_verified_estimates_compress_once():
+    base = deflate_codec()
+    calls = {"compress": 0, "decompress": 0}
+
+    def counted(name, fn):
+        def call(data):
+            calls[name] += 1
+            return fn(data)
+        return call
+
+    codec = Codec(base.name, counted("compress", base.compress),
+                  counted("decompress", base.decompress))
+    bits = random_bits(4096, 3)
+    assert estimate_K(bits, codec) == estimate_K(bits, base, verify=False)
+    assert estimate_K_conditional(bits, 4096, codec) == \
+        estimate_K_conditional(bits, 4096, base, verify=False)
+    assert calls == {"compress": 2, "decompress": 2}

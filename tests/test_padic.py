@@ -295,3 +295,13 @@ def test_realized_trace_bounds():
     with pytest.raises(InputError, match="out of range"):
         realized_trace(x, [5])
     assert realized_trace(x, [4], label="not-A") == [Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("window", [-3, 0, 1])
+def test_window_below_two_is_rejected(window):
+    vals = [Fraction(k, k + 1) for k in range(1, 30)]
+    with pytest.raises(InputError, match="window must be >= 2"):
+        compare_convergence(vals, Q2, window=window)
+    with pytest.raises(InputError, match="window must be >= 2"):
+        detect_padic_stabilization(vals, Q2, window=window)
+    assert compare_convergence(vals, Q2, window=2).real.window == 2

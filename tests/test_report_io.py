@@ -291,3 +291,12 @@ def test_write_report_validates_first(tmp_path):
     with pytest.raises(jsonschema.ValidationError):
         write_report(bad, tmp_path / "r.json")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rationals_past_the_string_digit_limit_are_a_capacity_error():
+    huge = Fraction(1, 10**5000)
+    with pytest.raises(CapacityError, match="digit"):
+        jsonable({"eps": huge})
+    with pytest.raises(CapacityError, match="digit"):
+        jsonable({huge: 1})
+    assert jsonable(Fraction(1, 10**4000)) == "1/1" + "0" * 4000

@@ -20,7 +20,7 @@ from .collectives import TrialSequence
 from .errors import CapacityError, ConstructionError, InputError
 from .padic import PAdicExpansion
 from .report import make_report, write_report
-from .seqio import read_rationals, read_sequence, read_text
+from .seqio import parse_rational, read_rationals, read_sequence, read_text
 
 DEFAULT_RULES = "identity,primes,after:10"
 NEGATIVITY_ATOM_CAP = 32  # the event count takes 2^(k/2) subset sums per half
@@ -31,7 +31,7 @@ NEGATIVITY_ATOM_CAP = 32  # the event count takes 2^(k/2) subset sums per half
 def _frac(text) -> Fraction:
     """Exact rational from a CLI string ("0.01", "1/100", "1e-3")."""
     try:
-        return Fraction(str(text))
+        return parse_rational(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse {text!r} as a number: {exc}") from exc
 

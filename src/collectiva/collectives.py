@@ -284,13 +284,13 @@ def _sieve(limit: int) -> np.ndarray:
 
 def primes_rule() -> PlaceSelectionRule:
     def make(alphabet):
-        state = {"sieve": _sieve(4096)}
+        sieve = _sieve(4096).tobytes()
 
         def decide(n, prefix):
-            sv = state["sieve"]
-            if n >= sv.size:
-                state["sieve"] = sv = _sieve(max(2 * n, sv.size * 2))
-            return bool(sv[n])
+            nonlocal sieve
+            if n >= len(sieve):
+                sieve = _sieve(max(2 * n, len(sieve) * 2)).tobytes()
+            return sieve[n] == 1
 
         return decide
 
@@ -308,11 +308,11 @@ def after_pattern_rule(pattern) -> PlaceSelectionRule:
         raise InputError("pattern must be nonempty")
 
     def make(alphabet):
-        pidx = np.array([alphabet.index(c) for c in pat], dtype=np.int64)
+        pidx = tuple(alphabet.index(c) for c in pat)
         k = len(pidx)
 
         def decide(n, prefix):
-            return n - 1 >= k and bool(np.array_equal(prefix[n - 1 - k : n - 1], pidx))
+            return n - 1 >= k and tuple(prefix[n - 1 - k : n - 1].tolist()) == pidx
 
         return decide
 
@@ -338,7 +338,13 @@ def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
 
     def make(alphabet):
         rng = np.random.default_rng(seed)
-        return lambda n, prefix: bool(rng.random() < p)
+
+        def draws():  # the stream of rng.random() < p, 4096 doubles at a time
+            while True:
+                yield from (rng.random(4096) < p).tolist()
+
+        stream = draws()
+        return lambda n, prefix: next(stream)
 
     def vector(alphabet, data):
         # the same PCG64 stream as one rng.random(len(data)), CHUNK doubles at a time
@@ -571,10 +577,20 @@ def _derived_min_count(eps) -> int:
 
 
 def _ville_attempt(family, n_trials, overrides):
+    """One greedy pass, in doubled integer units.  A rule that has selected
+    k trials with o ones, surplus e = 2o - k, is put off by bit b as
+    |e + 2b - 1| (twice |o + b - (k + 1)/2|) beyond a dead-band of 4.  With
+    hi and lo the largest and smallest e of the selecting rules, bit 0 costs
+    max(hi - 1, 1 - lo, 4) and bit 1 max(hi + 1, -1 - lo, 4), so bit 0 is
+    cheaper exactly when hi + lo > 0 and hi >= 4, and bit 1 when hi + lo < 0
+    and lo <= -4.  Otherwise the costs tie, and the bit that leaves the
+    running surplus 2(ones + b) - n nearest 3 wins (0 when both are): 0
+    exactly when 2*ones - n >= 2."""
     deciders = [rule.make_decider(BINARY) for rule in family]
     arr = np.empty(n_trials, dtype=np.uint8)
     ones = 0
-    counts = [[0, 0] for _ in family]  # selected, ones among selected
+    selected = [0] * len(family)
+    surplus = [0] * len(family)  # 2 * ones - selected, over each rule's selections
     free_alternatives: list[int] = []
     for n in range(1, n_trials + 1):
         prefix = arr[: n - 1]
@@ -584,20 +600,22 @@ def _ville_attempt(family, n_trials, overrides):
         elif (n - 1) in overrides:
             b = overrides[n - 1]
         else:
-            def cost(bb):
-                worst = 0.0
-                for i in names:
-                    k, o = counts[i]
-                    worst = max(worst, abs((o + bb) - (k + 1) / 2) - 2.0)
-                return max(worst, 0.0)
-
-            b = min((0, 1), key=lambda bb: (cost(bb), abs(ones + bb - n / 2 - 1.5), bb))
+            b = 0 if 2 * ones - n >= 2 else 1
+            if names:
+                es = [surplus[i] for i in names]
+                hi, lo = max(es), min(es)
+                if hi + lo > 0 and hi >= 4:
+                    b = 0
+                elif hi + lo < 0 and lo <= -4:
+                    b = 1
             free_alternatives.append(n - 1)
         arr[n - 1] = b
         ones += b
+        step = 2 * b - 1
         for i in names:
-            counts[i][0] += 1
-            counts[i][1] += b
+            selected[i] += 1
+            surplus[i] += step
+    counts = [[k, (e + k) // 2] for k, e in zip(selected, surplus)]
     return arr, free_alternatives, counts
 
 

@@ -167,11 +167,23 @@ class ConvergenceReport:
 
 
 def _eps_to_digit_precision(epsilon: Fraction, p: int) -> int:
-    m = 0
-    while Fraction(1, p**m) > epsilon:
+    """max(1, the least m >= 0 with p^-m <= epsilon), refusing m > 10^6.
+    m is ceil(log_p(den/num)), estimated from bit lengths to within one
+    (two near a float rounding) and settled by exact comparisons
+    p^m * num >= den."""
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise InputError("epsilon too small")
+    num, den = eps.numerator, eps.denominator
+    m = max(0, math.ceil((den.bit_length() - num.bit_length()) / math.log2(p)))
+    if m > 10**6 + 2:
+        raise InputError("epsilon too small")
+    while m > 0 and p ** (m - 1) * num >= den:
+        m -= 1
+    while p**m * num < den:
         m += 1
-        if m > 10**6:
-            raise InputError("epsilon too small")
+    if m > 10**6:
+        raise InputError("epsilon too small")
     return max(m, 1)
 
 

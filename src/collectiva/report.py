@@ -100,10 +100,37 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def validate_report(report: dict):
-    import jsonschema
+class ReportSchemaError(ValueError):
+    """A report that does not match REPORT_SCHEMA."""
 
-    jsonschema.validate(report, REPORT_SCHEMA)
+
+_ENVELOPE_TYPES = {"command": str, "config": dict, "generated_at": str,
+                   "payload": dict, "warnings": list}
+
+
+def validate_report(report: dict):
+    """Check a report against REPORT_SCHEMA in plain Python: the six keys
+    and no others, the schema version, a non-empty command string, config
+    and payload objects, a generated_at string and a list of string
+    warnings.  Like jsonschema.validate, it does not assert the date-time
+    format.  Raises ReportSchemaError on the first fault."""
+    if not isinstance(report, dict):
+        raise ReportSchemaError("a report must be an object")
+    missing = [k for k in REPORT_SCHEMA["required"] if k not in report]
+    if missing:
+        raise ReportSchemaError(f"report lacks {', '.join(missing)}")
+    extra = [k for k in report if k not in REPORT_SCHEMA["properties"]]
+    if extra:
+        raise ReportSchemaError(f"report has unknown keys {extra!r}")
+    if report["schema_version"] != SCHEMA_VERSION:
+        raise ReportSchemaError(f"schema_version must be {SCHEMA_VERSION!r}")
+    for key, kind in _ENVELOPE_TYPES.items():
+        if not isinstance(report[key], kind):
+            raise ReportSchemaError(f"{key} must be of type {kind.__name__}")
+    if not report["command"]:
+        raise ReportSchemaError("command must be non-empty")
+    if not all(isinstance(w, str) for w in report["warnings"]):
+        raise ReportSchemaError("warnings must be strings")
 
 
 def write_report(report: dict, out_path=None):

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import csv
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .collectives import BINARY, CHUNK, LabelAlphabet, TrialSequence, index_dtype
-from .errors import InputError, check_mem
+from .errors import CapacityError, InputError, check_mem
 
 FORMATS = ("raw", "ascii", "csv")
+# a decimal in Fraction's grammar with an exponent; group 1 is its magnitude
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                       r"[eE][-+]?(\d+(?:_\d+)*)\s*")
 
 
 def read_sequence(path, fmt: str, alphabet: LabelAlphabet | None = None) -> TrialSequence:
@@ -98,6 +103,22 @@ def _padded(labels: tuple) -> LabelAlphabet:
     return LabelAlphabet(tuple(labels) + (pad,))
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), but a decimal exponent whose magnitude exceeds
+    sys.get_int_max_str_digits() (the limit the report's rationals obey)
+    is a CapacityError before Fraction multiplies out 10^|exponent|.
+    ValueError and ZeroDivisionError pass through as Fraction raises them."""
+    limit = sys.get_int_max_str_digits()
+    m = _EXPONENT.fullmatch(text)
+    if limit and m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise CapacityError(
+                f"a decimal exponent past the {limit}-digit limit of integer string conversion"
+            )
+    return Fraction(text)
+
+
 def read_rationals(path) -> list[Fraction]:
     """One rational per row: "n/d", integer, or decimal."""
     out = []
@@ -108,7 +129,7 @@ def read_rationals(path) -> list[Fraction]:
         if not s:
             continue
         try:
-            out.append(Fraction(s))
+            out.append(parse_rational(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{path} row {i + 1}: bad rational {s!r}: {exc}") from exc
     if not out:

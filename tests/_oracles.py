@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import erfc
 
+from collectiva.collectives import BINARY
+
 
 # --- set-algebra closure by literal fixpoint ------------------------------------
 
@@ -259,6 +261,17 @@ def geometric_partial_sums(count: int) -> list[Fraction]:
     return [Fraction(2 ** (k + 1) - 1) for k in range(count)]
 
 
+def digit_precision_by_search(epsilon, p: int) -> int:
+    """max(1, least m with 1/p^m <= epsilon) by trying m = 0, 1, 2, ...
+    (the search the closed form replaced); refuses m > 10^6."""
+    m = 0
+    while Fraction(1, p**m) > epsilon:
+        m += 1
+        if m > 10**6:
+            raise ValueError("epsilon too small")
+    return max(m, 1)
+
+
 # --- trial sequences by full-length prefix sums ------------------------------------
 
 def cumsum_prefix_counts(data, value: int, checkpoints) -> list[int]:
@@ -281,3 +294,40 @@ def per_character_parse(text: str, labels: tuple | None = None) -> tuple[tuple, 
             labels += ("\x01" if labels == ("\x00",) else "\x00",)
     pos = {lab: j for j, lab in enumerate(labels)}
     return labels, [pos[ch] for ch in text]
+
+
+# --- Ville's construction: float costs, one closure per trial ----------------------
+
+def ville_attempt_reference(family, n_trials, overrides):
+    """One greedy pass of the Ville construction with float costs in half
+    units and a min() over a per-trial cost closure (the loop the doubled
+    integer costs replaced).  Returns (bits, free_alternatives, counts) with
+    counts[i] = [selected, ones among selected] of family[i]."""
+    deciders = [rule.make_decider(BINARY) for rule in family]
+    arr = np.empty(n_trials, dtype=np.uint8)
+    ones = 0
+    counts = [[0, 0] for _ in family]  # selected, ones among selected
+    free_alternatives: list[int] = []
+    for n in range(1, n_trials + 1):
+        prefix = arr[: n - 1]
+        names = [i for i, d in enumerate(deciders) if d(n, prefix)]
+        if 2 * ones < n:  # floor binds: only b=1 keeps the mean >= 1/2
+            b = 1
+        elif (n - 1) in overrides:
+            b = overrides[n - 1]
+        else:
+            def cost(bb):
+                worst = 0.0
+                for i in names:
+                    k, o = counts[i]
+                    worst = max(worst, abs((o + bb) - (k + 1) / 2) - 2.0)
+                return max(worst, 0.0)
+
+            b = min((0, 1), key=lambda bb: (cost(bb), abs(ones + bb - n / 2 - 1.5), bb))
+            free_alternatives.append(n - 1)
+        arr[n - 1] = b
+        ones += b
+        for i in names:
+            counts[i][0] += 1
+            counts[i][1] += b
+    return arr, free_alternatives, counts

@@ -847,6 +847,23 @@ def test_ville_epsilon_past_the_float_range_checks_from_30_selections(tmp_path):
     assert code == 0 and report["payload"]["constructed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "seq.txt", "--eps", "1e-10000000"],
+    ["padic", "r.csv", "--format", "csv"],
+])
+def test_decimal_exponents_past_the_digit_limit_exit_three_at_once(tmp_path, capsys, argv):
+    files = {
+        "seq.txt": write_ascii(tmp_path, "01" * 200),
+        "r.csv": write_ascii(tmp_path, "1/2\n1e-10000000\n1/3\n", "r.csv"),
+    }
+    start = time.monotonic()
+    assert main([files.get(a, a) for a in argv]) == 3
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", ["stabilize", "select"])
 def test_rationals_past_the_string_digit_limit_exit_three(tmp_path, capsys, command):
     f = write_ascii(tmp_path, "01" * 200)

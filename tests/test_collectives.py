@@ -2,8 +2,10 @@
 mixing additivity, the adversarial selection, and the regular-sequence
 generator."""
 
+import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from collectiva.errors import CapacityError, ConstructionError, InputError
 from collectiva.padic import realized_trace
 from collectiva.seqio import read_sequence
 
-from _oracles import cumsum_prefix_counts
+from _oracles import cumsum_prefix_counts, ville_attempt_reference
 
 TERNARY = LabelAlphabet(("a", "b", "c"))
 
@@ -477,6 +479,63 @@ def test_generator_checks_the_memory_budget_first(monkeypatch):
     assert len(ville_generator([identity_rule()], 1000, Fraction(1, 10))) == 1000
     with pytest.raises(CapacityError, match="ville construction of 1001 trials"):
         ville_generator([identity_rule()], 1001, Fraction(1, 10))
+
+
+# ε/min_count pairs at which the greedy pass fails its scan for some families,
+# so that backtracking runs and sometimes exhausts its budget
+BACKTRACKING_TOLERANCES = [
+    (Fraction(0), 1), (Fraction(0), 5), (Fraction(1, 10), 1), (Fraction(1, 3), 1),
+    (Fraction(1, 20), 10), (Fraction(1, 100), 30), (Fraction(1, 100), None),
+]
+
+catalogue_rule_specs = st.one_of(
+    st.sampled_from(["identity", "evens", "odds", "primes"]),
+    st.text("01", min_size=1, max_size=3).map(lambda pat: f"after:{pat}"),
+    st.integers(0, 9).map(lambda seed: f"coin:{seed}"),
+)
+
+
+def ville_outcome(family, n, eps, min_count):
+    try:
+        return ville_generator(family, n, epsilon=eps, min_count=min_count).data.tobytes()
+    except ConstructionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    specs=st.lists(catalogue_rule_specs, min_size=1, max_size=5),
+    n=st.integers(1, 3000),
+    tolerance=st.sampled_from(BACKTRACKING_TOLERANCES),
+)
+def test_ville_matches_the_float_cost_reference(specs, n, tolerance):
+    family = [rule_from_spec(s) for s in specs]
+    bits, free, counts = collectives._ville_attempt(family, n, {})
+    ref_bits, ref_free, ref_counts = ville_attempt_reference(family, n, {})
+    assert bits.tobytes() == ref_bits.tobytes()
+    assert (free, counts) == (ref_free, ref_counts)
+
+    eps, min_count = tolerance
+    outcome = ville_outcome(family, n, eps, min_count)
+    with mock.patch.object(collectives, "_ville_attempt", ville_attempt_reference):
+        assert outcome == ville_outcome(family, n, eps, min_count)
+
+
+def test_scalar_coin_and_primes_deciders_cross_their_buffer_edges():
+    n = CHUNK + 5000
+    data = np.zeros(n, dtype=np.uint8)
+    for rule in (aux_coin_rule(3), primes_rule()):
+        decide = rule.make_decider(BINARY)
+        scalar = [decide(i + 1, data[:i]) for i in range(n)]
+        assert scalar == rule.vector_decider(BINARY, data).tolist(), rule.describe()
+
+
+def test_ville_on_the_clibench_family_runs_under_a_second():
+    family = [rule_from_spec(s, default_seed=1) for s in ("identity", "primes", "after:10", "coin")]
+    start = time.perf_counter()
+    x = ville_generator(family, 100_000)
+    assert time.perf_counter() - start < 1.0
+    assert len(x) == 100_000
 
 
 # --- unit-interval map ----------------------------------------------------------------

@@ -2,12 +2,14 @@
 verdicts, and count-checkpoint realizability of frequency paths."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collectiva import padic
 from collectiva.errors import InputError
 from collectiva.padic import (
     ConvergenceReport,
@@ -24,7 +26,7 @@ from collectiva.padic import (
     realized_trace,
 )
 
-from _oracles import factor_product, geometric_partial_sums, spf_sieve
+from _oracles import digit_precision_by_search, factor_product, geometric_partial_sums, spf_sieve
 
 Q2 = PAdicContext(2)
 Q5 = PAdicContext(5)
@@ -305,3 +307,31 @@ def test_window_below_two_is_rejected(window):
     with pytest.raises(InputError, match="window must be >= 2"):
         detect_padic_stabilization(vals, Q2, window=window)
     assert compare_convergence(vals, Q2, window=2).real.window == 2
+
+
+# --- digit precision of a p-adic tolerance -----------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_precision_equals_the_linear_search(p):
+    tolerances = [Fraction(1), Fraction(1, 2), Fraction(3, 2)]
+    for k in range(0, 41):
+        tolerances += [Fraction(1, p**k), Fraction(1, p**k) + Fraction(1, 10**9),
+                       Fraction(3, 10**k)]
+        if Fraction(1, p**k) > Fraction(1, 10**9):
+            tolerances.append(Fraction(1, p**k) - Fraction(1, 10**9))
+    for eps in tolerances:
+        assert padic._eps_to_digit_precision(eps, p) == digit_precision_by_search(eps, p), eps
+
+
+def test_digit_precision_of_a_200000_bit_tolerance_is_immediate():
+    start = time.perf_counter()
+    assert padic._eps_to_digit_precision(Fraction(1, 2**200000), 2) == 200000
+    assert padic._eps_to_digit_precision(Fraction(1, 2**200000), 3) == math.ceil(200000 / math.log2(3))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_digit_precision_past_a_million_digits_is_refused():
+    assert padic._eps_to_digit_precision(Fraction(1, 2**10**6), 2) == 10**6
+    for eps in (Fraction(1, 2**10**6 + 1), Fraction(1, 10**(10**6)), Fraction(0)):
+        with pytest.raises(InputError, match="epsilon too small"):
+            padic._eps_to_digit_precision(eps, 2)

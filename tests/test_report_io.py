@@ -19,6 +19,7 @@ from collectiva.errors import CapacityError, InputError
 from collectiva.report import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
+    ReportSchemaError,
     jsonable,
     make_report,
     render_report,
@@ -242,12 +243,52 @@ def test_report_structure_and_schema():
 def test_schema_rejects_missing_and_extra_fields():
     r = sample_report()
     del r["warnings"]
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ReportSchemaError):
         validate_report(r)
     r = sample_report()
     r["extra"] = 1
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ReportSchemaError):
         validate_report(r)
+
+
+DROP = object()
+ENVELOPE_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.text(max_size=3),
+    st.lists(st.one_of(st.text(max_size=2), st.integers(0, 1)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
+)
+ENVELOPE_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(REPORT_SCHEMA["required"]), st.just(DROP)),
+    st.tuples(st.sampled_from(REPORT_SCHEMA["required"]), ENVELOPE_VALUES),
+    st.tuples(st.text(max_size=3), ENVELOPE_VALUES),
+    st.tuples(st.just("schema_version"), st.sampled_from(["1", "2", "", 1, 1.0])),
+    st.tuples(st.just("command"), st.sampled_from(["", " ", "x"])),
+    st.tuples(st.just("warnings"),
+              st.lists(st.one_of(st.text(max_size=2), st.integers(0, 1), st.none()), max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENVELOPE_MUTATIONS, max_size=3))
+def test_validator_rejects_exactly_what_the_json_schema_rejects(mutations):
+    """Dropped, extra and retyped keys, versions, commands and warnings."""
+    r = sample_report()
+    for key, value in mutations:
+        if value is DROP:
+            r.pop(key, None)
+        else:
+            r[key] = value
+    try:
+        jsonschema.validate(r, REPORT_SCHEMA)
+        schema_rejects = False
+    except jsonschema.ValidationError:
+        schema_rejects = True
+    try:
+        validate_report(r)
+        hand_rejects = False
+    except ReportSchemaError:
+        hand_rejects = True
+    assert hand_rejects == schema_rejects
 
 
 def test_identical_runs_differ_only_in_the_timestamp_line():
@@ -288,7 +329,7 @@ def test_write_report_to_stdout(capsys):
 def test_write_report_validates_first(tmp_path):
     bad = sample_report()
     bad["payload"] = "not an object"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ReportSchemaError):
         write_report(bad, tmp_path / "r.json")
     assert list(tmp_path.iterdir()) == []
 

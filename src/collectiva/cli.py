@@ -8,6 +8,7 @@ schema-validated JSON report (stdout or --out).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -50,15 +51,31 @@ def _load_json(path):
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _input_echo(path: str):
+    """An input file as its basename, byte count and SHA-256, so one analysis
+    reports the same bytes from any directory; a bundled space name as given."""
+    if not os.path.isfile(path):
+        return path
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+            size += len(chunk)
+    return {"name": os.path.basename(path), "bytes": size, "sha256": digest.hexdigest()}
+
+
 def _config(args: argparse.Namespace) -> dict:
     """Echo of the run configuration.  --out is excluded so that identical
     analyses written to different paths produce identical reports."""
     skip = {"handler", "command", "out"}
-    return {
+    config = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in skip and v is not None
     }
+    if "input" in config:
+        config["input"] = _input_echo(config["input"])
+    return config
 
 
 def _check_seed(seed: int) -> int:

@@ -10,6 +10,11 @@ Existence is one HiGHS LP for every family.  Float families take its answer
 witness, or a Farkas vector y with A^T y <= 0 < b.y, a Boole/Bell-type
 inequality the marginals violate.  Disagreeing overlaps: "marginal-consistency".
 
+HiGHS is called through the pybind11 bindings SciPy ships as
+scipy/optimize/_highspy/_core, loaded from their file: `import scipy.optimize`
+would spend about 0.55 s and 43 MB on its __init__ for a solver reached through it.
+The options and result checks are those of linprog(method="highs").
+
 The inequality catalogue is *generated*, not transcribed: the facets of
 the correlation polytope (convex hull of the pair-correlation vectors of
 deterministic +-1 assignments) are enumerated once by exact rational
@@ -18,9 +23,13 @@ hyperplane fitting and cached.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -37,6 +46,9 @@ FLOAT_SLACK = 1e-9  # constraint slack in float mode
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": FLOAT_SLACK / 10,
                  "dual_feasibility_tolerance": FLOAT_SLACK / 10}
 SUPPORT_CAP = 10**6
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+HIGHS_SCIPY = "scipy>=1.15"  # the first SciPy that ships HIGHS_MODULE
+LP_CHECK_TOL = math.sqrt(1e-9) * 10  # linprog's _check_result tolerance
 
 
 @dataclass(frozen=True)
@@ -249,6 +261,70 @@ def _repair_simplex(R: np.ndarray, b: list[Fraction], atoms) -> tuple:
             return None, -T[-1][0]
 
 
+def _load_highs(directory):
+    """Load HIGHS_MODULE from its file in `directory` under its own name, so a later
+    `import scipy.optimize` reuses it: pybind11 registers its types only once a process."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
+            core = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(core)
+            sys.modules[HIGHS_MODULE] = core
+            return core
+    raise ImportError(f"marginal feasibility needs {HIGHS_SCIPY}, whose optimize/_highspy/_core "
+                      f"holds the HiGHS bindings; there is none in {directory}")
+
+
+def _highs():
+    """HiGHS's bindings, loaded on first use."""
+    core = sys.modules.get(HIGHS_MODULE)
+    if core is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError(f"marginal feasibility needs {HIGHS_SCIPY}; scipy is not installed")
+        core = _load_highs(os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy"))
+    return core
+
+
+def _phase1_lp(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HiGHS's optimal (x, a) and row duals of min 1.a s.t. A x + a = b, x, a >= 0, where atom
+    j has a 1 in each row R[:, j] >= 0; what linprog(method="highs", options=HIGHS_OPTIONS)
+    returns on the same LP, bit for bit, and checked as it checks them (else CapacityError)."""
+    h, (m, n) = _highs(), (len(b), R.shape[1])
+    keep = R.T >= 0  # [A | I] column by column, each column's rows ascending
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n + m
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_ = np.r_[np.zeros(n), np.ones(m)]
+    lp.col_lower_, lp.col_upper_ = np.zeros(n + m), np.full(n + m, np.inf)
+    lp.row_lower_ = lp.row_upper_ = b
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.r_[0, np.cumsum(np.r_[keep.sum(axis=1), np.ones(m, int)])]
+    lp.a_matrix_.index_ = np.r_[R.T[keep], np.arange(m)]
+    lp.a_matrix_.value_ = np.ones(keep.sum() + m)
+    highs = h._Highs()
+    options = {"output_flag": False, "log_to_console": False, "presolve": "on",
+               "simplex_strategy": int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+               "highs_debug_level": int(h.HighsDebugLevel.kHighsDebugLevelNone), **HIGHS_OPTIONS}
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != h.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects the option {name}={value!r}")
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != h.HighsModelStatus.kOptimal:
+        raise CapacityError(f"LP solver ended with model status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    xa, duals = np.array(solution.col_value), np.array(solution.row_dual)
+    residual = b - np.array(solution.row_value)
+    if not ((xa >= -LP_CHECK_TOL).all() and (abs(residual) <= LP_CHECK_TOL).all()
+            and np.isfinite(duals).all() and np.isfinite(highs.getInfo().objective_function_value)):
+        raise CapacityError(
+            f"LP solution misses its bounds or equalities by more than {LP_CHECK_TOL:.2e}")
+    return xa, duals
+
+
 def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     """Linear feasibility: is there a joint pmf with the given marginals?
 
@@ -285,26 +361,17 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     R = np.array(blocks + [np.full(support, len(rhs))])
     rhs.append(Fraction(1) if family.exact else 1.0)
 
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array, hstack, identity
-
-    m, keep = len(rhs), R >= 0
-    A = csc_array((np.ones(keep.sum()), (R[keep], keep.nonzero()[1])), shape=(m, support))
-    res = linprog(np.r_[np.zeros(support), np.ones(m)], A_eq=hstack([A, identity(m)], format="csc"),
-                  b_eq=np.array([float(v) for v in rhs]), bounds=(0, None), method="highs",
-                  options=HIGHS_OPTIONS)
-    if res.status != 0:
-        raise CapacityError(f"LP solver returned status {res.status}: {res.message}")
-    x, method = res.x[:support], "lp-certified" if family.exact else "lp-highs"
+    xa, duals = _phase1_lp(R, np.array([float(v) for v in rhs]))
+    x, method = xa[:support], "lp-certified" if family.exact else "lp-highs"
     if not family.exact:
-        if res.x[support:].max() > FLOAT_SLACK:  # per cell, as _verify_witness checks
+        if xa[support:].max() > FLOAT_SLACK:  # per cell, as _verify_witness checks
             return FeasibilityVerdict(False, violated=("linear-system", None), method=method)
         mass = {j: float(x[j]) for j in np.flatnonzero(x > 1e-15)}
         total = sum(mass.values())
         mass = {j: v / total for j, v in mass.items()}
     else:
         b = [Fraction(v) for v in rhs]
-        y = [Fraction(v).limit_denominator() for v in res.eqlin.marginals]
+        y = [Fraction(v).limit_denominator() for v in duals]
         by, mass = sum(u * v for u, v in zip(b, y)), None
         if not (by > 0 and (_price(R, y) <= 0).all()):
             mass = _support_solve(R, b, np.flatnonzero(x > 0))

@@ -162,6 +162,23 @@ def simplex_feasible(family) -> bool:
     return _phase1_simplex(rows, rhs) is not None
 
 
+def linprog_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LP of `marginals._phase1_lp` through scipy.optimize.linprog(method="highs")
+    on a scipy.sparse [A | I]: its optimal (x, a) and row duals, or AssertionError."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array, hstack, identity
+
+    from collectiva.marginals import HIGHS_OPTIONS
+
+    m, n = len(b), R.shape[1]
+    keep = R >= 0
+    A = csc_array((np.ones(keep.sum()), (R[keep], keep.nonzero()[1])), shape=(m, n))
+    res = linprog(np.r_[np.zeros(n), np.ones(m)], A_eq=hstack([A, identity(m)], format="csc"),
+                  b_eq=b, bounds=(0, None), method="highs", options=HIGHS_OPTIONS)
+    assert res.status == 0, res.message
+    return res.x, res.eqlin.marginals
+
+
 # --- signed two-point law: closed forms ------------------------------------------
 
 TWO_POINT = {Fraction(0): Fraction(-1, 2), Fraction(1): Fraction(3, 2)}

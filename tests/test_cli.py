@@ -42,6 +42,12 @@ def frac(s):
     return Fraction(s)
 
 
+def input_echo(path):
+    """What a report's config says of an input file: its basename, size and SHA-256."""
+    raw = Path(path).read_bytes()
+    return {"name": Path(path).name, "bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
+
+
 # --- exit codes -----------------------------------------------------------------------
 
 def test_success_exit_code_and_stdout_report(tmp_path, capsys):
@@ -229,7 +235,22 @@ def test_config_echo_excludes_the_output_path(tmp_path):
     assert code == 0
     cfg = report["config"]
     assert "out" not in cfg and "handler" not in cfg
-    assert cfg["eps"] == "1/100" and cfg["input"] == f
+    assert cfg["eps"] == "1/100" and cfg["input"] == input_echo(f)
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["stabilize"], "seq.txt", "01" * 500),
+    (["padic", "--format", "csv"], "r.csv", "".join(f"{k}/{k + 1}\n" for k in range(1, 60))),
+    (["marginal"], "corr.json", '{"e12": "1/2", "e23": "1/2", "e13": "-1"}'),
+])
+def test_one_analysis_from_two_directories_gives_the_same_bytes(tmp_path, argv, name, text):
+    reports = []
+    for where in (tmp_path / "a", tmp_path / "checkout" / "b"):
+        where.mkdir(parents=True)
+        (where / name).write_text(text)
+        assert main([argv[0], str(where / name), *argv[1:], "--out", str(where / "r.json")]) == 0
+        reports.append(nontimestamp_lines(where / "r.json"))
+    assert reports[0] == reports[1]
 
 
 # --- per-command payloads -------------------------------------------------------------
@@ -720,6 +741,25 @@ def test_cli_import_loads_no_heavy_scipy_module(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("document, method", [
+    ({"e12": "1/2", "e23": "1/2", "e13": "-1"}, "lp-certified"),
+    ({"e12": 0.5, "e23": 0.5, "e13": -0.75}, "lp-highs"),
+])
+def test_marginal_solves_without_scipy_optimize_or_sparse(tmp_path, document, method):
+    """HiGHS is reached through its bindings alone, not through linprog."""
+    f = write_ascii(tmp_path, json.dumps(document), "corr.json")
+    script = (
+        "import sys; from collectiva.cli import main; "
+        f"code = main(['marginal', {f!r}, '--out', 'r.json']); "
+        "print(code, [m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert json.loads((tmp_path / "r.json").read_text())["payload"]["feasibility"]["method"] == method
+
+
 def test_console_script(tmp_path):
     """The `collectiva` script declared in pyproject.toml, run the way an
     installer's launcher runs it: import the callable, call it with no
@@ -822,7 +862,8 @@ def test_config_echoes_only_the_options_that_ran(tmp_path):
     assert code == 0 and set(report["config"]) == {"input", "n"}
     f = write_ascii(tmp_path, '{"e12": 1, "e23": 1, "e13": -1}', "corr.json")
     code, report = run(["marginal", f], tmp_path)
-    assert code == 0 and report["config"] == {"format": "json", "input": f}
+    assert code == 0 and report["config"] == {"format": "json", "input": input_echo(f)}
+    assert report["config"]["input"]["name"] == "corr.json"
 
 
 @pytest.mark.parametrize("argv, reason", [

@@ -3,6 +3,7 @@ options it declares, ends in exit 0 with a schema-valid report, or in exit 2
 or 3 with one line on stderr -- never in a traceback."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -198,5 +199,12 @@ def test_every_command_ends_in_exit_zero_two_or_three(workdir, command, data):
         validate_report(report)
         declared = {f[2:].replace("-", "_") for f in flags}
         assert set(report["config"]) <= declared | {"input"}
+        if reads_input and Path(argv[1]).is_file():
+            raw = Path(argv[1]).read_bytes()
+            assert report["config"]["input"] == {
+                "name": Path(argv[1]).name, "bytes": len(raw),
+                "sha256": hashlib.sha256(raw).hexdigest()}
+        elif reads_input:  # a bundled space, echoed by name
+            assert report["config"]["input"] == argv[1]
     elif err is not None:
         assert len(err.strip().splitlines()) == 1, err

@@ -2,11 +2,13 @@
 witnesses, the generated correlation-polytope facets, and finite
 consistency conditions."""
 
+import contextlib
 import itertools
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from collectiva.marginals import (
 
 from _oracles import (
     correlations_of_joint,
+    linprog_phase1,
     pair_feasible_interval,
     simplex_feasible,
     tetrahedron_facets,
@@ -392,21 +395,22 @@ def assert_certified(verdict, family):
         assert name == "farkas" and value > 0
 
 
+@contextlib.contextmanager
 def spoil_the_proposal(monkeypatch, value: float):
     """HiGHS still solves, but every entry of its primal and dual comes back
     as `value`: 0 leaves the repair simplex no atoms to start from, and 1
-    proposes every atom and a dual that no Farkas check may accept."""
-    import scipy.optimize
+    proposes every atom and a dual that no Farkas check may accept.  The
+    block must reach the spoiled solve at least once."""
+    real, calls = marginals._phase1_lp, []
 
-    real = scipy.optimize.linprog
+    def spoiled(R, b):
+        xa, duals = real(R, b)
+        calls.append(len(b))
+        return np.full_like(xa, value), np.full_like(duals, value)
 
-    def spoiled(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.x[:] = value
-        res.eqlin.marginals[:] = value
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "linprog", spoiled)
+    monkeypatch.setattr(marginals, "_phase1_lp", spoiled)
+    yield
+    assert calls, "the spoiled HiGHS solve never ran"
 
 
 SHIFTS = (Fraction(0), Fraction(1, 10**12), Fraction(-1, 10**12),
@@ -432,20 +436,81 @@ def test_certified_verdicts_match_the_dense_simplex_oracle(data):
 
 @pytest.mark.parametrize("value", [0.0, 1.0])
 def test_bad_proposals_still_get_exact_verdicts_on_the_triple_grid(monkeypatch, value):
-    spoil_the_proposal(monkeypatch, value)
     grid = [Fraction(k, 2) for k in range(-2, 3)]
-    for e in itertools.product(grid, repeat=3):
-        fam = triple_to_family(CorrelationTriple(*e))
-        verdict = joint_exists(fam)
-        assert verdict.feasible == pair_feasible_interval(*e), e
-        assert_certified(verdict, fam)
+    with spoil_the_proposal(monkeypatch, value):
+        for e in itertools.product(grid, repeat=3):
+            fam = triple_to_family(CorrelationTriple(*e))
+            verdict = joint_exists(fam)
+            assert verdict.feasible == pair_feasible_interval(*e), e
+            assert_certified(verdict, fam)
 
 
 def test_repair_tableau_past_the_memory_budget_is_a_capacity_error(monkeypatch):
-    spoil_the_proposal(monkeypatch, 0.0)
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "4096")  # room for the LP, not the tableau
-    with pytest.raises(CapacityError, match="repair tableau exceeds COLLECTIVA_MAX_MEM"):
+    with spoil_the_proposal(monkeypatch, 0.0):
+        with pytest.raises(CapacityError, match="repair tableau exceeds COLLECTIVA_MAX_MEM"):
+            joint_exists(triple_to_family(CorrelationTriple(0, 0, 0)))
+
+
+# --- the HiGHS call ------------------------------------------------------------------
+
+@st.composite
+def lp_families(draw):
+    """No-signaling families that reach the LP, exact or float: the marginals of
+    a random joint on small ranges (feasible), or zero-mean +-1 correlation
+    pairs (feasible or not)."""
+    exact = draw(st.booleans(), label="exact")
+    k = draw(st.integers(2, 4), label="observables")
+    if draw(st.booleans(), label="pairs"):
+        pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(k), 2))),
+                              min_size=1, unique=True))
+        es = [Fraction(draw(st.integers(-8, 8)), 8) for _ in pairs]
+        return MarginalFamily(tuple(correlation_pair(f"a{i}", f"a{j}", e if exact else float(e))
+                                    for (i, j), e in zip(pairs, es)))
+    names = tuple(f"a{i}" for i in range(k))
+    ranges = {o: tuple(range(draw(st.integers(2, 3)))) for o in names}
+    atoms = list(itertools.product(*ranges.values()))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(atoms), max_size=len(atoms))
+                   .filter(any))
+    total = sum(weights)
+    joint = JointPMF(names, ranges, {
+        t: Fraction(w, total) if exact else w / total for t, w in zip(atoms, weights)})
+    subsets = draw(st.lists(st.sampled_from([
+        c for r in (1, 2, 3) for c in itertools.combinations(names, r)]), min_size=1, unique=True))
+    return MarginalFamily(tuple(marginalize(joint, c) for c in subsets))
+
+
+@given(lp_families())
+@settings(max_examples=80, deadline=None)
+def test_direct_highs_solve_matches_linprog_bit_for_bit(family):
+    real, calls = marginals._phase1_lp, []
+
+    def spy(R, b):
+        calls.append((R, b, real(R, b)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(marginals, "_phase1_lp", spy)
+        try:
+            joint_exists(family)
+        except CapacityError:  # a float witness at the boundary; the LP still ran
+            pass
+    ((R, b, (xa, duals)),) = calls
+    want_xa, want_duals = linprog_phase1(R, b)
+    assert xa.tobytes() == want_xa.tobytes()
+    assert duals.tobytes() == want_duals.tobytes()
+
+
+def test_a_misspelled_highs_option_raises(monkeypatch):
+    """linprog warned and dropped an unknown option; the direct call refuses it."""
+    monkeypatch.setitem(marginals.HIGHS_OPTIONS, "primal_feasibilty_tolerance", 1e-10)
+    with pytest.raises(ValueError, match="primal_feasibilty_tolerance"):
         joint_exists(triple_to_family(CorrelationTriple(0, 0, 0)))
+
+
+def test_missing_highs_bindings_name_the_scipy_that_ships_them(tmp_path):
+    with pytest.raises(ImportError, match=r"needs scipy>=1\.15, whose optimize/_highspy/_core"):
+        marginals._load_highs(tmp_path)
 
 
 def test_one_exact_pmf_of_8000_cells_is_refused_before_the_support_solve():

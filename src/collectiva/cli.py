@@ -14,14 +14,9 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import collectives, complexity, marginals, padic, signed_prob
-from .collectives import TrialSequence
+# each command runs only the modules it calls (the package loads them lazily)
+from . import collectives, complexity, marginals, padic, report, seqio, signed_prob
 from .errors import CapacityError, ConstructionError, InputError
-from .padic import PAdicExpansion
-from .report import make_report, write_report
-from .seqio import parse_rational, read_rationals, read_sequence, read_text
 
 DEFAULT_RULES = "identity,primes,after:10"
 NEGATIVITY_ATOM_CAP = 32  # the event count takes 2^(k/2) subset sums per half
@@ -32,7 +27,7 @@ NEGATIVITY_ATOM_CAP = 32  # the event count takes 2^(k/2) subset sums per half
 def _frac(text) -> Fraction:
     """Exact rational from a CLI string ("0.01", "1/100", "1e-3")."""
     try:
-        return parse_rational(str(text))
+        return seqio.parse_rational(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse {text!r} as a number: {exc}") from exc
 
@@ -46,7 +41,7 @@ def _parse_rules(spec: str, seed: int) -> list[collectives.PlaceSelectionRule]:
 
 def _load_json(path):
     try:
-        return json.loads(read_text(path))
+        return json.loads(seqio.read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -125,7 +120,7 @@ def _stabilization_dict(verdict: collectives.StabilizationVerdict) -> dict:
 # --- command handlers ----------------------------------------------------------
 
 def cmd_stabilize(args) -> tuple[dict, list[str]]:
-    x = read_sequence(args.input, args.format)
+    x = seqio.read_sequence(args.input, args.format)
     eps = _frac(args.eps)
     cps = collectives.log_checkpoints(len(x))
     trace = collectives.frequencies(x, cps)
@@ -141,7 +136,7 @@ def cmd_stabilize(args) -> tuple[dict, list[str]]:
 
 
 def cmd_select(args) -> tuple[dict, list[str]]:
-    x = read_sequence(args.input, args.format)
+    x = seqio.read_sequence(args.input, args.format)
     family = _parse_rules(args.rules, _check_seed(args.seed))
     eps = _frac(args.eps)
     base = collectives.frequencies(x, [len(x)]).final()
@@ -156,7 +151,7 @@ def cmd_select(args) -> tuple[dict, list[str]]:
 
 
 def cmd_mix(args) -> tuple[dict, list[str]]:
-    x = read_sequence(args.input, args.format)
+    x = seqio.read_sequence(args.input, args.format)
     eps = _frac(args.eps)
     members = [s.strip() for s in args.labels.split(",") if s.strip()]
     cps = collectives.log_checkpoints(len(x))
@@ -187,7 +182,7 @@ def cmd_mix(args) -> tuple[dict, list[str]]:
 
 
 def cmd_randomness(args) -> tuple[dict, list[str]]:
-    x = read_sequence(args.input, args.format)
+    x = seqio.read_sequence(args.input, args.format)
     family = _parse_rules(args.rules, _check_seed(args.seed))
     eps = _frac(args.eps)
     reports = collectives.randomness_check(
@@ -204,7 +199,7 @@ def cmd_randomness(args) -> tuple[dict, list[str]]:
 
 
 def cmd_complexity(args) -> tuple[dict, list[str]]:
-    x = read_sequence(args.input, args.format)
+    x = seqio.read_sequence(args.input, args.format)
     bits = complexity.as_bits(x)
     est = complexity.estimate_K(bits)
     cond = complexity.estimate_K_conditional(bits, bits.size)
@@ -225,7 +220,7 @@ def cmd_complexity(args) -> tuple[dict, list[str]]:
 
 
 def cmd_battery(args) -> tuple[dict, list[str]]:
-    x = read_sequence(args.input, args.format)
+    x = seqio.read_sequence(args.input, args.format)
     bits = complexity.as_bits(x)
     results = complexity.run_battery(bits, significance=args.significance)
     payload = {
@@ -253,7 +248,7 @@ def _family_from_input(args) -> tuple[marginals.MarginalFamily, marginals.Correl
         import csv
         import io
 
-        text = io.StringIO(read_text(args.input), newline="")
+        text = io.StringIO(seqio.read_text(args.input), newline="")
         rows = [row for row in csv.reader(text) if row and any(s.strip() for s in row)]
         return marginals.family_from_csv_rows(rows), None
     doc = _load_json(args.input)
@@ -349,7 +344,7 @@ def _metric_dict(v) -> dict | None:
         "window": v.window,
         "epsilon": v.epsilon,
     }
-    if isinstance(v.limit, PAdicExpansion):
+    if isinstance(v.limit, padic.PAdicExpansion):
         out["limit"] = {
             "p": v.limit.p,
             "valuation": v.limit.valuation,
@@ -366,10 +361,10 @@ def cmd_padic(args) -> tuple[dict, list[str]]:
     eps_real = _frac(args.eps)
     eps_padic = _frac(args.padic_eps)
     if args.format == "csv":
-        vals = read_rationals(args.input)
+        vals = seqio.read_rationals(args.input)
         source = "csv"
     else:
-        x = read_sequence(args.input, args.format)
+        x = seqio.read_sequence(args.input, args.format)
         label = args.label if args.label is not None else str(x.alphabet.labels[0])
         cps = collectives.log_checkpoints(len(x))
         vals = padic.realized_trace(x, cps, label=label)
@@ -463,6 +458,8 @@ def cmd_signed(args) -> tuple[dict, list[str]]:
 
 
 def cmd_ville(args) -> tuple[dict, list[str]]:
+    import numpy as np
+
     family = _parse_rules(args.rules, _check_seed(args.seed))
     eps = _frac(args.eps)
     try:
@@ -598,8 +595,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, warnings = args.handler(args)
-        report = make_report(args.command, _config(args), payload, warnings)
-        write_report(report, args.out)
+        doc = report.make_report(args.command, _config(args), payload, warnings)
+        report.write_report(doc, args.out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, InputError, check_mem
+from .stability import window_stability
 
 DEFAULT_EPSILON = Fraction(1, 100)
 CHUNK = 1 << 18  # elements per step of the chunked kernels, bounding their temporaries
@@ -165,13 +166,6 @@ def log_checkpoints(n: int, ratio: float = 1.25, dense_tail: int = 32) -> tuple[
 
 
 @dataclass(frozen=True)
-class LabelStability:
-    stabilized: bool
-    limit: Fraction | None
-    oscillation: Fraction
-
-
-@dataclass(frozen=True)
 class StabilizationVerdict:
     window: int
     epsilon: Fraction
@@ -184,18 +178,6 @@ class StabilizationVerdict:
 
     def limits(self) -> dict:
         return {lab: v.limit for lab, v in self.per_label.items() if v.stabilized}
-
-
-def window_stability(values: Sequence, epsilon) -> LabelStability:
-    """The window-oscillation rule on the values inside a final window:
-    stabilized iff max - min <= epsilon (which must be > 0), with the exact
-    mean of the values as the limit."""
-    if not epsilon > 0:
-        raise InputError(f"epsilon must be > 0, got {epsilon}")
-    osc = max(values) - min(values)
-    ok = osc <= epsilon
-    limit = sum(values, Fraction(0)) / len(values) if ok else None
-    return LabelStability(bool(ok), limit, osc)
 
 
 def detect_stabilization(

@@ -18,12 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collectives import LabelAlphabet, TrialSequence, prefix_counts, window_stability
+from . import collectives
 from .errors import InputError
-
-import numpy as np
-
-REALIZER_ALPHABET = LabelAlphabet(("A", "not-A"))
+from .stability import window_stability
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -243,7 +240,7 @@ def compare_convergence(
     return ConvergenceReport(real=rv, padic=pv)
 
 
-def frequency_path_realizer(checkpoints: Sequence[tuple[int, int]]) -> TrialSequence:
+def frequency_path_realizer(checkpoints: Sequence[tuple[int, int]]) -> collectives.TrialSequence:
     """A binary sequence hitting exactly the (N_k, n_k) count checkpoints.
 
     Between checkpoints the target label's occurrences are emitted first.
@@ -267,15 +264,19 @@ def frequency_path_realizer(checkpoints: Sequence[tuple[int, int]]) -> TrialSequ
             )
         runs += [dc, dn - dc]
         prev_n, prev_c = n_k, c_k
+    import numpy as np
+
     labels = np.tile(np.array([0, 1], dtype=np.uint8), len(runs) // 2)
-    return TrialSequence(REALIZER_ALPHABET, np.repeat(labels, runs))
+    alphabet = collectives.LabelAlphabet(("A", "not-A"))
+    return collectives.TrialSequence(alphabet, np.repeat(labels, runs))
 
 
-def realized_trace(x: TrialSequence, checkpoints: Sequence[int],
+def realized_trace(x: collectives.TrialSequence, checkpoints: Sequence[int],
                    label="A") -> list[Fraction]:
     """Rational frequency of the label at the given positions."""
     j, checkpoints = x.alphabet.index(label), tuple(checkpoints)
     for n in checkpoints:
         if not 1 <= n <= len(x):
             raise InputError(f"checkpoint {n} out of range")
-    return [Fraction(k, n) for k, n in zip(prefix_counts(x.data, j, checkpoints), checkpoints)]
+    counts = collectives.prefix_counts(x.data, j, checkpoints)
+    return [Fraction(k, n) for k, n in zip(counts, checkpoints)]

@@ -14,8 +14,6 @@ from dataclasses import is_dataclass, asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapacityError
 
 SCHEMA_VERSION = "1"
@@ -41,16 +39,19 @@ def jsonable(value):
     """Recursively convert package values to JSON-safe types.
 
     Fractions become "n/d" strings (lossless); numpy scalars/arrays become
-    Python numbers/lists; mapping keys become strings.
+    Python numbers/lists; mapping keys become strings.  No numpy value can
+    exist before numpy is imported, so until then none is looked for.
     """
     if isinstance(value, Fraction):
         return _ratio(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
+        if isinstance(value, np.ndarray):
+            return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {_key(k): jsonable(v) for k, v in value.items()}
     if is_dataclass(value) and not isinstance(value, type):

@@ -8,9 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from .collectives import BINARY, CHUNK, LabelAlphabet, TrialSequence, index_dtype
+from . import collectives
 from .errors import CapacityError, InputError, check_mem
 
 FORMATS = ("raw", "ascii", "csv")
@@ -19,19 +17,23 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)
                        r"[eE][-+]?(\d+(?:_\d+)*)\s*")
 
 
-def read_sequence(path, fmt: str, alphabet: LabelAlphabet | None = None) -> TrialSequence:
+def read_sequence(path, fmt: str, alphabet: collectives.LabelAlphabet | None = None
+                  ) -> collectives.TrialSequence:
     """Load a trial sequence.
 
     raw: each byte is 8 trials, most-significant bit first, alphabet 0/1.
     ascii: one character per trial, newlines ignored.
     csv: one label per row.
     """
+    import numpy as np
+
     blob = _read_bytes(path)
     if fmt == "raw":
         if not blob:
             raise InputError(f"{path}: empty input")
         check_mem(8 * len(blob), f"{path}: unpacking {len(blob)} raw bytes into trials")
-        return TrialSequence(BINARY, np.unpackbits(np.frombuffer(blob, dtype=np.uint8)))
+        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
+        return collectives.TrialSequence(collectives.BINARY, bits)
     if fmt == "ascii":
         codes = np.frombuffer(_decode_text(blob, path).encode("utf-32-le"), dtype="<u4")
         codes = codes[(codes != ord("\n")) & (codes != ord("\r"))]
@@ -43,7 +45,7 @@ def read_sequence(path, fmt: str, alphabet: LabelAlphabet | None = None) -> Tria
         if not rows:
             raise InputError(f"{path}: empty input")
         vals = [r[0].strip() for r in rows]
-        return TrialSequence.from_labels(alphabet or _inferred(vals), vals)
+        return collectives.TrialSequence.from_labels(alphabet or _inferred(vals), vals)
     raise InputError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -67,10 +69,13 @@ def read_text(path) -> str:
     return _decode_text(_read_bytes(path), path)
 
 
-def _from_code_points(codes: np.ndarray, alphabet: LabelAlphabet | None) -> TrialSequence:
+def _from_code_points(codes: np.ndarray, alphabet: collectives.LabelAlphabet | None
+                      ) -> collectives.TrialSequence:
     """One trial per character code.  Without an alphabet it is the sorted
     distinct characters; each code is looked up among the sorted codes of the
     single-character labels, CHUNK codes at a time."""
+    import numpy as np
+
     if alphabet is None:
         keys = np.unique(codes)
         alphabet, index = _inferred(chr(c) for c in keys), range(len(keys))
@@ -80,27 +85,28 @@ def _from_code_points(codes: np.ndarray, alphabet: LabelAlphabet | None) -> Tria
         keys, index = [c for c, _ in chars], [j for _, j in chars]
     # a sentinel past every code point keeps each lookup in bounds
     keys = np.array([*keys, 0x110000], dtype=np.uint32)
-    index = np.array([*index, 0], dtype=index_dtype(alphabet.size))
+    index = np.array([*index, 0], dtype=collectives.index_dtype(alphabet.size))
     data = np.empty(codes.size, dtype=index.dtype)
-    for a in range(0, codes.size, CHUNK):
-        part = codes[a:a + CHUNK]
+    chunk = collectives.CHUNK
+    for a in range(0, codes.size, chunk):
+        part = codes[a:a + chunk]
         pos = np.searchsorted(keys, part)
         miss = np.flatnonzero(keys[pos] != part)
         if miss.size:
             alphabet.index(chr(part[miss[0]]))  # raises: label not in alphabet
-        data[a:a + CHUNK] = index[pos]
-    return TrialSequence(alphabet, data)
+        data[a:a + chunk] = index[pos]
+    return collectives.TrialSequence(alphabet, data)
 
 
-def _inferred(values) -> LabelAlphabet:
+def _inferred(values) -> collectives.LabelAlphabet:
     uniq = tuple(sorted(set(values)))
-    return LabelAlphabet(uniq) if len(uniq) >= 2 else _padded(uniq)
+    return collectives.LabelAlphabet(uniq) if len(uniq) >= 2 else _padded(uniq)
 
 
-def _padded(labels: tuple) -> LabelAlphabet:
+def _padded(labels: tuple) -> collectives.LabelAlphabet:
     """A constant input still needs a 2-letter alphabet; pad with a sentinel."""
     pad = "\x00" if "\x00" not in labels else "\x01"
-    return LabelAlphabet(tuple(labels) + (pad,))
+    return collectives.LabelAlphabet(tuple(labels) + (pad,))
 
 
 def parse_rational(text: str) -> Fraction:

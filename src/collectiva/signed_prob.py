@@ -20,6 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import CapacityError, InputError, NullConditioningError, check_mem, max_mem_bytes
 from .finite_prob import is_exact, values_equal
+from .seqio import read_text
 
 # per subset sum of the negativity count (tracemalloc: 13-31 bytes at 12-24 atoms)
 NEGATIVITY_BYTES_PER_SUM = 64
@@ -177,16 +178,24 @@ def law_of(space: SignedProbabilitySpace, a: Mapping) -> dict:
 
 @dataclass(frozen=True)
 class SumDistribution:
-    """Signed pmf of the empirical mean of N iid copies."""
+    """Signed pmf of the empirical mean of N iid copies, with exact rational
+    means and masses.  The masses grow like the total variation to the
+    power N while their sums stay small, so a law from float input (exact
+    False) sums them exactly and rounds only the result to float; one
+    beyond the float range is a CapacityError."""
 
     n: int
     mass: dict  # mean value -> signed mass
+    exact: bool = True
 
     def total(self):
-        return sum(self.mass.values())
+        total = sum(self.mass.values())
+        return total if self.exact else _finite(total, f"the total mass at N={self.n}")
 
     def expect(self, f: Callable) -> object:
-        return sum(f(v) * m for v, m in self.mass.items())
+        if self.exact:
+            return sum(f(v) * m for v, m in self.mass.items())
+        return _finite(sum(Fraction(f(v)) * m for v, m in self.mass.items()), f"E f at N={self.n}")
 
 
 @dataclass(frozen=True)
@@ -303,14 +312,16 @@ def mean_law_table(
     integer coefficients, so the law of the sum of N copies is P(z)^N / W^N,
     and one sparse sweep snapshots every requested N.  The support is the
     N-fold sumset of the occupied positions, so a mean whose mass cancels
-    to 0 keeps its key.  Keys are floats when any value or weight is a
-    float, masses when any weight is.  Every law's total signed mass is
-    checked to be exactly 1, and the sweep's bytes against the byte budget
-    before it starts.
+    to 0 keeps its key.  Means and masses are exact rationals on every
+    input, a float by its shortest repr; when any value or weight is a
+    float, the law's expectations are rounded to float once (see
+    SumDistribution).  Every law's total signed mass is checked to be
+    exactly 1 (within float tolerance for float weights), and the sweep's
+    bytes against the byte budget before it starts.
     """
     want = _checked_ns(ns)
     lat = _lattice_law(space, a)
-    float_keys = not (space.exact and is_exact(*a.values()))
+    exact = space.exact and is_exact(*a.values())
     out: dict[int, SumDistribution] = {}
     for n, coeffs in _sparse_powers(lat, want):
         wn = lat.denom**n
@@ -318,22 +329,9 @@ def mean_law_table(
         if not (total == wn if space.exact else values_equal(total / wn, 1.0, False)):
             raise AssertionError(f"signed mass of the mean law is {Fraction(total, wn)}, not 1")
         key_den = n * lat.scale
-        mass: dict = {}
-        try:
-            for p, c in coeffs.items():
-                num = n * lat.base + lat.step * p
-                if not float_keys:
-                    mass[Fraction(num, key_den)] = Fraction(c, wn)
-                    continue
-                # distinct exact means may round to one float: add them up
-                key = num / key_den
-                m = Fraction(c, wn) if space.exact else c / wn
-                mass[key] = mass[key] + m if key in mass else m
-        except OverflowError:
-            raise CapacityError(
-                f"the N={n} mean law has a signed mass beyond the float range"
-            ) from None
-        out[n] = SumDistribution(n, mass)
+        mass = {Fraction(n * lat.base + lat.step * p, key_den): Fraction(c, wn)
+                for p, c in coeffs.items()}
+        out[n] = SumDistribution(n, mass, exact)
     return out
 
 
@@ -454,8 +452,6 @@ def space_from_document(doc: dict) -> tuple[SignedProbabilitySpace, Mapping | No
 
 
 def load_space(path) -> tuple[SignedProbabilitySpace, Mapping | None]:
-    from .seqio import read_text  # seqio pulls in numpy; only files need it
-
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:

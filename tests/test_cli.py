@@ -741,6 +741,86 @@ def test_cli_import_loads_no_heavy_scipy_module(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def run_python(tmp_path, script: str) -> str:
+    """stdout of `python -c script` in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def signed_document(tmp_path) -> str:
+    doc = {"weights": {"a": "-1/2", "b": "3/4", "c": "3/4"},
+           "variable": {"a": 0, "b": 1, "c": 2}}
+    return write_ascii(tmp_path, json.dumps(doc), "space.json")
+
+
+def rationals_file(tmp_path) -> str:
+    return write_ascii(tmp_path, "".join(f"{2**k - 1}/{2**k + 1}\n" for k in range(1, 13)),
+                       "path.csv")
+
+
+@pytest.mark.parametrize("case", [
+    "import collectiva",
+    "import collectiva.cli",
+    "signed three-atom",
+    "signed FILE",
+    "padic FILE --format csv",
+    "stabilize FILE",
+])
+def test_numpy_is_loaded_only_by_commands_that_build_arrays(tmp_path, case):
+    """A command's cold start pays for the modules it runs.  `signed` and a
+    rational `padic` path build no array, so neither they nor the imports
+    load numpy; `stabilize`, which reads trials, shows the probe sees it."""
+    files = {"signed": signed_document, "padic": rationals_file,
+             "stabilize": lambda d: write_ascii(d, "01" * 100)}
+    if case.startswith("import"):
+        code = case
+    else:
+        argv = case.split()
+        argv = [files[argv[0]](tmp_path) if a == "FILE" else a for a in argv]
+        code = f"from collectiva.cli import main; assert main({argv + ['--out', 'r.json']!r}) == 0"
+    out = run_python(tmp_path, f"import sys\n{code}\nprint('numpy' in sys.modules)")
+    assert out == str(case.startswith("stabilize"))
+
+
+def test_star_import_binds_each_public_name_to_its_module_attribute(tmp_path):
+    script = (
+        "import collectiva\n"
+        "from collectiva import *\n"
+        "names = [n for names in collectiva._PUBLIC.values() for n in names]\n"
+        "assert sorted(names) == collectiva.__all__, names\n"
+        "print([n for m, names in collectiva._PUBLIC.items() for n in names\n"
+        "       if globals()[n] is not getattr(getattr(collectiva, m), n)])"
+    )
+    assert run_python(tmp_path, script) == "[]"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        collectiva.no_such_name
+
+
+CLIBENCH = Path(__file__).resolve().parents[1] / "clibench"
+
+
+def test_cli_import_registers_every_module_the_benchmark_tracer_wraps(tmp_path):
+    """clibench's tracer looks up each module of layers.WRAPPED in sys.modules
+    right after `import collectiva.cli`, before any command runs."""
+    script = (
+        f"import sys; sys.path.insert(0, {str(CLIBENCH)!r})\n"
+        "import layers, collectiva.cli\n"
+        "print([m for m in layers.WRAPPED if f'collectiva.{m}' not in sys.modules])"
+    )
+    assert run_python(tmp_path, script) == "[]"
+    spans = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(CLIBENCH / "trace_op.py"), str(spans), "signed", "cli",
+         "signed", "three-atom", "--n", "8"],
+        capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [json.loads(line)["name"] for line in spans.read_text().splitlines()]
+    assert "signed_prob.weak_lln_check" in names
+
+
 @pytest.mark.parametrize("document, method", [
     ({"e12": "1/2", "e23": "1/2", "e13": "-1"}, "lp-certified"),
     ({"e12": 0.5, "e23": 0.5, "e13": -0.75}, "lp-highs"),

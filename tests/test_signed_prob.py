@@ -329,7 +329,7 @@ def test_float_values_with_long_decimals():
     var = {"a": 0, "b": 0.5, "c": 0.3333333333333333}
     dist = sum_distribution(space, var, 8)
     assert len(dist.mass) <= math.comb(10, 2)
-    assert all(type(v) is float and type(m) is float for v, m in dist.mass.items())
+    assert all(type(v) is Fraction and type(m) is Fraction for v, m in dist.mass.items())
     assert dist.total() == pytest.approx(1.0, abs=1e-12)
     m = expectation_signed(space, var)
     ex2 = expectation_signed(space, {a: v * v for a, v in var.items()})
@@ -339,12 +339,34 @@ def test_float_values_with_long_decimals():
 
 def test_float_masses_beyond_the_float_range_hit_the_capacity_limit():
     """Float weights 2^52 and 1 - 2^52 (both exact): the mass at mean 0 is
-    2^(52 N), a float up to N = 19 and past the float range from N = 20."""
+    2^(52 N), kept exact at every N; rounded to a float it is one up to
+    N = 19 and past the float range from N = 20."""
     space = SignedProbabilitySpace(("a", "b"), {"a": 2.0**52, "b": 1 - 2.0**52})
     var = {"a": 0, "b": 1}
-    assert mean_law_table(space, var, [16])[16].mass[0.0] == 2.0 ** (52 * 16)
+    laws = mean_law_table(space, var, [16, 32])
+    assert laws[32].mass[0] == 2 ** (52 * 32)
+    assert laws[32].total() == 1.0
+
+    def at_zero(x):
+        return 1 if x == 0 else 0
+
+    assert laws[16].expect(at_zero) == 2.0 ** (52 * 16)
     with pytest.raises(CapacityError, match="float range"):
-        mean_law_table(space, var, [32])
+        laws[32].expect(at_zero)
+
+
+def test_float_law_expectations_round_once():
+    """Weights (-1/2, 3/4, 3/4) on values (0, 0.5, 0.3333333333333333): at
+    N = 256 the masses reach about 2^256 in size, so summed in floats
+    E (mean)^2 lost every digit; summed exactly and rounded once it is the
+    moment row, about 0.390."""
+    space = SignedProbabilitySpace(("a", "b", "c"), {"a": -0.5, "b": 0.75, "c": 0.75})
+    var = {"a": 0, "b": 0.5, "c": 0.3333333333333333}
+    sq = Polynomial((0, 0, 1))
+    dist = sum_distribution(space, var, 256)
+    [(_, ef, _)] = weak_lln_check(space, var, sq, [256])
+    assert dist.expect(sq) == ef == pytest.approx(0.390157, abs=1e-6)
+    assert dist.total() == 1.0
 
 
 def test_cancelled_mass_keeps_its_mean():
@@ -369,7 +391,9 @@ def test_packed_slots_hold_the_largest_coefficient():
         assert dist.mass[0] == 128**n
 
 
-def test_float_inputs_give_float_keys_and_masses():
+def test_float_inputs_give_the_exact_law_of_their_shortest_decimals():
+    """0.1 is 1/10 here, not its binary expansion; the law is exact and only
+    its expectations are rounded."""
     space = SignedProbabilitySpace(("a", "b", "c"), {"a": -0.5, "b": 0.75, "c": 0.75})
     var = {"a": 0.1, "b": 0.2, "c": 0.7}
     exact = SignedProbabilitySpace(
@@ -377,11 +401,10 @@ def test_float_inputs_give_float_keys_and_masses():
     )
     exact_var = {"a": Fraction(1, 10), "b": Fraction(2, 10), "c": Fraction(7, 10)}
     dist = sum_distribution(space, var, 5)
-    oracle = convolution_mean_law(exact, exact_var, 5)
-    assert len(dist.mass) == len(oracle)
-    for (v, m), (ov, om) in zip(sorted(dist.mass.items()), sorted(oracle.items())):
-        assert type(v) is float and type(m) is float
-        assert v == float(ov) and abs(m - float(om)) <= 1e-12
+    assert dist.mass == convolution_mean_law(exact, exact_var, 5)
+    assert not dist.exact and sum_distribution(exact, exact_var, 5).exact
+    ex = sum_distribution(exact, exact_var, 5).expect(lambda x: x * x)
+    assert dist.expect(lambda x: x * x) == float(ex)
 
 
 def test_two_point_mean_law_at_1024_matches_the_binomial_oracle():
@@ -587,16 +610,15 @@ def dyadic_float_laws(draw):
 @settings(max_examples=100, deadline=None)
 @given(dyadic_float_laws(), polynomials())
 def test_float_weak_law_rows_are_the_exact_rows_rounded_once(case, f):
-    """The float law sums signed masses in floats, so it agrees with the
-    rows within 1e-12 of the absolute mass of that sum."""
+    """The float law's expectations are its exact sums rounded once, so
+    they equal the float rows."""
     space, var, fspace, fvar, ns = case
     rows = weak_lln_check(fspace, fvar, f, ns)
     exact_rows = weak_lln_check(space, var, f, ns)
     assert rows == [(n, float(ef), float(gap)) for n, ef, gap in exact_rows]
     laws = mean_law_table(fspace, fvar, ns)
     for n, ef, _ in rows:
-        scale = sum(abs(f(v) * m) for v, m in laws[n].mass.items())
-        assert abs(ef - laws[n].expect(f)) <= 1e-12 * scale
+        assert laws[n].expect(f) == ef
 
 
 def test_weak_law_rows_at_huge_n_are_exact():

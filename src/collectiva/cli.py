@@ -201,10 +201,12 @@ def cmd_randomness(args) -> tuple[dict, list[str]]:
 def cmd_complexity(args) -> tuple[dict, list[str]]:
     x = seqio.read_sequence(args.input, args.format)
     bits = complexity.as_bits(x)
-    est = complexity.estimate_K(bits)
-    cond = complexity.estimate_K_conditional(bits, bits.size)
+    # each prefix is compressed once; the last is the whole word (unless the
+    # word is one bit), whose compression the curve round-trips
     curve = complexity.complexity_rate_curve(bits)
-    dips = complexity.martin_lof_dip_scan(bits)
+    est = curve[-1] if curve else complexity.estimate_K(bits)
+    cond = complexity.without_header(est)
+    dips = [e.n_bits for e in curve if complexity.is_dip(complexity.without_header(e))]
     payload = {
         "n_bits": int(bits.size),
         "codec": est.codec,

@@ -210,13 +210,17 @@ class PlaceSelectionRule:
 
     make_decider(alphabet) returns decide(n, prefix) -> bool, where prefix is
     the index array of x_1..x_{n-1} only.  vector_decider, when present, is a
-    whole-sequence shortcut that must produce identical decisions; built-in
-    shortcuts derive every decision from strictly earlier positions.
+    windowed shortcut: vector_decider(alphabet, data, start=0, stop=None)
+    returns the boolean mask of the 0-based positions start..stop-1 (stop
+    None meaning len(data)), equal to decide(i + 1, data[:i]) at each
+    position i.  Each decision reads only trials before its position, so a
+    window reads at most data[:stop - 1], and the masks of consecutive
+    windows concatenate to the whole-sequence mask.
     """
 
     name: str
     make_decider: Callable[[LabelAlphabet], Callable[[int, np.ndarray], bool]]
-    vector_decider: Callable[[LabelAlphabet, np.ndarray], np.ndarray] | None = None
+    vector_decider: Callable[..., np.ndarray] | None = None
     params: tuple = ()
 
     def describe(self) -> str:
@@ -225,25 +229,39 @@ class PlaceSelectionRule:
         return self.name
 
 
+def _windowed(mask_of: Callable[[LabelAlphabet, np.ndarray, int, int], np.ndarray]):
+    """A vector_decider from mask_of(alphabet, data, start, stop), which
+    takes a resolved window."""
+    def vector(alphabet, data, start=0, stop=None):
+        return mask_of(alphabet, data, start, len(data) if stop is None else stop)
+
+    return vector
+
+
 def identity_rule() -> PlaceSelectionRule:
     return PlaceSelectionRule(
         "identity",
         lambda alphabet: (lambda n, prefix: True),
-        vector_decider=lambda alphabet, data: np.ones(len(data), dtype=bool),
+        vector_decider=_windowed(
+            lambda alphabet, data, start, stop: np.ones(stop - start, dtype=bool)),
     )
 
 
-def _every_other(n: int, start: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[start::2] = True
-    return mask
+def _parity_mask(parity: int):
+    """Mask of the positions i with i % 2 == parity (trial n = i + 1)."""
+    def mask_of(alphabet, data, start, stop):
+        mask = np.zeros(stop - start, dtype=bool)
+        mask[(parity - start) % 2::2] = True
+        return mask
+
+    return _windowed(mask_of)
 
 
 def evens_rule() -> PlaceSelectionRule:
     return PlaceSelectionRule(
         "evens",
         lambda alphabet: (lambda n, prefix: n % 2 == 0),
-        vector_decider=lambda alphabet, data: _every_other(len(data), 1),
+        vector_decider=_parity_mask(1),
     )
 
 
@@ -251,7 +269,7 @@ def odds_rule() -> PlaceSelectionRule:
     return PlaceSelectionRule(
         "odds",
         lambda alphabet: (lambda n, prefix: n % 2 == 1),
-        vector_decider=lambda alphabet, data: _every_other(len(data), 0),
+        vector_decider=_parity_mask(0),
     )
 
 
@@ -262,6 +280,19 @@ def _sieve(limit: int) -> np.ndarray:
         if s[p]:
             s[p * p :: p] = False
     return s
+
+
+def _prime_window(alphabet, data, start, stop) -> np.ndarray:
+    """Primality of the trial numbers start+1..stop: a segmented sieve over
+    the base primes <= sqrt(stop)."""
+    lo = start + 1
+    mask = np.ones(stop - start, dtype=bool)
+    if start == 0:
+        mask[:1] = False  # trial 1 is not prime
+    for p in np.flatnonzero(_sieve(math.isqrt(stop))).tolist():
+        first = max(p * p, -(-lo // p) * p)
+        mask[first - lo :: p] = False
+    return mask
 
 
 def primes_rule() -> PlaceSelectionRule:
@@ -276,11 +307,7 @@ def primes_rule() -> PlaceSelectionRule:
 
         return decide
 
-    return PlaceSelectionRule(
-        "primes",
-        make,
-        vector_decider=lambda alphabet, data: _sieve(max(len(data), 2))[1 : len(data) + 1],
-    )
+    return PlaceSelectionRule("primes", make, vector_decider=_windowed(_prime_window))
 
 
 def after_pattern_rule(pattern) -> PlaceSelectionRule:
@@ -298,19 +325,21 @@ def after_pattern_rule(pattern) -> PlaceSelectionRule:
 
         return decide
 
-    def vector(alphabet, data):
+    def mask_of(alphabet, data, start, stop):
+        # position i is kept iff data[i-k:i] spells the pattern; reads data[lo-k:stop-1]
         pidx = [alphabet.index(c) for c in pat]
         k = len(pidx)
-        mask = np.zeros(len(data), dtype=bool)
-        if len(data) > k:
-            hit = np.ones(len(data) - k, dtype=bool)
+        lo = max(start, k)
+        mask = np.zeros(stop - start, dtype=bool)
+        if stop > lo:
+            hit = mask[lo - start:]
+            hit[:] = True
             for j, pv in enumerate(pidx):
-                hit &= data[j : len(data) - k + j] == pv
-            mask[k:] = hit
+                hit &= data[lo - k + j : stop - k + j] == pv
         return mask
 
     return PlaceSelectionRule(
-        "after", make, vector_decider=vector, params=("".join(str(c) for c in pat),)
+        "after", make, vector_decider=_windowed(mask_of), params=("".join(str(c) for c in pat),)
     )
 
 
@@ -328,15 +357,14 @@ def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
         stream = draws()
         return lambda n, prefix: next(stream)
 
-    def vector(alphabet, data):
-        # the same PCG64 stream as one rng.random(len(data)), CHUNK doubles at a time
+    def mask_of(alphabet, data, start, stop):
+        # each double takes one PCG64 step, so advancing by start gives the
+        # same stream as rng.random(stop)[start:]
         rng = np.random.default_rng(seed)
-        mask = np.empty(len(data), dtype=bool)
-        for a in range(0, len(data), CHUNK):
-            np.less(rng.random(min(CHUNK, len(data) - a)), p, out=mask[a:a + CHUNK])
-        return mask
+        rng.bit_generator.advance(start)
+        return rng.random(stop - start) < p
 
-    return PlaceSelectionRule("coin", make, vector_decider=vector, params=(seed,))
+    return PlaceSelectionRule("coin", make, vector_decider=_windowed(mask_of), params=(seed,))
 
 
 RULE_CATALOGUE = {
@@ -381,6 +409,22 @@ def default_family() -> list[PlaceSelectionRule]:
     return [identity_rule(), primes_rule(), after_pattern_rule("10")]
 
 
+def _selections(rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = True):
+    """The retained trials of x, as arrays in order: one per window of CHUNK
+    positions from the vector decider, else one from the scalar decider."""
+    data = x.data
+    if use_vector and rule.vector_decider is not None:
+        for start in range(0, len(data), CHUNK):
+            stop = min(start + CHUNK, len(data))
+            mask = np.asarray(rule.vector_decider(x.alphabet, data, start, stop), dtype=bool)
+            if mask.shape != (stop - start,):
+                raise InputError(f"rule {rule.name}: bad vector decision shape")
+            yield data[start:stop][mask]
+        return
+    decide = rule.make_decider(x.alphabet)
+    yield data[[i for i in range(len(data)) if decide(i + 1, data[:i])]]
+
+
 def apply_selection(
     rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = True
 ) -> TrialSequence:
@@ -389,15 +433,8 @@ def apply_selection(
     The decider sees (n, x_1..x_{n-1}); the element being decided on is
     never exposed, so lookahead is unrepresentable.
     """
-    data = x.data
-    if use_vector and rule.vector_decider is not None:
-        mask = np.asarray(rule.vector_decider(x.alphabet, data), dtype=bool)
-        if mask.shape != data.shape:
-            raise InputError(f"rule {rule.name}: bad vector decision shape")
-        return TrialSequence(x.alphabet, data[mask])
-    decide = rule.make_decider(x.alphabet)
-    keep = [i for i in range(len(data)) if decide(i + 1, data[:i])]
-    return TrialSequence(x.alphabet, data[keep])
+    parts = _selections(rule, x, use_vector)
+    return TrialSequence(x.alphabet, np.concatenate([x.data[:0], *parts]))
 
 
 @dataclass(frozen=True)
@@ -419,23 +456,28 @@ def randomness_check(
 
     A rule passes when every label frequency of the selected subsequence is
     within epsilon of the full-sequence frequency; subsequences shorter than
-    min_length are inconclusive rather than failed.
+    min_length are inconclusive rather than failed.  The selected label
+    counts are summed window by window; the subsequence is never built.
     """
     if not epsilon >= 0:
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
     _check_min_count(min_length)
     base = frequencies(x, [len(x)]).final()
+    size = x.alphabet.size
     out = []
     for rule in family:
-        sub = apply_selection(rule, x)
-        if len(sub) < min_length:
-            out.append(RuleReport(rule.describe(), len(sub), None, None, "inconclusive"))
+        counts = np.zeros(size, dtype=np.int64)
+        for part in _selections(rule, x):
+            counts += np.bincount(part, minlength=size)
+        selected = int(counts.sum())
+        if selected < min_length:
+            out.append(RuleReport(rule.describe(), selected, None, None, "inconclusive"))
             continue
-        fr = frequencies(sub, [len(sub)]).final()
+        fr = {lab: Fraction(int(c), selected) for lab, c in zip(x.alphabet.labels, counts)}
         dev = max(abs(fr[lab] - base[lab]) for lab in x.alphabet.labels)
         out.append(
             RuleReport(
-                rule.describe(), len(sub), fr, dev,
+                rule.describe(), selected, fr, dev,
                 "pass" if dev <= epsilon else "fail",
             )
         )

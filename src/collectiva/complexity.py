@@ -13,9 +13,15 @@ machine-invariance constant: estimates differ by a bounded, measurable
 amount over a corpus.
 
 The battery is a finite stand-in for algorithmic typicality testing — four
-classical bit-level tests with documented null distributions.  A universal
-test cannot be constructed, and the battery is a plugin surface, not a
-canon.
+classical bit-level tests of NIST SP 800-22 (Rukhin et al., 2010): the
+frequency (monobit), block-frequency, runs and longest-run-of-ones tests.
+Their p-values have closed forms computed with `math` alone.  Monobit and
+runs are erfc tails.  Block frequency and longest run are chi-square tails
+Q(nu/2, chi2/2) of integer or half-integer shape, which are finite sums
+(DLMF 8.4.10 and 8.4.11): e^-h sum_{k<m} h^k/k! for nu = 2m, and
+erfc(sqrt h) plus e^-h sum_{k<m} h^(k+1/2)/Gamma(k+3/2) for nu = 2m+1.
+A universal test cannot be constructed, and the battery is a plugin surface,
+not a canon.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .collectives import CHUNK
 from .errors import CodecIntegrityError, InputError
 
 
@@ -260,10 +267,18 @@ def estimate_K_conditional(x, n: int, codec: Codec | None = None,
     bits = as_bits(x)
     if bits.size != n:
         raise InputError(f"declared length {n} != actual {bits.size}")
-    codec = codec or DEFAULT_CODEC()
-    packed = pack_bits(bits)
-    body = 8 * len(codec.compressed(packed, verify))
-    return ComplexityEstimate(n, body, codec.name, conditional=True)
+    return without_header(estimate_K(bits, codec, verify))
+
+
+def without_header(est: ComplexityEstimate) -> ComplexityEstimate:
+    """K-hat(x; n) from K-hat(x): the same compressed body, less the header."""
+    return ComplexityEstimate(est.n_bits, est.k_hat - header_bits(est.n_bits), est.codec,
+                              conditional=True)
+
+
+def is_dip(cond: ComplexityEstimate) -> bool:
+    """The dip rule on a conditional estimate: K-hat(x_1..n; n) < n - log2(n)."""
+    return cond.k_hat < cond.n_bits - math.log2(cond.n_bits)
 
 
 def default_prefix_lengths(n: int, start: int = 64) -> tuple[int, ...]:
@@ -278,7 +293,9 @@ def default_prefix_lengths(n: int, start: int = 64) -> tuple[int, ...]:
 
 def complexity_rate_curve(x, prefix_lengths: Sequence[int] | None = None,
                           codec: Codec | None = None) -> list[ComplexityEstimate]:
-    """Per-prefix estimates with one codec (rates plot the structure)."""
+    """Per-prefix estimates with one codec (rates plot the structure).  The
+    compression of the whole word, when it is one of the prefixes, is checked
+    to decompress back; the shorter prefixes' are not."""
     bits = as_bits(x)
     codec = codec or DEFAULT_CODEC()
     ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(bits.size)
@@ -286,7 +303,7 @@ def complexity_rate_curve(x, prefix_lengths: Sequence[int] | None = None,
         raise InputError("prefix lengths must be strictly increasing")
     if ns and ns[-1] > bits.size:
         raise InputError("prefix length beyond the word")
-    return [estimate_K(bits[:n], codec, verify=False) for n in ns]
+    return [estimate_K(bits[:n], codec, verify=n == bits.size) for n in ns]
 
 
 def martin_lof_dip_scan(x, prefix_lengths: Sequence[int] | None = None,
@@ -301,12 +318,7 @@ def martin_lof_dip_scan(x, prefix_lengths: Sequence[int] | None = None,
     ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(bits.size)
     if any(n < 2 for n in ns):
         raise InputError("dip scan needs prefix lengths >= 2")
-    dips = []
-    for n in ns:
-        est = estimate_K_conditional(bits[:n], n, codec, verify=False)
-        if est.k_hat < n - math.log2(n):
-            dips.append(n)
-    return dips
+    return [n for n in ns if is_dip(estimate_K_conditional(bits[:n], n, codec, verify=False))]
 
 
 # --- battery ------------------------------------------------------------------
@@ -321,14 +333,63 @@ class TestResult:
     note: str = ""
 
 
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)  # lgamma series, odd powers of 1/j
+
+
+def _log_term(j: float, h: float) -> float:
+    """log(e^-h h^j / Gamma(j + 1)) for j >= 0 and h > 0.  From j = 16 on,
+    Stirling's series with the deviance j*log(h/j) - (h - j) taken as
+    j*(log1p(d) - d): j*log(h), h and lgamma(j + 1) are each near j*log(j),
+    and their difference through lgamma is ~1e-10 off at j = 1e5."""
+    if j < 16:
+        return j * math.log(h) - h - math.lgamma(j + 1)
+    d = (h - j) / j
+    inv2 = 1 / (j * j)
+    stirlerr = math.fsum(c * inv2**i for i, c in enumerate(_STIRLING)) / j
+    return j * (math.log1p(d) - d) - 0.5 * math.log(2 * math.pi * j) - stirlerr
+
+
+def chi2_sf(chi2: float, dof: int) -> float:
+    """P(X > chi2) for X chi-square with dof >= 1 degrees of freedom, the
+    regularized upper incomplete gamma Q(dof/2, chi2/2).
+
+    With h = chi2/2 and m = dof // 2 this is the finite sum of the terms
+    e^-h h^j / Gamma(j + 1) over j = j0, j0 + 1, ..., j0 + m - 1, where
+    j0 = 0 for even dof and j0 = 1/2 for odd dof, plus erfc(sqrt h) for odd
+    dof (DLMF 8.4.10, 8.4.11).  The terms rise while j < h and fall after,
+    so the sum starts at the largest one, steps outward by the ratio h/j
+    until the terms drop below 2^-60 of it, and adds them with math.fsum."""
+    if dof < 1:
+        raise InputError(f"chi-square needs dof >= 1, got {dof}")
+    h = chi2 / 2
+    if h <= 0:
+        return 1.0
+    j0 = dof % 2 / 2
+    base = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    if dof < 2:
+        return base
+    jmax = j0 + dof // 2 - 1
+    peak = min(j0 + max(0, math.floor(h - j0)), jmax)
+    terms = [1.0]
+    t, j = 1.0, peak
+    while j > j0 and t > 2**-60:
+        t *= j / h
+        j -= 1
+        terms.append(t)
+    t, j = 1.0, peak
+    while j < jmax and t > 2**-60:
+        j += 1
+        t *= h / j
+        terms.append(t)
+    return base + math.exp(_log_term(peak, h)) * math.fsum(terms)
+
+
 def monobit_test(bits: np.ndarray) -> TestResult:
     n = bits.size
     if n < 100:
         return TestResult("monobit", math.nan, None, None, True, "needs n >= 100")
     s = abs(int(2 * int(bits.sum()) - n))
-    from scipy.special import erfc
-
-    p = float(erfc(s / math.sqrt(2 * n)))
+    p = math.erfc(s / math.sqrt(2 * n))
     return TestResult("monobit", float(s), p, None)
 
 
@@ -340,10 +401,7 @@ def block_frequency_test(bits: np.ndarray, block: int = 128) -> TestResult:
     nblocks = n // block
     pi = bits[: nblocks * block].reshape(nblocks, block).mean(axis=1)
     chi2 = 4.0 * block * float(((pi - 0.5) ** 2).sum())
-    from scipy.special import gammaincc
-
-    p = float(gammaincc(nblocks / 2.0, chi2 / 2.0))
-    return TestResult("block-frequency", chi2, p, None)
+    return TestResult("block-frequency", chi2, chi2_sf(chi2, nblocks), None)
 
 
 def runs_test(bits: np.ndarray) -> TestResult:
@@ -354,13 +412,13 @@ def runs_test(bits: np.ndarray) -> TestResult:
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return TestResult("runs", math.nan, 0.0, None,
                           note="frequency prerequisite failed")
-    v = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+    v = 1
+    for a in range(0, n - 1, CHUNK):  # transitions between bits[a..b] and bits[a+1..b+1]
+        b = min(a + CHUNK, n - 1)
+        v += int(np.count_nonzero(bits[a + 1:b + 1] != bits[a:b]))
     num = abs(v - 2.0 * n * pi * (1 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)
-    from scipy.special import erfc
-
-    p = float(erfc(num / den))
-    return TestResult("runs", float(v), p, None)
+    return TestResult("runs", float(v), math.erfc(num / den), None)
 
 
 _LONGEST_RUN_TABLES = (
@@ -373,6 +431,26 @@ _LONGEST_RUN_TABLES = (
 )
 
 
+def _longest_runs(blocks: np.ndarray) -> np.ndarray:
+    """Longest run of ones in each row of a 2-d 0/1 array, as int64.
+
+    Each row is padded with a 0 on both sides, so in the flattened rows a
+    run starts where the difference is 1 and ends where it is -1, and the
+    k-th start pairs with the k-th end."""
+    rows, m = blocks.shape
+    padded = np.zeros((rows, m + 2), dtype=np.int8)
+    padded[:, 1:-1] = blocks
+    edges = np.diff(padded.ravel())
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1) - starts
+    longest = np.zeros(rows, dtype=np.int64)
+    if lengths.size:
+        row = starts // (m + 2)
+        first = np.flatnonzero(np.diff(row, prepend=-1))  # each row's first run
+        longest[row[first]] = np.maximum.reduceat(lengths, first)
+    return longest
+
+
 def longest_run_test(bits: np.ndarray) -> TestResult:
     n = bits.size
     if n < 128:
@@ -381,21 +459,15 @@ def longest_run_test(bits: np.ndarray) -> TestResult:
         if n >= min_n:
             break
     nblocks = n // m
-    blocks = bits[: nblocks * m].reshape(nblocks, m)
-    run = np.zeros(nblocks, dtype=np.int64)
-    longest = np.zeros(nblocks, dtype=np.int64)
-    for j in range(m):
-        run = (run + 1) * blocks[:, j]
-        np.maximum(longest, run, out=longest)
-    cats = np.clip(longest, lo, hi) - lo
-    counts = np.bincount(cats, minlength=hi - lo + 1).astype(float)
+    step = max(1, CHUNK // m)  # blocks per step, so each step reads about CHUNK bits
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    for a in range(0, nblocks, step):
+        b = min(a + step, nblocks)
+        longest = _longest_runs(bits[a * m:b * m].reshape(b - a, m))
+        counts += np.bincount(np.clip(longest, lo, hi) - lo, minlength=hi - lo + 1)
     expected = nblocks * np.asarray(pis)
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    k = hi - lo
-    from scipy.special import gammaincc
-
-    p = float(gammaincc(k / 2.0, chi2 / 2.0))
-    return TestResult("longest-run", chi2, p, None)
+    chi2 = float(((counts.astype(float) - expected) ** 2 / expected).sum())
+    return TestResult("longest-run", chi2, chi2_sf(chi2, hi - lo), None)
 
 
 DEFAULT_BATTERY: tuple[Callable[[np.ndarray], TestResult], ...] = (

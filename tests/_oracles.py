@@ -252,6 +252,38 @@ def monobit_p(n_ones: int, n: int) -> float:
 
 # --- p-adic closed forms ----------------------------------------------------------
 
+def longest_runs_by_column(bits: np.ndarray, m: int) -> np.ndarray:
+    """Longest run of ones in each whole block of m bits, by a scan over
+    the m columns of all blocks at once."""
+    nblocks = bits.size // m
+    blocks = bits[: nblocks * m].reshape(nblocks, m)
+    run = np.zeros(nblocks, dtype=np.int64)
+    longest = np.zeros(nblocks, dtype=np.int64)
+    for j in range(m):
+        run = (run + 1) * blocks[:, j]
+        np.maximum(longest, run, out=longest)
+    return longest
+
+
+def randomness_check_reference(x, family, epsilon, min_length):
+    """collectives.randomness_check from subsequences built by the scalar
+    deciders and their frequencies at the full length."""
+    from collectiva.collectives import RuleReport, apply_selection, frequencies
+
+    base = frequencies(x, [len(x)]).final()
+    out = []
+    for rule in family:
+        sub = apply_selection(rule, x, use_vector=False)
+        if len(sub) < min_length:
+            out.append(RuleReport(rule.describe(), len(sub), None, None, "inconclusive"))
+            continue
+        fr = frequencies(sub, [len(sub)]).final()
+        dev = max(abs(fr[lab] - base[lab]) for lab in x.alphabet.labels)
+        out.append(RuleReport(rule.describe(), len(sub), fr, dev,
+                              "pass" if dev <= epsilon else "fail"))
+    return out
+
+
 def spf_sieve(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for 2..limit."""
     spf = np.zeros(limit + 1, dtype=np.int64)

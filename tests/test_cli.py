@@ -784,6 +784,53 @@ def test_numpy_is_loaded_only_by_commands_that_build_arrays(tmp_path, case):
     assert out == str(case.startswith("stabilize"))
 
 
+@pytest.mark.parametrize("command", ["battery", "complexity", "randomness", "select", "ville"])
+def test_only_marginal_loads_scipy(tmp_path, command):
+    """The battery's p-values come from `math`; of SciPy, only `marginal`'s
+    HiGHS bindings are ever loaded."""
+    f = write_ascii(tmp_path, "0110100110010110" * 64)
+    argv = ["ville", "--n", "2000"] if command == "ville" else [command, f]
+    script = (
+        "import sys; from collectiva.cli import main; "
+        f"code = main({argv + ['--out', 'r.json']!r}); "
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert run_python(tmp_path, script) == "0 []"
+
+
+def test_complexity_compresses_each_prefix_once(tmp_path, monkeypatch):
+    """The rate curve's bodies give the conditional estimate and the dips;
+    only the whole word is round-tripped."""
+    from collectiva import complexity
+
+    calls = []
+    for name in ("_deflate_compress", "_deflate_decompress"):
+        fn = getattr(complexity, name)
+        monkeypatch.setattr(complexity, name,
+                            lambda data, fn=fn, name=name: calls.append(name) or fn(data))
+    # sparse ones: the 64- and 128-bit prefixes dip only without the length header
+    bits = (np.random.default_rng(2).random(4096) < 0.08).astype(np.uint8)
+    f = tmp_path / "w.raw"
+    f.write_bytes(pack_bits(bits))
+    code, report = run(["complexity", str(f), "--format", "raw"], tmp_path)
+    assert code == 0
+    ns = complexity.default_prefix_lengths(bits.size)
+    assert calls.count("_deflate_compress") == len(ns)
+    assert calls.count("_deflate_decompress") == 1
+    pl = report["payload"]
+    assert pl["conditional"]["k_hat"] == complexity.estimate_K_conditional(bits, bits.size).k_hat
+    assert pl["dips"] == complexity.martin_lof_dip_scan(bits)
+    assert pl["dips"][:2] == [64, 128]
+
+
+def test_complexity_of_a_one_bit_word(tmp_path):
+    code, report = run(["complexity", write_ascii(tmp_path, "1")], tmp_path)
+    assert code == 0
+    pl = report["payload"]
+    assert (pl["curve"], pl["dips"]) == ([], [])
+    assert pl["estimate"]["k_hat"] - pl["conditional"]["k_hat"] == 4  # header_bits(1)
+
+
 def test_star_import_binds_each_public_name_to_its_module_attribute(tmp_path):
     script = (
         "import collectiva\n"

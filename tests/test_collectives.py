@@ -46,7 +46,7 @@ from collectiva.errors import CapacityError, ConstructionError, InputError
 from collectiva.padic import realized_trace
 from collectiva.seqio import read_sequence
 
-from _oracles import cumsum_prefix_counts, ville_attempt_reference
+from _oracles import cumsum_prefix_counts, randomness_check_reference, ville_attempt_reference
 
 TERNARY = LabelAlphabet(("a", "b", "c"))
 
@@ -283,6 +283,80 @@ def test_decisions_never_depend_on_the_suffix(spec):
     d2 = rule.make_decider(BINARY)
     for n in range(1, m + 1):
         assert d1(n, x[: n - 1]) == d2(n, y[: n - 1])
+
+
+WINDOW_SPECS = ["identity", "evens", "odds", "primes", "after:0110", "coin:7"]
+PATTERN_LENGTH = 4  # of after:0110
+
+
+@pytest.fixture(scope="module")
+def scalar_masks():
+    """Whole-sequence masks of the scalar deciders on a seeded word of
+    3*CHUNK + 17 trials; by causality their prefixes are the masks of every
+    shorter prefix of the word."""
+    n = 3 * CHUNK + 17
+    data = seeded_bits(n, 29).data
+    masks = {}
+    for spec in WINDOW_SPECS:
+        decide = rule_from_spec(spec).make_decider(BINARY)
+        masks[spec] = np.array([decide(i + 1, data[:i]) for i in range(n)], dtype=bool)
+    return data, masks
+
+
+@pytest.mark.parametrize("n", [1, PATTERN_LENGTH, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+def test_window_masks_concatenate_to_the_scalar_decisions(scalar_masks, n):
+    data, masks = scalar_masks
+    data = data[:n]
+    cuts = (1, PATTERN_LENGTH, PATTERN_LENGTH + 1, 4097, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 5)
+    bounds = sorted({0, n, *(c for c in cuts if c < n)})
+    for spec in WINDOW_SPECS:
+        rule, want = rule_from_spec(spec), masks[spec][:n]
+        assert np.array_equal(rule.vector_decider(BINARY, data), want), spec
+        for cut_points in (bounds, [*range(0, n, CHUNK), n]):
+            windows = [rule.vector_decider(BINARY, data, a, b)
+                       for a, b in zip(cut_points, cut_points[1:])]
+            assert np.array_equal(np.concatenate(windows), want), spec
+        x = TrialSequence(BINARY, data)
+        assert apply_selection(rule, x).data.tobytes() == data[want].tobytes(), spec
+        (row,) = randomness_check(x, [rule], min_length=1)
+        ones = int(data[want].sum())
+        assert row.selected == int(want.sum()), spec
+        assert row.frequencies is None or row.frequencies["1"] == Fraction(ones, row.selected)
+
+
+def test_a_window_reads_no_trial_at_or_after_its_stop():
+    data = seeded_bits(5000, 31).data
+    for spec in WINDOW_SPECS:
+        rule = rule_from_spec(spec)
+        for start, stop in ((0, 1), (3, 4), (100, 2000), (4000, 5000)):
+            cut = data[:stop - 1]  # the window may read at most these trials
+            padded = np.concatenate([cut, np.ones(len(data) - len(cut), dtype=np.uint8)])
+            assert np.array_equal(rule.vector_decider(BINARY, data, start, stop),
+                                  rule.vector_decider(BINARY, padded, start, stop)), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=st.lists(st.one_of(
+        st.sampled_from(["identity", "evens", "odds", "primes"]),
+        st.text("01", min_size=1, max_size=3).map(lambda pat: f"after:{pat}"),
+        st.text("abc", min_size=1, max_size=3).map(lambda pat: f"after:{pat}"),
+        st.integers(0, 9).map(lambda seed: f"coin:{seed}"),
+    ), min_size=1, max_size=4),
+    ternary=st.booleans(),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    min_length=st.integers(1, 400),
+    epsilon=st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 10)]),
+)
+def test_randomness_rows_match_the_scalar_selections(specs, ternary, n, seed, min_length, epsilon):
+    alphabet = TERNARY if ternary else BINARY
+    specs = [s for s in specs if not s.startswith("after:")
+             or set(s[6:]) <= set(alphabet.labels)] or ["identity"]
+    family = [rule_from_spec(s) for s in specs]
+    x = TrialSequence(alphabet, np.random.default_rng(seed).integers(0, alphabet.size, n))
+    assert randomness_check(x, family, epsilon, min_length) == \
+        randomness_check_reference(x, family, epsilon, min_length)
 
 
 def test_aux_coin_is_seed_deterministic():
@@ -575,6 +649,12 @@ def test_randomness_on_8_mbit_peaks_under_64_mb(raw_8mbit):
     family = [rule_from_spec(s) for s in ("identity", "primes", "after:10", "coin:1")]
     peak = traced_peak_mb(lambda: randomness_check(read_sequence(raw_8mbit, "raw"), family))
     assert peak < 64
+
+
+def test_randomness_on_8_mbit_peaks_under_6_mb_beyond_the_read(raw_8mbit):
+    x = read_sequence(raw_8mbit, "raw")
+    family = [rule_from_spec(s) for s in ("identity", "primes", "after:10", "coin:1")]
+    assert traced_peak_mb(lambda: randomness_check(x, family)) < 6
 
 
 def test_frequency_trace_of_8_mbit_peaks_under_32_mb(raw_8mbit):

@@ -2,6 +2,7 @@
 finite randomness-test battery, and the measured codec constants."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collectiva.collectives import LabelAlphabet, TrialSequence
+from collectiva import complexity
+from collectiva.collectives import CHUNK, LabelAlphabet, TrialSequence
 from collectiva.complexity import (
     Codec,
     arith_codec,
     as_bits,
     battery_passed,
     block_frequency_test,
+    chi2_sf,
     codec_invariance_constant,
     complexity_rate_curve,
     deflate_codec,
@@ -23,6 +26,7 @@ from collectiva.complexity import (
     estimate_K,
     estimate_K_conditional,
     header_bits,
+    is_dip,
     longest_run_test,
     martin_lof_dip_scan,
     monobit_test,
@@ -30,10 +34,11 @@ from collectiva.complexity import (
     run_battery,
     runs_test,
     subadditivity_constant,
+    without_header,
 )
 from collectiva.errors import CodecIntegrityError, InputError
 
-from _oracles import alternating_runs_p, monobit_p
+from _oracles import alternating_runs_p, longest_runs_by_column, monobit_p
 
 
 def random_bits(n: int, seed: int) -> np.ndarray:
@@ -219,6 +224,30 @@ def test_random_word_dip_scan_runs_and_stays_within_scanned_set():
     assert set(dips) <= set(ns)
 
 
+def test_the_curve_gives_the_dip_scan_and_the_conditional_estimates():
+    for w in corpus() + [np.zeros(2**15, dtype=np.uint8), random_bits(3000, 4)]:
+        curve = complexity_rate_curve(w)
+        assert curve[-1] == estimate_K(w)
+        assert without_header(curve[-1]) == estimate_K_conditional(w, w.size)
+        assert [e.n_bits for e in curve if is_dip(without_header(e))] == martin_lof_dip_scan(w)
+
+
+def test_rate_curve_round_trips_only_the_whole_word():
+    base = deflate_codec()
+    decompressed = []
+    codec = Codec(base.name, base.compress, lambda blob: decompressed.append(blob) or
+                  base.decompress(blob))
+    w = random_bits(5000, 8)
+    assert complexity_rate_curve(w, codec=codec) == complexity_rate_curve(w)
+    assert len(decompressed) == 1
+    assert complexity_rate_curve(w, [64, 128], codec)
+    assert len(decompressed) == 1
+    lossy = Codec("lossy", base.compress, lambda blob: b"")
+    assert complexity_rate_curve(w, [64, 128], lossy)
+    with pytest.raises(CodecIntegrityError, match="round-trip"):
+        complexity_rate_curve(w, codec=lossy)
+
+
 def test_dip_scan_validation():
     with pytest.raises(InputError, match=">= 2"):
         martin_lof_dip_scan(np.zeros(16, dtype=np.uint8), [1, 2])
@@ -275,6 +304,32 @@ def test_pass_flag_matches_significance():
             assert 0.0 <= r.p_value <= 1.0
 
 
+def test_runs_statistic_counts_transitions_across_chunks():
+    word = random_bits(3 * CHUNK + 5, 17)
+    for w in (word, word[:CHUNK], word[:CHUNK + 1], word[:CHUNK + 2]):
+        assert runs_test(w).statistic == 1 + np.count_nonzero(np.diff(w))
+
+
+@pytest.mark.parametrize("n", [128, 1000, 6271, 6272, 10**5 + 3, 750000])
+@pytest.mark.parametrize("kind", ["random", "zeros", "ones", "alternating", "biased"])
+def test_longest_run_counts_match_the_per_column_scan(n, kind):
+    rng = np.random.default_rng(n)
+    word = {"random": lambda: rng.integers(0, 2, n, dtype=np.uint8),
+            "zeros": lambda: np.zeros(n, dtype=np.uint8),
+            "ones": lambda: np.ones(n, dtype=np.uint8),
+            "alternating": lambda: (np.arange(n) % 2).astype(np.uint8),
+            "biased": lambda: (rng.random(n) < 0.9).astype(np.uint8)}[kind]()
+    r = longest_run_test(word)
+    for min_n, m, lo, hi, pis in complexity._LONGEST_RUN_TABLES:
+        if n >= min_n:
+            break
+    nblocks = n // m
+    counts = np.bincount(np.clip(longest_runs_by_column(word, m), lo, hi) - lo,
+                         minlength=hi - lo + 1)
+    expected = nblocks * np.asarray(pis)
+    assert r.statistic == float(((counts - expected) ** 2 / expected).sum())
+
+
 def test_battery_on_one_hundred_seeded_uniform_megabit_words():
     passed = 0
     for seed in range(200, 300):
@@ -324,3 +379,68 @@ def test_verified_estimates_compress_once():
     assert estimate_K_conditional(bits, 4096, codec) == \
         estimate_K_conditional(bits, 4096, base, verify=False)
     assert calls == {"compress": 2, "decompress": 2}
+
+
+# --- closed-form chi-square tails ------------------------------------------------------
+
+def chi2_grid(dof: int) -> list[float]:
+    """chi2 values across the bulk and both tails of chi-square(dof)."""
+    sd = math.sqrt(2 * dof)
+    xs = [dof + z * sd for z in (-8, -5, -3, -2, -1, -0.5, 0, 0.25, 1, 2, 3, 5, 8, 12, 20, 30)]
+    xs += [dof * f for f in (0.01, 0.2, 0.5, 0.9, 1.1, 2, 3)] + [1e-9, 1e-3, 0.5, 2.0]
+    return [x for x in xs if x > 0]
+
+
+CHI2_DOFS = sorted({*range(1, 17),
+                    *(n // 128 for n in (128, 1000, 6272, 10**5, 10**6, 1 << 23, 1 << 24)),
+                    *(2 * (n // 128) for n in (1000, 10**6, 1 << 23, 1 << 24))})
+
+
+def test_chi2_sf_matches_scipy_gammaincc():
+    special = pytest.importorskip("scipy.special")
+    worst = 0.0
+    for dof in CHI2_DOFS:
+        for x in chi2_grid(dof):
+            want = float(special.gammaincc(dof / 2, x / 2))
+            if want < 1e-300:
+                continue
+            worst = max(worst, abs(chi2_sf(x, dof) - want) / want)
+    assert worst <= 1e-9
+
+
+def test_chi2_sf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    cases = [(x, dof) for dof in CHI2_DOFS for x in chi2_grid(dof)]
+    # block frequency of clibench's 8 Mbit word at seed 1
+    cases.append((65189.75, 65536))
+    worst = 0.0
+    for x, dof in cases:
+        want = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                               regularized=True)
+        if want < mpmath.mpf("1e-300"):
+            continue
+        worst = max(worst, float(abs((chi2_sf(x, dof) - want) / want)))
+    assert worst <= 1e-12
+    assert chi2_sf(65189.75, 65536) == pytest.approx(0.8305237020027325, rel=1e-15)
+
+
+def test_chi2_sf_edges():
+    assert chi2_sf(0.0, 5) == 1.0
+    assert chi2_sf(1e6, 4) == 0.0
+    assert chi2_sf(2.0, 2) == pytest.approx(math.exp(-1), rel=1e-15)
+    assert chi2_sf(2.0, 1) == pytest.approx(math.erfc(1), rel=1e-15)
+    with pytest.raises(InputError, match="dof"):
+        chi2_sf(1.0, 0)
+
+
+def test_battery_on_8_mbit_peaks_under_6_mb_beyond_the_word():
+    word = np.unpackbits(np.random.default_rng([1, 1]).integers(0, 256, 1 << 20, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        results = run_battery(word)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert not any(r.skipped for r in results)
+    assert peak < 6

@@ -410,8 +410,8 @@ def default_family() -> list[PlaceSelectionRule]:
 
 
 def _selections(rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = True):
-    """The retained trials of x, as arrays in order: one per window of CHUNK
-    positions from the vector decider, else one from the scalar decider."""
+    """(window, mask) pairs covering x in order, the mask marking the retained trials:
+    one per CHUNK positions from the vector decider, else one from the scalar decider."""
     data = x.data
     if use_vector and rule.vector_decider is not None:
         for start in range(0, len(data), CHUNK):
@@ -419,10 +419,10 @@ def _selections(rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = T
             mask = np.asarray(rule.vector_decider(x.alphabet, data, start, stop), dtype=bool)
             if mask.shape != (stop - start,):
                 raise InputError(f"rule {rule.name}: bad vector decision shape")
-            yield data[start:stop][mask]
+            yield data[start:stop], mask
         return
     decide = rule.make_decider(x.alphabet)
-    yield data[[i for i in range(len(data)) if decide(i + 1, data[:i])]]
+    yield data, np.array([decide(i + 1, data[:i]) for i in range(len(data))], dtype=bool)
 
 
 def apply_selection(
@@ -433,8 +433,23 @@ def apply_selection(
     The decider sees (n, x_1..x_{n-1}); the element being decided on is
     never exposed, so lookahead is unrepresentable.
     """
-    parts = _selections(rule, x, use_vector)
+    parts = (window[mask] for window, mask in _selections(rule, x, use_vector))
     return TrialSequence(x.alphabet, np.concatenate([x.data[:0], *parts]))
+
+
+def _selected_counts(rule: PlaceSelectionRule, x: TrialSequence) -> np.ndarray:
+    """Label counts of the trials the rule retains, from each window's mask: up to 16
+    labels, one masked comparison per label but the last, which takes the rest of the
+    mask's count, so no selection is built; above 16, np.bincount of the selection."""
+    size = x.alphabet.size
+    counts = np.zeros(size, dtype=np.int64)
+    for window, mask in _selections(rule, x):
+        if size > 16:
+            counts += np.bincount(window[mask], minlength=size)
+            continue
+        part = [np.count_nonzero(mask & (window == j)) for j in range(size - 1)]
+        counts += [*part, np.count_nonzero(mask) - sum(part)]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -463,12 +478,9 @@ def randomness_check(
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
     _check_min_count(min_length)
     base = frequencies(x, [len(x)]).final()
-    size = x.alphabet.size
     out = []
     for rule in family:
-        counts = np.zeros(size, dtype=np.int64)
-        for part in _selections(rule, x):
-            counts += np.bincount(part, minlength=size)
+        counts = _selected_counts(rule, x)
         selected = int(counts.sum())
         if selected < min_length:
             out.append(RuleReport(rule.describe(), selected, None, None, "inconclusive"))

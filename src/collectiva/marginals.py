@@ -5,10 +5,14 @@ finite-valued observables, decide whether one joint distribution produces
 all of them, produce a witness when it does, and evaluate the linear
 correlation inequalities that are necessary for existence.
 
-Existence is one HiGHS LP for every family.  Float families take its answer
-("lp-highs"); exact ones get it certified in `Fraction` ("lp-certified"): a
-witness, or a Farkas vector y with A^T y <= 0 < b.y, a Boole/Bell-type
-inequality the marginals violate.  Disagreeing overlaps: "marginal-consistency".
+Existence is a phase-1 LP over the atoms of the joint support, which HiGHS
+solves by delayed column generation (Dantzig & Wolfe 1960; Gilmore & Gomory
+1961): it starts on as many atoms as the LP has rows and adds, warm, the atoms
+its row duals price positive, a round at a time, so it holds the whole support
+only when it must.  Float families take its answer ("lp-highs"); exact ones get
+it certified in `Fraction` ("lp-certified"): a witness, or a Farkas vector y
+with A^T y <= 0 < b.y on every atom, a Boole/Bell-type inequality the marginals
+violate.  Disagreeing overlaps: "marginal-consistency".
 
 HiGHS is called through the pybind11 bindings SciPy ships as
 scipy/optimize/_highspy/_core, loaded from their file: `import scipy.optimize`
@@ -216,11 +220,16 @@ def _check_cells(cells: int, what: str, cap: float = math.inf):
     check_mem(64 * cells, what)
 
 
+def _row_sums(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k v[R[k, j]] for every atom j, one row of R at a time (v[-1] stands for no row)."""
+    return sum(v[row] for row in R)
+
+
 def _price(R: np.ndarray, y: list) -> np.ndarray:
     """(A^T y)_j of every atom j, times the lcm of y's denominators to sum ints."""
     scale = math.lcm(*(v.denominator for v in y))
-    Y = np.array([v.numerator * (scale // v.denominator) for v in y] + [0], dtype=object)
-    return sum(Y[row] for row in R)
+    return _row_sums(R, np.array(
+        [v.numerator * (scale // v.denominator) for v in y] + [0], dtype=object))
 
 
 def _support_solve(R: np.ndarray, b: list[Fraction], atoms) -> dict | None:
@@ -287,12 +296,12 @@ def _highs():
     return core
 
 
-def _phase1_lp(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """HiGHS's optimal (x, a) and row duals of min 1.a s.t. A x + a = b, x, a >= 0, where atom
-    j has a 1 in each row R[:, j] >= 0; what linprog(method="highs", options=HIGHS_OPTIONS)
-    returns on the same LP, bit for bit, and checked as it checks them (else CapacityError)."""
+def _phase1_model(R: np.ndarray, b: np.ndarray):
+    """HiGHS holding min 1.a s.t. A x + a = b, x, a >= 0, where atom j has a 1 in each row
+    R[:, j] >= 0, as [A | I] column by column, with the options linprog(method="highs",
+    options=HIGHS_OPTIONS) sets."""
     h, (m, n) = _highs(), (len(b), R.shape[1])
-    keep = R.T >= 0  # [A | I] column by column, each column's rows ascending
+    keep = R.T >= 0  # each column's rows ascending
     lp = h.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n + m
     lp.num_row_ = lp.a_matrix_.num_row_ = m
@@ -311,6 +320,22 @@ def _phase1_lp(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if highs.setOptionValue(name, value) != h.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects the option {name}={value!r}")
     highs.passModel(lp)
+    return highs
+
+
+def _add_atoms(highs, R: np.ndarray):
+    """Append R's atoms to the model as cost-0 columns after its last one."""
+    keep, n = R.T >= 0, R.shape[1]
+    highs.addCols(n, np.zeros(n), np.zeros(n), np.full(n, np.inf), int(keep.sum()),
+                  np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]].astype(np.int32),
+                  R.T[keep].astype(np.int32), np.ones(keep.sum()))
+
+
+def _phase1_lp(highs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HiGHS's optimal column values and row duals of the model, warm from its last basis
+    once it has one, checked as linprog checks them (else CapacityError).  On a fresh
+    _phase1_model(R, b), what linprog returns on the same LP, bit for bit."""
+    h = _highs()
     highs.run()
     status = highs.getModelStatus()
     if status != h.HighsModelStatus.kOptimal:
@@ -325,12 +350,39 @@ def _phase1_lp(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xa, duals
 
 
+def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal (x, a) and row duals of the phase-1 LP on every atom of R, by delayed
+    column generation: HiGHS solves on the m = len(b) atoms with the largest sum of log
+    cell masses (on all of them when there are at most m), then, warm, on those and at
+    most m a round of the atoms its duals price above its dual tolerance, most positive
+    first, until none is.  The last optimum is one of the full LP, its duals feasible
+    for every atom."""
+    m, n = len(b), R.shape[1]
+    logs = np.r_[np.log(b, out=np.full(m, -np.inf), where=b > 0), 0.0]
+    order = np.sort(np.argsort(-_row_sums(R, logs), kind="stable")[:m])
+    first, highs = len(order), _phase1_model(R[:, order], b)
+    while True:  # the model's columns: atoms order[:first], a, atoms order[first:]
+        xa, duals = _phase1_lp(highs, b)
+        price = _row_sums(R, np.r_[duals, 0.0])
+        price[order] = -np.inf  # every round adds an atom the model lacks
+        new = np.flatnonzero(price > HIGHS_OPTIONS["dual_feasibility_tolerance"])
+        if not len(new):
+            break
+        new = np.sort(new[np.argsort(-price[new], kind="stable")[:m]])
+        _add_atoms(highs, R[:, new])
+        order = np.r_[order, new]
+    x = np.zeros(n + m)
+    x[order], x[n:] = np.r_[xa[:first], xa[first + m:]], xa[first:first + m]
+    return x, duals
+
+
 def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     """Linear feasibility: is there a joint pmf with the given marginals?
 
-    HiGHS solves min 1.a s.t. A x + a = b, x, a >= 0 (0 just when a joint exists).  Float
-    families take its answer; exact ones its dual y if A^T y <= 0 < b.y holds exactly on
-    every atom, else an exact solve on its support, else the repair simplex."""
+    HiGHS solves min 1.a s.t. A x + a = b, x, a >= 0 (0 just when a joint exists), adding
+    atoms by pricing (_priced_phase1).  Float families take its answer; exact ones its
+    dual y if A^T y <= 0 < b.y holds exactly on every atom, else an exact solve on its
+    support, else the repair simplex."""
     ok, violations = family.no_signaling
     if not ok:
         worst = max(violations, key=lambda v: v[3])
@@ -361,7 +413,7 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     R = np.array(blocks + [np.full(support, len(rhs))])
     rhs.append(Fraction(1) if family.exact else 1.0)
 
-    xa, duals = _phase1_lp(R, np.array([float(v) for v in rhs]))
+    xa, duals = _priced_phase1(R, np.array([float(v) for v in rhs]))
     x, method = xa[:support], "lp-certified" if family.exact else "lp-highs"
     if not family.exact:
         if xa[support:].max() > FLOAT_SLACK:  # per cell, as _verify_witness checks

@@ -359,6 +359,24 @@ def test_randomness_rows_match_the_scalar_selections(specs, ternary, n, seed, mi
         randomness_check_reference(x, family, epsilon, min_length)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([2, 3, 16, 17, 256]),
+    n=st.tuples(st.integers(0, 2), st.integers(1, CHUNK - 1)).map(lambda t: t[0] * CHUNK + t[1]),
+    seed=st.integers(0, 2**32 - 1),
+    coin=st.integers(0, 9),
+    pattern=st.lists(st.integers(0, 255), min_size=1, max_size=3),
+)
+def test_window_counts_equal_the_bincount_of_the_selection(size, n, seed, coin, pattern):
+    alphabet = LabelAlphabet(tuple(f"s{i}" for i in range(size)))
+    x = TrialSequence(alphabet, np.random.default_rng(seed).integers(0, size, n))
+    after = after_pattern_rule(tuple(alphabet.labels[v % size] for v in pattern))
+    for rule in (identity_rule(), evens_rule(), odds_rule(), primes_rule(), after,
+                 aux_coin_rule(coin)):
+        want = np.bincount(apply_selection(rule, x).data, minlength=size)
+        assert np.array_equal(collectives._selected_counts(rule, x), want), rule.describe()
+
+
 def test_aux_coin_is_seed_deterministic():
     x = seeded_bits(1000, 3)
     a = apply_selection(aux_coin_rule(42), x)

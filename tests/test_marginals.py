@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from collectiva import marginals
 from collectiva.errors import CapacityError, InputError
 from collectiva.marginals import (
+    HIGHS_OPTIONS,
+    LP_CHECK_TOL,
     CorrelationTriple,
     JointPMF,
     MarginalFamily,
@@ -480,25 +482,140 @@ def lp_families(draw):
     return MarginalFamily(tuple(marginalize(joint, c) for c in subsets))
 
 
-@given(lp_families())
+@st.composite
+def priced_families(draw):
+    """Families whose joint support exceeds the LP's rows, so pricing adds atoms: pairs of
+    5-8 binary observables, a chain through all of them and a few more, taken from a
+    random joint (feasible) or given as +-1 correlations (often infeasible)."""
+    exact = draw(st.booleans(), label="exact")
+    k = draw(st.integers(5, 8), label="observables")
+    names = tuple(f"a{i}" for i in range(k))
+    chain = [(i, i + 1) for i in range(k - 1)]
+    extra = draw(st.lists(st.sampled_from(
+        [p for p in itertools.combinations(range(k), 2) if p not in chain]),
+        max_size=(2**k - 2) // 4 - len(chain), unique=True), label="extra pairs")
+    pairs = [(names[i], names[j]) for i, j in chain + extra]
+    if draw(st.booleans(), label="correlations"):
+        es = [Fraction(draw(st.integers(-8, 8)), 8) for _ in pairs]
+        return MarginalFamily(tuple(correlation_pair(a, b, e if exact else float(e))
+                                    for (a, b), e in zip(pairs, es)))
+    atoms = list(itertools.product((0, 1), repeat=k))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms))
+                   .filter(any), label="weights")
+    total = sum(weights)
+    joint = JointPMF(names, {o: (0, 1) for o in names}, {
+        t: Fraction(w, total) if exact else w / total for t, w in zip(atoms, weights) if w})
+    return MarginalFamily(tuple(marginalize(joint, p) for p in pairs))
+
+
+@given(st.one_of(lp_families(), priced_families()))
 @settings(max_examples=80, deadline=None)
 def test_direct_highs_solve_matches_linprog_bit_for_bit(family):
-    real, calls = marginals._phase1_lp, []
+    """Every solve is checked against linprog on the atoms the model holds: the first
+    of a model bit for bit, a warm one after atoms were added to the same objective."""
+    model, add, lp = marginals._phase1_model, marginals._add_atoms, marginals._phase1_lp
+    atoms, solves = [], []
 
-    def spy(R, b):
-        calls.append((R, b, real(R, b)))
-        return calls[-1][2]
+    def model_spy(R, b):
+        atoms[:] = [R]
+        return model(R, b)
+
+    def add_spy(highs, R):
+        atoms.append(R)
+        add(highs, R)
+
+    def lp_spy(highs, b):
+        solves.append((np.hstack(atoms), atoms[0].shape[1], len(atoms) > 1, b, lp(highs, b)))
+        return solves[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(marginals, "_phase1_lp", spy)
+        mp.setattr(marginals, "_phase1_model", model_spy)
+        mp.setattr(marginals, "_add_atoms", add_spy)
+        mp.setattr(marginals, "_phase1_lp", lp_spy)
         try:
             joint_exists(family)
         except CapacityError:  # a float witness at the boundary; the LP still ran
             pass
-    ((R, b, (xa, duals)),) = calls
-    want_xa, want_duals = linprog_phase1(R, b)
-    assert xa.tobytes() == want_xa.tobytes()
-    assert duals.tobytes() == want_duals.tobytes()
+    assert solves
+    for R, first, warm, b, (xa, duals) in solves:
+        want_xa, want_duals = linprog_phase1(R, b)
+        if warm:  # columns: the first atoms, the artificials, the added atoms
+            assert abs(xa[first:first + len(b)].sum() - want_xa[-len(b):].sum()) <= LP_CHECK_TOL
+        else:
+            assert xa.tobytes() == want_xa.tobytes()
+            assert duals.tobytes() == want_duals.tobytes()
+
+
+@given(priced_families())
+@settings(max_examples=40, deadline=None)
+def test_the_priced_optimum_is_the_full_lp_optimum(family):
+    real, seen = marginals._priced_phase1, []
+
+    def spy(R, b):
+        seen.append((R, b, real(R, b)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(marginals, "_priced_phase1", spy)
+        verdict = joint_exists(family)
+    ((R, b, (xa, duals)),) = seen
+    n, m = R.shape[1], len(b)
+    assert n > m
+    full_xa, _ = linprog_phase1(R, b)
+    assert abs(xa[n:].sum() - full_xa[n:].sum()) <= LP_CHECK_TOL
+    price = marginals._row_sums(R, np.r_[duals, 0.0])
+    assert (price <= HIGHS_OPTIONS["dual_feasibility_tolerance"]).all()
+    assert verdict.feasible == (full_xa[n:].max() <= marginals.FLOAT_SLACK)
+    if family.exact:
+        assert_certified(verdict, family)
+        if n <= 64:  # the dense oracle takes seconds past six observables
+            assert verdict.feasible == simplex_feasible(family)
+
+
+def float_pairs_of_twelve(seed: int) -> MarginalFamily:
+    """All 66 pairs of a float joint on 12 binary observables with 48 random atoms."""
+    rng = random.Random(seed)
+    names = tuple(f"z{i:02d}" for i in range(12))
+    weights: dict = {}
+    for _ in range(48):
+        t = tuple(rng.randint(0, 1) for _ in names)
+        weights[t] = weights.get(t, 0) + rng.randint(1, 40)
+    total = sum(weights.values())
+    joint = JointPMF(names, {o: (0, 1) for o in names},
+                     {t: w / total for t, w in weights.items()})
+    return pair_family_of(joint)
+
+
+def count_the_solves(monkeypatch) -> list:
+    """The atoms of the model at each HiGHS solve."""
+    real, atoms = marginals._phase1_lp, []
+
+    def counted(highs, b):
+        atoms.append(highs.getNumCol() - len(b))
+        return real(highs, b)
+
+    monkeypatch.setattr(marginals, "_phase1_lp", counted)
+    return atoms
+
+
+def test_twelve_float_observables_never_hand_highs_the_whole_support(monkeypatch):
+    fam = float_pairs_of_twelve(12)
+    atoms = count_the_solves(monkeypatch)
+    verdict = joint_exists(fam)
+    assert verdict.feasible and verdict.method == "lp-highs"
+    marginals._verify_witness(verdict.witness, fam)
+    assert 1 < len(atoms) and max(atoms) < 2**12
+
+
+def test_pricing_ends_within_its_round_limit_on_a_spoiled_dual(monkeypatch):
+    """Dual 1 prices every atom positive, so each round adds m atoms until all are in."""
+    fam = float_pairs_of_twelve(12)
+    n, m = 2**12, 66 * 4 + 1
+    with spoil_the_proposal(monkeypatch, 1.0):
+        atoms = count_the_solves(monkeypatch)
+        joint_exists(fam)
+    assert len(atoms) <= -(-n // m) + 1
+    assert atoms[-1] == n
 
 
 def test_a_misspelled_highs_option_raises(monkeypatch):

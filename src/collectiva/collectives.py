@@ -23,7 +23,14 @@ from .stability import window_stability
 
 DEFAULT_EPSILON = Fraction(1, 100)
 CHUNK = 1 << 18  # elements per step of the chunked kernels, bounding their temporaries
-VILLE_BYTES_PER_TRIAL = 64  # construction state, selection masks and the margin scan
+# the bits (1 byte), the free-alternative list (an 8-byte slot and a 28-byte int per
+# free trial) and the margin scan's int64 arrays: about 57 bytes per trial at
+# n = 100 000 on identity, primes, after:10 and coin
+VILLE_BYTES_PER_TRIAL = 64
+# positions per window of ville's packed selection masks: small, so that a window's
+# temporaries (8 bytes a position for coin's draws) reuse freed heap blocks
+# instead of raising the peak resident memory
+VILLE_WINDOW = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -216,12 +223,20 @@ class PlaceSelectionRule:
     position i.  Each decision reads only trials before its position, so a
     window reads at most data[:stop - 1], and the masks of consecutive
     windows concatenate to the whole-sequence mask.
+
+    reads_trials=False declares that no decision reads the trials at all,
+    only the position (and the rule's own parameters): the vector decider's
+    mask of a window is then the same for every data array, so it can be
+    taken before the trials it decides on exist.  ville_generator decides
+    such rules window by window; a rule without a vector decider is decided
+    per trial whatever it declares.
     """
 
     name: str
     make_decider: Callable[[LabelAlphabet], Callable[[int, np.ndarray], bool]]
     vector_decider: Callable[..., np.ndarray] | None = None
     params: tuple = ()
+    reads_trials: bool = True
 
     def describe(self) -> str:
         if self.params:
@@ -244,6 +259,7 @@ def identity_rule() -> PlaceSelectionRule:
         lambda alphabet: (lambda n, prefix: True),
         vector_decider=_windowed(
             lambda alphabet, data, start, stop: np.ones(stop - start, dtype=bool)),
+        reads_trials=False,
     )
 
 
@@ -262,6 +278,7 @@ def evens_rule() -> PlaceSelectionRule:
         "evens",
         lambda alphabet: (lambda n, prefix: n % 2 == 0),
         vector_decider=_parity_mask(1),
+        reads_trials=False,
     )
 
 
@@ -270,6 +287,7 @@ def odds_rule() -> PlaceSelectionRule:
         "odds",
         lambda alphabet: (lambda n, prefix: n % 2 == 1),
         vector_decider=_parity_mask(0),
+        reads_trials=False,
     )
 
 
@@ -307,23 +325,34 @@ def primes_rule() -> PlaceSelectionRule:
 
         return decide
 
-    return PlaceSelectionRule("primes", make, vector_decider=_windowed(_prime_window))
+    return PlaceSelectionRule(
+        "primes", make, vector_decider=_windowed(_prime_window), reads_trials=False
+    )
+
+
+class _AfterPattern:
+    """decide(n, prefix) of after_pattern_rule; `pattern` holds the label
+    indices that the trials before position n must spell."""
+
+    __slots__ = ("pattern",)
+
+    def __init__(self, pattern: tuple):
+        self.pattern = pattern
+
+    def __call__(self, n, prefix) -> bool:
+        k = len(self.pattern)
+        return n - 1 >= k and tuple(prefix[n - 1 - k : n - 1].tolist()) == self.pattern
 
 
 def after_pattern_rule(pattern) -> PlaceSelectionRule:
-    """Retain position n iff the preceding len(pattern) trials spell pattern."""
+    """Retain position n iff the preceding len(pattern) trials spell pattern.
+    Its decider is an _AfterPattern, which exposes the pattern's label indices."""
     pat = tuple(pattern)
     if not pat:
         raise InputError("pattern must be nonempty")
 
     def make(alphabet):
-        pidx = tuple(alphabet.index(c) for c in pat)
-        k = len(pidx)
-
-        def decide(n, prefix):
-            return n - 1 >= k and tuple(prefix[n - 1 - k : n - 1].tolist()) == pidx
-
-        return decide
+        return _AfterPattern(tuple(alphabet.index(c) for c in pat))
 
     def mask_of(alphabet, data, start, stop):
         # position i is kept iff data[i-k:i] spells the pattern; reads data[lo-k:stop-1]
@@ -364,7 +393,9 @@ def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
         rng.bit_generator.advance(start)
         return rng.random(stop - start) < p
 
-    return PlaceSelectionRule("coin", make, vector_decider=_windowed(mask_of), params=(seed,))
+    return PlaceSelectionRule(
+        "coin", make, vector_decider=_windowed(mask_of), params=(seed,), reads_trials=False
+    )
 
 
 RULE_CATALOGUE = {
@@ -409,6 +440,14 @@ def default_family() -> list[PlaceSelectionRule]:
     return [identity_rule(), primes_rule(), after_pattern_rule("10")]
 
 
+def _window_mask(rule: PlaceSelectionRule, alphabet, data, start: int, stop: int) -> np.ndarray:
+    """The rule's vector decision on positions start..stop-1, checked for shape."""
+    mask = np.asarray(rule.vector_decider(alphabet, data, start, stop), dtype=bool)
+    if mask.shape != (stop - start,):
+        raise InputError(f"rule {rule.name}: bad vector decision shape")
+    return mask
+
+
 def _selections(rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = True):
     """(window, mask) pairs covering x in order, the mask marking the retained trials:
     one per CHUNK positions from the vector decider, else one from the scalar decider."""
@@ -416,10 +455,7 @@ def _selections(rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = T
     if use_vector and rule.vector_decider is not None:
         for start in range(0, len(data), CHUNK):
             stop = min(start + CHUNK, len(data))
-            mask = np.asarray(rule.vector_decider(x.alphabet, data, start, stop), dtype=bool)
-            if mask.shape != (stop - start,):
-                raise InputError(f"rule {rule.name}: bad vector decision shape")
-            yield data[start:stop], mask
+            yield data[start:stop], _window_mask(rule, x.alphabet, data, start, stop)
         return
     decide = rule.make_decider(x.alphabet)
     yield data, np.array([decide(i + 1, data[:i]) for i in range(len(data))], dtype=bool)
@@ -612,6 +648,18 @@ def _derived_min_count(eps) -> int:
     return max(30, int(np.ceil(ratio)))
 
 
+def _packed_masks(rules, data, start, stop) -> bytes:
+    """One byte per position start..stop-1 whose bit j is the decision of
+    rules[j] (at most 8 rules), from their binary window masks.  The masks
+    are ORed as Python ints, one byte per position, which pages in no numpy
+    integer kernel that the ville command would not otherwise run."""
+    packed = 0
+    for j, rule in enumerate(rules):
+        mask = _window_mask(rule, BINARY, data, start, stop)
+        packed |= int.from_bytes(mask.tobytes(), "little") << j
+    return packed.to_bytes(stop - start, "little")
+
+
 def _ville_attempt(family, n_trials, overrides):
     """One greedy pass, in doubled integer units.  A rule that has selected
     k trials with o ones, surplus e = 2o - k, is put off by bit b as
@@ -621,36 +669,71 @@ def _ville_attempt(family, n_trials, overrides):
     cheaper exactly when hi + lo > 0 and hi >= 4, and bit 1 when hi + lo < 0
     and lo <= -4.  Otherwise the costs tie, and the bit that leaves the
     running surplus 2(ones + b) - n nearest 3 wins (0 when both are): 0
-    exactly when 2*ones - n >= 2."""
-    deciders = [rule.make_decider(BINARY) for rule in family]
-    arr = np.empty(n_trials, dtype=np.uint8)
-    ones = 0
+    exactly when 2*ones - n >= 2.
+
+    The rules that never read the trials (reads_trials=False, with a vector
+    decider; the first 8 of them) are decided ahead, VILLE_WINDOW positions
+    at a time: their masks are packed into one byte per position, bit j for
+    the j-th such rule, and a table maps each byte value to the tuple of
+    rules it selects.  An after: rule compares its pattern with the last k
+    bits, kept in a rolling int.  Any other rule is asked through its
+    scalar decider on the bits built so far, as each trial comes."""
+    blind, afters, scalars = [], [], []
+    for i, rule in enumerate(family):
+        if not rule.reads_trials and rule.vector_decider is not None and len(blind) < 8:
+            blind.append(i)
+            continue
+        decide = rule.make_decider(BINARY)
+        if isinstance(decide, _AfterPattern):
+            k = len(decide.pattern)
+            afters.append((i, (1 << k) - 1, int("".join(map(str, decide.pattern)), 2), k))
+        else:
+            scalars.append((i, decide))
+    recent_mask = max((m for _, m, _, _ in afters), default=0)
+    blind_rules = [family[i] for i in blind]
+    # packed byte -> the blind rules it selects
+    picks = [tuple(i for j, i in enumerate(blind) if v >> j & 1) for v in range(1 << len(blind))]
+    arr = np.zeros(n_trials, dtype=np.uint8)
+    ones = recent = 0  # recent: the last bits, the latest lowest, masked to the longest pattern
     selected = [0] * len(family)
     surplus = [0] * len(family)  # 2 * ones - selected, over each rule's selections
     free_alternatives: list[int] = []
-    for n in range(1, n_trials + 1):
-        prefix = arr[: n - 1]
-        names = [i for i, d in enumerate(deciders) if d(n, prefix)]
-        if 2 * ones < n:  # floor binds: only b=1 keeps the mean >= 1/2
-            b = 1
-        elif (n - 1) in overrides:
-            b = overrides[n - 1]
-        else:
-            b = 0 if 2 * ones - n >= 2 else 1
-            if names:
-                es = [surplus[i] for i in names]
-                hi, lo = max(es), min(es)
-                if hi + lo > 0 and hi >= 4:
-                    b = 0
-                elif hi + lo < 0 and lo <= -4:
-                    b = 1
-            free_alternatives.append(n - 1)
-        arr[n - 1] = b
-        ones += b
-        step = 2 * b - 1
-        for i in names:
-            selected[i] += 1
-            surplus[i] += step
+    for start in range(0, n_trials, VILLE_WINDOW):
+        stop = min(start + VILLE_WINDOW, n_trials)
+        for n, v in enumerate(_packed_masks(blind_rules, arr, start, stop), start + 1):
+            names = picks[v]
+            for i, m, t, k in afters:
+                if recent & m == t and n > k:
+                    names += (i,)
+            if scalars:
+                prefix = arr[: n - 1]
+                names += tuple(i for i, d in scalars if d(n, prefix))
+            if 2 * ones < n:  # floor binds: only b=1 keeps the mean >= 1/2
+                b = 1
+            elif (n - 1) in overrides:
+                b = overrides[n - 1]
+            else:
+                b = 0 if 2 * ones - n >= 2 else 1
+                if names:
+                    hi = lo = surplus[names[0]]
+                    for i in names:  # a loop: max() and min() cost more on 1-3 rules
+                        e = surplus[i]
+                        if e > hi:
+                            hi = e
+                        elif e < lo:
+                            lo = e
+                    if hi + lo > 0 and hi >= 4:
+                        b = 0
+                    elif hi + lo < 0 and lo <= -4:
+                        b = 1
+                free_alternatives.append(n - 1)
+            arr[n - 1] = b
+            ones += b
+            recent = (recent << 1 | b) & recent_mask
+            step = 2 * b - 1
+            for i in names:
+                selected[i] += 1
+                surplus[i] += step
     counts = [[k, (e + k) // 2] for k, e in zip(selected, surplus)]
     return arr, free_alternatives, counts
 

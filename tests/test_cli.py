@@ -609,6 +609,18 @@ def test_ville_reports_construction_failure_gracefully(tmp_path):
     assert report["warnings"]
 
 
+def test_ville_rejects_a_pattern_off_the_alphabet_before_any_trial(capsys, monkeypatch):
+    from collectiva import collectives
+
+    def no_window(*args):
+        raise AssertionError("a window of trials was decided")
+
+    monkeypatch.setattr(collectives, "_window_mask", no_window)
+    assert main(["ville", "--rules", "identity,after:12", "--n", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "label '2' not in alphabet" in err and len(err.strip().splitlines()) == 1
+
+
 def test_large_ville_run_omits_the_sequence(tmp_path):
     code, report = run(["ville", "--n", "8192"], tmp_path)
     assert code == 0

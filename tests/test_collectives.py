@@ -613,6 +613,86 @@ def test_ville_matches_the_float_cost_reference(specs, n, tolerance):
         assert outcome == ville_outcome(family, n, eps, min_count)
 
 
+@settings(max_examples=25, deadline=None)
+@given(specs=st.lists(catalogue_rule_specs, min_size=1, max_size=5), data=st.data())
+def test_ville_windows_of_61_trials_match_the_reference(specs, data):
+    """Window masks taken 61 positions at a time, so a run of more than 61
+    trials crosses window edges, with forced bits as backtracking sets them."""
+    family = [rule_from_spec(s) for s in specs]
+    n = data.draw(st.integers(1, 3000), label="trials")
+    overrides = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1),
+                                          min_size=1, max_size=6), label="overrides")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "VILLE_WINDOW", 61)
+        bits, free, counts = collectives._ville_attempt(family, n, overrides)
+    ref_bits, ref_free, ref_counts = ville_attempt_reference(family, n, overrides)
+    assert bits.tobytes() == ref_bits.tobytes()
+    assert (free, counts) == (ref_free, ref_counts)
+
+
+def majority_rule() -> PlaceSelectionRule:
+    """Retain trial n iff ones outnumber zeros in x_1..x_{n-1}: a rule that
+    reads the trials and has no vector decider."""
+    return PlaceSelectionRule(
+        "majority", lambda alphabet: (lambda n, prefix: 2 * int(prefix.sum()) > n - 1))
+
+
+PER_TRIAL_FAMILIES = {
+    "library rule beside primes and after:1": [majority_rule(), primes_rule(),
+                                               after_pattern_rule("1")],
+    # ten trial-blind rules: the two past the 8 that pack into a position's
+    # byte are asked per trial through their scalar deciders
+    "ten trial-blind rules and after:01": [
+        *(rule_from_spec(s) for s in ("identity", "evens", "odds", "primes", "coin:7") * 2),
+        after_pattern_rule("01"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", PER_TRIAL_FAMILIES)
+def test_ville_asks_the_rest_of_the_family_per_trial(name):
+    family = PER_TRIAL_FAMILIES[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "VILLE_WINDOW", 61)
+        bits, free, counts = collectives._ville_attempt(family, 2000, {17: 0, 400: 1})
+    ref_bits, ref_free, ref_counts = ville_attempt_reference(family, 2000, {17: 0, 400: 1})
+    assert bits.tobytes() == ref_bits.tobytes()
+    assert (free, counts) == (ref_free, ref_counts)
+    assert all(k > 0 for k, _ in counts)
+
+
+def catalogue_rules() -> list[PlaceSelectionRule]:
+    params = {"after": "10", "coin": 3}
+    return [factory(params[name]) if nargs else factory()
+            for name, (factory, nargs) in RULE_CATALOGUE.items()]
+
+
+def test_trial_blind_declarations_hold_on_any_data():
+    """A rule declaring reads_trials=False must give one mask per window
+    whatever the trials are; ville_generator takes it before they exist."""
+    n = CHUNK + 300
+    datas = [np.zeros(n, dtype=np.uint8),
+             np.random.default_rng(4).integers(0, 2, n).astype(np.uint8)]
+    windows = [(0, 61), (61, 1000), (4093, 4099), (CHUNK - 7, CHUNK + 5), (CHUNK, n)]
+    blind = [rule for rule in catalogue_rules() if not rule.reads_trials]
+    assert sorted(rule.name for rule in blind) == ["coin", "evens", "identity", "odds", "primes"]
+    for rule in blind:
+        for start, stop in windows:
+            zeros, noise = (rule.vector_decider(BINARY, d, start, stop) for d in datas)
+            assert np.array_equal(zeros, noise), (rule.describe(), start)
+    after = after_pattern_rule("10")
+    assert after.reads_trials
+    zeros, noise = (after.vector_decider(BINARY, d, 0, 1000) for d in datas)
+    assert not np.array_equal(zeros, noise)
+
+
+def test_ville_peak_memory_stays_within_its_declared_bytes_per_trial():
+    family = [rule_from_spec(s, default_seed=1) for s in ("identity", "primes", "after:10", "coin")]
+    n = 100_000
+    peak = traced_peak_mb(lambda: ville_generator(family, n)) * 2**20
+    assert peak < collectives.VILLE_BYTES_PER_TRIAL * n
+
+
 def test_scalar_coin_and_primes_deciders_cross_their_buffer_edges():
     n = CHUNK + 5000
     data = np.zeros(n, dtype=np.uint8)

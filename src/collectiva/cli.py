@@ -151,9 +151,12 @@ def cmd_select(args) -> tuple[dict, list[str]]:
 
 
 def cmd_mix(args) -> tuple[dict, list[str]]:
+    members = [s.strip() for s in args.labels.split(",") if s.strip()]
+    for k, lab in enumerate(members):
+        if lab in members[:k]:  # it would be summed twice into member_frequency_sum
+            raise InputError(f"label {lab!r} repeated in --labels")
     x = seqio.read_sequence(args.input, args.format)
     eps = _frac(args.eps)
-    members = [s.strip() for s in args.labels.split(",") if s.strip()]
     cps = collectives.log_checkpoints(len(x))
     mixed = collectives.mix(x, members)
     mixed_trace = collectives.frequencies(mixed, cps)

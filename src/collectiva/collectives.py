@@ -2,11 +2,14 @@
 
 A TrialSequence is an immutable run of labels; FrequencyTrace carries its
 exact rational relative frequencies at chosen checkpoints.  Place-selection
-rules are *causal by construction*: a rule's decider is handed only the
-strict prefix x_1..x_{n-1}, so a rule that peeks at the current or later
-trials cannot even be expressed through this interface.  The one deliberate
-exception, kamke_adversary, lives outside the rule type and returns raw
-positions precisely to demonstrate why such selections must be excluded.
+rules are *causal by construction*: a rule's mask of a window of positions is
+handed only the trials before the window's last position.  Its decision on
+trial n is the mask of the one-position window of trial n, which is handed
+exactly the strict prefix x_1..x_{n-1}, so no decision can read the trial it
+decides on or a later one; the masks of wider windows must equal those
+decisions.  The one deliberate exception, kamke_adversary, lives outside the
+rule type and returns raw positions precisely to demonstrate why such
+selections must be excluded.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from .stability import window_stability
 
 DEFAULT_EPSILON = Fraction(1, 100)
 CHUNK = 1 << 18  # elements per step of the chunked kernels, bounding their temporaries
-# the bits (1 byte), the free-alternative list (an 8-byte slot and a 28-byte int per
-# free trial) and the margin scan's int64 arrays: about 57 bytes per trial at
+# the bits (1 byte) and the margin scan's int64 arrays: about 17 bytes per trial at
 # n = 100 000 on identity, primes, after:10 and coin
-VILLE_BYTES_PER_TRIAL = 64
+VILLE_BYTES_PER_TRIAL = 32
 # positions per window of ville's packed selection masks: small, so that a window's
 # temporaries (8 bytes a position for coin's draws) reuse freed heap blocks
 # instead of raising the peak resident memory
@@ -215,26 +217,20 @@ def detect_stabilization(
 class PlaceSelectionRule:
     """Causal retain/reject rule.
 
-    make_decider(alphabet) returns decide(n, prefix) -> bool, where prefix is
-    the index array of x_1..x_{n-1} only.  vector_decider, when present, is a
-    windowed shortcut: vector_decider(alphabet, data, start=0, stop=None)
-    returns the boolean mask of the 0-based positions start..stop-1 (stop
-    None meaning len(data)), equal to decide(i + 1, data[:i]) at each
-    position i.  Each decision reads only trials before its position, so a
-    window reads at most data[:stop - 1], and the masks of consecutive
-    windows concatenate to the whole-sequence mask.
-
-    reads_trials=False declares that no decision reads the trials at all,
-    only the position (and the rule's own parameters): the vector decider's
-    mask of a window is then the same for every data array, so it can be
-    taken before the trials it decides on exist.  ville_generator decides
-    such rules window by window; a rule without a vector decider is decided
-    per trial whatever it declares.
+    mask(alphabet, past, start, stop) returns the boolean mask of the 0-based
+    positions start..stop-1 (trials start+1..stop), True retaining the trial.
+    past holds the label indices of the trials before the window's last
+    position, x_1..x_{stop-1}, and nothing after them; a rule declaring
+    reads_trials=False gets an empty past, so its masks depend on the
+    positions (and the rule's own parameters) alone and can be taken before
+    the trials they decide on exist.  The decision at position i may read
+    past[:i] only: the masks of consecutive windows then concatenate to the
+    whole-sequence mask, and a one-position window (n-1, n), whose past is
+    exactly x_1..x_{n-1}, is the rule's decision on trial n.
     """
 
     name: str
-    make_decider: Callable[[LabelAlphabet], Callable[[int, np.ndarray], bool]]
-    vector_decider: Callable[..., np.ndarray] | None = None
+    mask: Callable[[LabelAlphabet, np.ndarray, int, int], np.ndarray]
     params: tuple = ()
     reads_trials: bool = True
 
@@ -244,51 +240,30 @@ class PlaceSelectionRule:
         return self.name
 
 
-def _windowed(mask_of: Callable[[LabelAlphabet, np.ndarray, int, int], np.ndarray]):
-    """A vector_decider from mask_of(alphabet, data, start, stop), which
-    takes a resolved window."""
-    def vector(alphabet, data, start=0, stop=None):
-        return mask_of(alphabet, data, start, len(data) if stop is None else stop)
-
-    return vector
-
-
 def identity_rule() -> PlaceSelectionRule:
     return PlaceSelectionRule(
         "identity",
-        lambda alphabet: (lambda n, prefix: True),
-        vector_decider=_windowed(
-            lambda alphabet, data, start, stop: np.ones(stop - start, dtype=bool)),
+        lambda alphabet, past, start, stop: np.ones(stop - start, dtype=bool),
         reads_trials=False,
     )
 
 
 def _parity_mask(parity: int):
     """Mask of the positions i with i % 2 == parity (trial n = i + 1)."""
-    def mask_of(alphabet, data, start, stop):
+    def mask_of(alphabet, past, start, stop):
         mask = np.zeros(stop - start, dtype=bool)
         mask[(parity - start) % 2::2] = True
         return mask
 
-    return _windowed(mask_of)
+    return mask_of
 
 
 def evens_rule() -> PlaceSelectionRule:
-    return PlaceSelectionRule(
-        "evens",
-        lambda alphabet: (lambda n, prefix: n % 2 == 0),
-        vector_decider=_parity_mask(1),
-        reads_trials=False,
-    )
+    return PlaceSelectionRule("evens", _parity_mask(1), reads_trials=False)
 
 
 def odds_rule() -> PlaceSelectionRule:
-    return PlaceSelectionRule(
-        "odds",
-        lambda alphabet: (lambda n, prefix: n % 2 == 1),
-        vector_decider=_parity_mask(0),
-        reads_trials=False,
-    )
+    return PlaceSelectionRule("odds", _parity_mask(0), reads_trials=False)
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -300,7 +275,7 @@ def _sieve(limit: int) -> np.ndarray:
     return s
 
 
-def _prime_window(alphabet, data, start, stop) -> np.ndarray:
+def _prime_window(alphabet, past, start, stop) -> np.ndarray:
     """Primality of the trial numbers start+1..stop: a segmented sieve over
     the base primes <= sqrt(stop)."""
     lo = start + 1
@@ -314,49 +289,21 @@ def _prime_window(alphabet, data, start, stop) -> np.ndarray:
 
 
 def primes_rule() -> PlaceSelectionRule:
-    def make(alphabet):
-        sieve = _sieve(4096).tobytes()
-
-        def decide(n, prefix):
-            nonlocal sieve
-            if n >= len(sieve):
-                sieve = _sieve(max(2 * n, len(sieve) * 2)).tobytes()
-            return sieve[n] == 1
-
-        return decide
-
-    return PlaceSelectionRule(
-        "primes", make, vector_decider=_windowed(_prime_window), reads_trials=False
-    )
+    return PlaceSelectionRule("primes", _prime_window, reads_trials=False)
 
 
 class _AfterPattern:
-    """decide(n, prefix) of after_pattern_rule; `pattern` holds the label
-    indices that the trials before position n must spell."""
+    """The mask of after_pattern_rule: position i is retained iff the trials
+    before it spell `pattern`, the tuple of labels."""
 
     __slots__ = ("pattern",)
 
     def __init__(self, pattern: tuple):
         self.pattern = pattern
 
-    def __call__(self, n, prefix) -> bool:
-        k = len(self.pattern)
-        return n - 1 >= k and tuple(prefix[n - 1 - k : n - 1].tolist()) == self.pattern
-
-
-def after_pattern_rule(pattern) -> PlaceSelectionRule:
-    """Retain position n iff the preceding len(pattern) trials spell pattern.
-    Its decider is an _AfterPattern, which exposes the pattern's label indices."""
-    pat = tuple(pattern)
-    if not pat:
-        raise InputError("pattern must be nonempty")
-
-    def make(alphabet):
-        return _AfterPattern(tuple(alphabet.index(c) for c in pat))
-
-    def mask_of(alphabet, data, start, stop):
-        # position i is kept iff data[i-k:i] spells the pattern; reads data[lo-k:stop-1]
-        pidx = [alphabet.index(c) for c in pat]
+    def __call__(self, alphabet, past, start, stop) -> np.ndarray:
+        # position i is kept iff past[i-k:i] spells the pattern; reads past[lo-k:stop-1]
+        pidx = [alphabet.index(c) for c in self.pattern]
         k = len(pidx)
         lo = max(start, k)
         mask = np.zeros(stop - start, dtype=bool)
@@ -364,38 +311,32 @@ def after_pattern_rule(pattern) -> PlaceSelectionRule:
             hit = mask[lo - start:]
             hit[:] = True
             for j, pv in enumerate(pidx):
-                hit &= data[lo - k + j : stop - k + j] == pv
+                hit &= past[lo - k + j : stop - k + j] == pv
         return mask
 
-    return PlaceSelectionRule(
-        "after", make, vector_decider=_windowed(mask_of), params=("".join(str(c) for c in pat),)
-    )
+
+def after_pattern_rule(pattern) -> PlaceSelectionRule:
+    """Retain position n iff the preceding len(pattern) trials spell pattern.
+    Its mask is an _AfterPattern, which exposes the pattern's labels."""
+    pat = tuple(pattern)
+    if not pat:
+        raise InputError("pattern must be nonempty")
+    return PlaceSelectionRule("after", _AfterPattern(pat), params=("".join(str(c) for c in pat),))
 
 
 def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
     """Auxiliary randomized selection driven by a seeded generator; the
-    decision stream depends on the seed only, never on the trials."""
+    decision stream depends on the seed only, never on the trials: trial n
+    is retained iff the n-th double of default_rng(seed) is below p."""
 
-    def make(alphabet):
-        rng = np.random.default_rng(seed)
-
-        def draws():  # the stream of rng.random() < p, 4096 doubles at a time
-            while True:
-                yield from (rng.random(4096) < p).tolist()
-
-        stream = draws()
-        return lambda n, prefix: next(stream)
-
-    def mask_of(alphabet, data, start, stop):
+    def mask_of(alphabet, past, start, stop):
         # each double takes one PCG64 step, so advancing by start gives the
         # same stream as rng.random(stop)[start:]
         rng = np.random.default_rng(seed)
         rng.bit_generator.advance(start)
         return rng.random(stop - start) < p
 
-    return PlaceSelectionRule(
-        "coin", make, vector_decider=_windowed(mask_of), params=(seed,), reads_trials=False
-    )
+    return PlaceSelectionRule("coin", mask_of, params=(seed,), reads_trials=False)
 
 
 RULE_CATALOGUE = {
@@ -441,35 +382,32 @@ def default_family() -> list[PlaceSelectionRule]:
 
 
 def _window_mask(rule: PlaceSelectionRule, alphabet, data, start: int, stop: int) -> np.ndarray:
-    """The rule's vector decision on positions start..stop-1, checked for shape."""
-    mask = np.asarray(rule.vector_decider(alphabet, data, start, stop), dtype=bool)
+    """The rule's mask of positions start..stop-1, checked for shape.  The rule
+    is handed data[:stop - 1], or data[:0] when it declares reads_trials=False,
+    so no window can read a trial at or after its last position."""
+    past = data[: stop - 1] if rule.reads_trials else data[:0]
+    mask = np.asarray(rule.mask(alphabet, past, start, stop), dtype=bool)
     if mask.shape != (stop - start,):
-        raise InputError(f"rule {rule.name}: bad vector decision shape")
+        raise InputError(f"rule {rule.name}: bad mask shape")
     return mask
 
 
-def _selections(rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = True):
-    """(window, mask) pairs covering x in order, the mask marking the retained trials:
-    one per CHUNK positions from the vector decider, else one from the scalar decider."""
+def _selections(rule: PlaceSelectionRule, x: TrialSequence):
+    """(window, mask) pairs covering x in order, one per CHUNK positions, the
+    mask marking the retained trials."""
     data = x.data
-    if use_vector and rule.vector_decider is not None:
-        for start in range(0, len(data), CHUNK):
-            stop = min(start + CHUNK, len(data))
-            yield data[start:stop], _window_mask(rule, x.alphabet, data, start, stop)
-        return
-    decide = rule.make_decider(x.alphabet)
-    yield data, np.array([decide(i + 1, data[:i]) for i in range(len(data))], dtype=bool)
+    for start in range(0, len(data), CHUNK):
+        stop = min(start + CHUNK, len(data))
+        yield data[start:stop], _window_mask(rule, x.alphabet, data, start, stop)
 
 
-def apply_selection(
-    rule: PlaceSelectionRule, x: TrialSequence, use_vector: bool = True
-) -> TrialSequence:
+def apply_selection(rule: PlaceSelectionRule, x: TrialSequence) -> TrialSequence:
     """Subsequence of retained trials, in order.
 
-    The decider sees (n, x_1..x_{n-1}); the element being decided on is
-    never exposed, so lookahead is unrepresentable.
+    Each window's mask is handed only the trials before the window's last
+    position, so no trial at or after it can be read.
     """
-    parts = (window[mask] for window, mask in _selections(rule, x, use_vector))
+    parts = (window[mask] for window, mask in _selections(rule, x))
     return TrialSequence(x.alphabet, np.concatenate([x.data[:0], *parts]))
 
 
@@ -616,14 +554,13 @@ def ville_generator(
     budget = backtrack_budget
 
     while True:
-        bits, free_alternatives, counts = _ville_attempt(family, n_trials, overrides)
+        bits, last_free, counts = _ville_attempt(family, n_trials, overrides)
         failure = _ville_scan(bits, counts, eps, min_count)
         if failure is None:
             return TrialSequence(BINARY, bits)
-        if budget > 0 and free_alternatives:
-            pos = free_alternatives.pop()
-            overrides = {p: b for p, b in overrides.items() if p < pos}
-            overrides[pos] = 1 - int(bits[pos])
+        if budget > 0 and last_free is not None:
+            overrides = {p: b for p, b in overrides.items() if p < last_free}
+            overrides[last_free] = 1 - int(bits[last_free])
             budget -= 1
         else:
             raise ConstructionError(
@@ -671,24 +608,27 @@ def _ville_attempt(family, n_trials, overrides):
     running surplus 2(ones + b) - n nearest 3 wins (0 when both are): 0
     exactly when 2*ones - n >= 2.
 
-    The rules that never read the trials (reads_trials=False, with a vector
-    decider; the first 8 of them) are decided ahead, VILLE_WINDOW positions
-    at a time: their masks are packed into one byte per position, bit j for
-    the j-th such rule, and a table maps each byte value to the tuple of
-    rules it selects.  An after: rule compares its pattern with the last k
-    bits, kept in a rolling int.  Any other rule is asked through its
-    scalar decider on the bits built so far, as each trial comes."""
+    The rules that never read the trials (reads_trials=False; the first 8 of
+    them) are decided ahead, VILLE_WINDOW positions at a time: their masks
+    are packed into one byte per position, bit j for the j-th such rule, and
+    a table maps each byte value to the tuple of rules it selects.  An after:
+    rule compares its pattern with the last k bits, kept in a rolling int.
+    Any other rule is asked for the one-position window of each trial as it
+    comes, on the bits built so far.
+
+    Returns (bits, last_free, counts): last_free is the last position whose
+    bit was free to take either value (None when none was), and counts[i]
+    is [selected, ones among selected] of family[i]."""
     blind, afters, scalars = [], [], []
     for i, rule in enumerate(family):
-        if not rule.reads_trials and rule.vector_decider is not None and len(blind) < 8:
+        if not rule.reads_trials and len(blind) < 8:
             blind.append(i)
-            continue
-        decide = rule.make_decider(BINARY)
-        if isinstance(decide, _AfterPattern):
-            k = len(decide.pattern)
-            afters.append((i, (1 << k) - 1, int("".join(map(str, decide.pattern)), 2), k))
+        elif isinstance(rule.mask, _AfterPattern):
+            pidx = [BINARY.index(c) for c in rule.mask.pattern]
+            k = len(pidx)
+            afters.append((i, (1 << k) - 1, int("".join(map(str, pidx)), 2), k))
         else:
-            scalars.append((i, decide))
+            scalars.append(i)
     recent_mask = max((m for _, m, _, _ in afters), default=0)
     blind_rules = [family[i] for i in blind]
     # packed byte -> the blind rules it selects
@@ -697,7 +637,7 @@ def _ville_attempt(family, n_trials, overrides):
     ones = recent = 0  # recent: the last bits, the latest lowest, masked to the longest pattern
     selected = [0] * len(family)
     surplus = [0] * len(family)  # 2 * ones - selected, over each rule's selections
-    free_alternatives: list[int] = []
+    last_free = None
     for start in range(0, n_trials, VILLE_WINDOW):
         stop = min(start + VILLE_WINDOW, n_trials)
         for n, v in enumerate(_packed_masks(blind_rules, arr, start, stop), start + 1):
@@ -706,8 +646,8 @@ def _ville_attempt(family, n_trials, overrides):
                 if recent & m == t and n > k:
                     names += (i,)
             if scalars:
-                prefix = arr[: n - 1]
-                names += tuple(i for i, d in scalars if d(n, prefix))
+                names += tuple(i for i in scalars
+                               if _window_mask(family[i], BINARY, arr, n - 1, n)[0])
             if 2 * ones < n:  # floor binds: only b=1 keeps the mean >= 1/2
                 b = 1
             elif (n - 1) in overrides:
@@ -726,7 +666,7 @@ def _ville_attempt(family, n_trials, overrides):
                         b = 0
                     elif hi + lo < 0 and lo <= -4:
                         b = 1
-                free_alternatives.append(n - 1)
+                last_free = n - 1
             arr[n - 1] = b
             ones += b
             recent = (recent << 1 | b) & recent_mask
@@ -735,7 +675,7 @@ def _ville_attempt(family, n_trials, overrides):
                 selected[i] += 1
                 surplus[i] += step
     counts = [[k, (e + k) // 2] for k, e in zip(selected, surplus)]
-    return arr, free_alternatives, counts
+    return arr, last_free, counts
 
 
 def running_margins(bits: np.ndarray) -> np.ndarray:

@@ -266,14 +266,14 @@ def longest_runs_by_column(bits: np.ndarray, m: int) -> np.ndarray:
 
 
 def randomness_check_reference(x, family, epsilon, min_length):
-    """collectives.randomness_check from subsequences built by the scalar
+    """collectives.randomness_check from subsequences built by the reference
     deciders and their frequencies at the full length."""
-    from collectiva.collectives import RuleReport, apply_selection, frequencies
+    from collectiva.collectives import RuleReport, TrialSequence, frequencies
 
     base = frequencies(x, [len(x)]).final()
     out = []
     for rule in family:
-        sub = apply_selection(rule, x, use_vector=False)
+        sub = TrialSequence(x.alphabet, x.data[reference_mask(rule, x.alphabet, x.data)])
         if len(sub) < min_length:
             out.append(RuleReport(rule.describe(), len(sub), None, None, "inconclusive"))
             continue
@@ -345,18 +345,91 @@ def per_character_parse(text: str, labels: tuple | None = None) -> tuple[tuple, 
     return labels, [pos[ch] for ch in text]
 
 
+# --- place selection: per-trial deciders ------------------------------------------
+
+def reference_decider(rule, alphabet=BINARY, p: float = 0.5):
+    """decide(n, prefix) -> bool of a catalogue rule, or of the tests' majority
+    rule, rebuilt from its name and parameters as a per-trial definition on
+    the prefix x_1..x_{n-1}: a growing sieve for primes, and for coin a stream
+    of default_rng(seed).random() < p drawn 4096 doubles at a time (p is not
+    among the rule's parameters)."""
+    name = rule.name
+    if name == "identity":
+        return lambda n, prefix: True
+    if name == "evens":
+        return lambda n, prefix: n % 2 == 0
+    if name == "odds":
+        return lambda n, prefix: n % 2 == 1
+    if name == "majority":
+        return lambda n, prefix: 2 * int(prefix.sum()) > n - 1
+    if name == "after":
+        (text,) = rule.params  # the pattern's one-character labels
+        pattern = tuple(alphabet.index(c) for c in text)
+        k = len(pattern)
+        return lambda n, prefix: n - 1 >= k and tuple(prefix[n - 1 - k:].tolist()) == pattern
+    if name == "primes":
+        sieve = bytearray()
+
+        def decide(n, prefix):
+            nonlocal sieve
+            if n >= len(sieve):
+                limit = max(2 * n, 2 * len(sieve), 4096)
+                sieve = bytearray([1]) * (limit + 1)
+                sieve[:2] = b"\0\0"
+                for q in range(2, math.isqrt(limit) + 1):
+                    if sieve[q]:
+                        sieve[q * q::q] = bytes(len(range(q * q, limit + 1, q)))
+            return sieve[n] == 1
+
+        return decide
+    if name == "coin":
+        (seed,) = rule.params
+        rng = np.random.default_rng(seed)
+
+        def draws():
+            while True:
+                yield from (rng.random(4096) < p).tolist()
+
+        stream = draws()
+        return lambda n, prefix: next(stream)
+    raise ValueError(f"no reference decider for rule {name!r}")
+
+
+def reference_mask(rule, alphabet, data) -> np.ndarray:
+    """Whole-sequence mask of the reference decider on data, one call per trial."""
+    decide = reference_decider(rule, alphabet)
+    return np.array([decide(i + 1, data[:i]) for i in range(len(data))], dtype=bool)
+
+
+def check_mask_contract(rule, data, cut_lists, want) -> None:
+    """For each list of cut positions, the rule's masks of the windows between
+    consecutive cuts (0 and len(data) added) over binary data concatenate to
+    `want`, the reference mask on data; a list of consecutive cuts makes
+    one-position windows."""
+    from collectiva.collectives import _window_mask
+
+    n = len(data)
+    for cuts in cut_lists:
+        bounds = sorted({0, n, *(c for c in cuts if 0 < c < n)})
+        got = np.concatenate([_window_mask(rule, BINARY, data, a, b)
+                              for a, b in zip(bounds, bounds[1:])])
+        assert np.array_equal(got, want), (rule.describe(), cuts[:8])
+
+
 # --- Ville's construction: float costs, one closure per trial ----------------------
 
 def ville_attempt_reference(family, n_trials, overrides):
     """One greedy pass of the Ville construction with float costs in half
     units and a min() over a per-trial cost closure (the loop the doubled
-    integer costs replaced).  Returns (bits, free_alternatives, counts) with
-    counts[i] = [selected, ones among selected] of family[i]."""
-    deciders = [rule.make_decider(BINARY) for rule in family]
+    integer costs replaced), with the rules' reference deciders.  Returns
+    (bits, last_free, counts), last_free the last position whose bit was free
+    (None when none was) and counts[i] = [selected, ones among selected] of
+    family[i]."""
+    deciders = [reference_decider(rule) for rule in family]
     arr = np.empty(n_trials, dtype=np.uint8)
     ones = 0
     counts = [[0, 0] for _ in family]  # selected, ones among selected
-    free_alternatives: list[int] = []
+    last_free = None
     for n in range(1, n_trials + 1):
         prefix = arr[: n - 1]
         names = [i for i, d in enumerate(deciders) if d(n, prefix)]
@@ -373,10 +446,10 @@ def ville_attempt_reference(family, n_trials, overrides):
                 return max(worst, 0.0)
 
             b = min((0, 1), key=lambda bb: (cost(bb), abs(ones + bb - n / 2 - 1.5), bb))
-            free_alternatives.append(n - 1)
+            last_free = n - 1
         arr[n - 1] = b
         ones += b
         for i in names:
             counts[i][0] += 1
             counts[i][1] += b
-    return arr, free_alternatives, counts
+    return arr, last_free, counts

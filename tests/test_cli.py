@@ -277,6 +277,13 @@ def test_mix_is_exactly_additive(tmp_path):
     assert abs(frac(pl["frequency_probability"]["value"]) - Fraction(2, 3)) < Fraction(1, 100)
 
 
+def test_mix_rejects_a_repeated_label(tmp_path, capsys):
+    f = write_ascii(tmp_path, "abc" * 4000)
+    assert main(["mix", f, "--labels", "a,c,a"]) == 2
+    err = capsys.readouterr().err
+    assert "'a' repeated" in err and len(err.strip().splitlines()) == 1
+
+
 def test_randomness_on_a_seeded_word_passes(tmp_path):
     bits = np.random.default_rng(1234).integers(0, 2, size=10**5)
     f = tmp_path / "w.bin"

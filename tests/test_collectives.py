@@ -46,7 +46,14 @@ from collectiva.errors import CapacityError, ConstructionError, InputError
 from collectiva.padic import realized_trace
 from collectiva.seqio import read_sequence
 
-from _oracles import cumsum_prefix_counts, randomness_check_reference, ville_attempt_reference
+from _oracles import (
+    check_mask_contract,
+    cumsum_prefix_counts,
+    randomness_check_reference,
+    reference_decider,
+    reference_mask,
+    ville_attempt_reference,
+)
 
 TERNARY = LabelAlphabet(("a", "b", "c"))
 
@@ -265,24 +272,26 @@ def test_empty_selection_yields_empty_sequence():
 def test_vector_and_scalar_deciders_agree(spec):
     rule = rule_from_spec(spec)
     x = seeded_bits(800, 13)
-    assert apply_selection(rule, x, use_vector=True) == apply_selection(
-        rule, x, use_vector=False
+    assert apply_selection(rule, x) == TrialSequence(
+        BINARY, x.data[reference_mask(rule, BINARY, x.data)]
     )
 
 
 @pytest.mark.parametrize("spec", ["evens", "primes", "after:10", "coin:5"])
 def test_decisions_never_depend_on_the_suffix(spec):
     """Metamorphic causality check: rewriting x_m..x_N leaves every decision
-    for positions < m unchanged."""
+    for positions < m unchanged, in one-position windows and in one window
+    over the whole word."""
     rule = rule_from_spec(spec)
     m = 200
     x = seeded_bits(400, 21).data
     y = x.copy()
     y[m:] = 1 - y[m:]
-    d1 = rule.make_decider(BINARY)
-    d2 = rule.make_decider(BINARY)
     for n in range(1, m + 1):
-        assert d1(n, x[: n - 1]) == d2(n, y[: n - 1])
+        assert collectives._window_mask(rule, BINARY, x, n - 1, n)[0] == \
+            collectives._window_mask(rule, BINARY, y, n - 1, n)[0]
+    whole = [collectives._window_mask(rule, BINARY, d, 0, len(d))[:m] for d in (x, y)]
+    assert np.array_equal(*whole)
 
 
 WINDOW_SPECS = ["identity", "evens", "odds", "primes", "after:0110", "coin:7"]
@@ -291,16 +300,19 @@ PATTERN_LENGTH = 4  # of after:0110
 
 @pytest.fixture(scope="module")
 def scalar_masks():
-    """Whole-sequence masks of the scalar deciders on a seeded word of
+    """Whole-sequence masks of the reference deciders on a seeded word of
     3*CHUNK + 17 trials; by causality their prefixes are the masks of every
     shorter prefix of the word."""
     n = 3 * CHUNK + 17
     data = seeded_bits(n, 29).data
-    masks = {}
-    for spec in WINDOW_SPECS:
-        decide = rule_from_spec(spec).make_decider(BINARY)
-        masks[spec] = np.array([decide(i + 1, data[:i]) for i in range(n)], dtype=bool)
+    masks = {spec: reference_mask(rule_from_spec(spec), BINARY, data) for spec in WINDOW_SPECS}
     return data, masks
+
+
+def one_position_cuts(*edges: int) -> list[int]:
+    """Cuts that make one-position windows from 8 positions before each edge
+    to 8 after it."""
+    return [c for e in edges for c in range(max(e - 8, 0), e + 9)]
 
 
 @pytest.mark.parametrize("n", [1, PATTERN_LENGTH, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
@@ -308,14 +320,11 @@ def test_window_masks_concatenate_to_the_scalar_decisions(scalar_masks, n):
     data, masks = scalar_masks
     data = data[:n]
     cuts = (1, PATTERN_LENGTH, PATTERN_LENGTH + 1, 4097, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 5)
-    bounds = sorted({0, n, *(c for c in cuts if c < n)})
+    cut_lists = ([], cuts, range(0, n, CHUNK),
+                 one_position_cuts(8, 4096, CHUNK, 2 * CHUNK, n - 9))
     for spec in WINDOW_SPECS:
         rule, want = rule_from_spec(spec), masks[spec][:n]
-        assert np.array_equal(rule.vector_decider(BINARY, data), want), spec
-        for cut_points in (bounds, [*range(0, n, CHUNK), n]):
-            windows = [rule.vector_decider(BINARY, data, a, b)
-                       for a, b in zip(cut_points, cut_points[1:])]
-            assert np.array_equal(np.concatenate(windows), want), spec
+        check_mask_contract(rule, data, cut_lists, want)
         x = TrialSequence(BINARY, data)
         assert apply_selection(rule, x).data.tobytes() == data[want].tobytes(), spec
         (row,) = randomness_check(x, [rule], min_length=1)
@@ -331,8 +340,8 @@ def test_a_window_reads_no_trial_at_or_after_its_stop():
         for start, stop in ((0, 1), (3, 4), (100, 2000), (4000, 5000)):
             cut = data[:stop - 1]  # the window may read at most these trials
             padded = np.concatenate([cut, np.ones(len(data) - len(cut), dtype=np.uint8)])
-            assert np.array_equal(rule.vector_decider(BINARY, data, start, stop),
-                                  rule.vector_decider(BINARY, padded, start, stop)), spec
+            assert np.array_equal(collectives._window_mask(rule, BINARY, data, start, stop),
+                                  collectives._window_mask(rule, BINARY, padded, start, stop)), spec
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,9 +399,9 @@ def test_aux_coin_is_seed_deterministic():
 def test_chunked_coin_mask_is_one_uniform_stream(p):
     n = 3 * CHUNK + 17
     data = np.zeros(n, dtype=np.uint8)
-    mask = aux_coin_rule(11, p).vector_decider(BINARY, data)
+    mask = collectives._window_mask(aux_coin_rule(11, p), BINARY, data, 0, n)
     assert np.array_equal(mask, np.random.default_rng(11).random(n) < p)
-    decide = aux_coin_rule(11, p).make_decider(BINARY)
+    decide = reference_decider(aux_coin_rule(11, p), p=p)
     assert [decide(i + 1, data[:i]) for i in range(500)] == list(mask[:500])
 
 
@@ -632,16 +641,19 @@ def test_ville_windows_of_61_trials_match_the_reference(specs, data):
 
 def majority_rule() -> PlaceSelectionRule:
     """Retain trial n iff ones outnumber zeros in x_1..x_{n-1}: a rule that
-    reads the trials and has no vector decider."""
-    return PlaceSelectionRule(
-        "majority", lambda alphabet: (lambda n, prefix: 2 * int(prefix.sum()) > n - 1))
+    reads the trials and that ville asks per trial."""
+    def mask(alphabet, past, start, stop):
+        ones = np.concatenate([[0], np.cumsum(past, dtype=np.int64)])  # ones[i]: in x_1..x_i
+        return 2 * ones[start:stop] > np.arange(start, stop)
+
+    return PlaceSelectionRule("majority", mask)
 
 
 PER_TRIAL_FAMILIES = {
     "library rule beside primes and after:1": [majority_rule(), primes_rule(),
                                                after_pattern_rule("1")],
     # ten trial-blind rules: the two past the 8 that pack into a position's
-    # byte are asked per trial through their scalar deciders
+    # byte are asked per trial through their one-position windows
     "ten trial-blind rules and after:01": [
         *(rule_from_spec(s) for s in ("identity", "evens", "odds", "primes", "coin:7") * 2),
         after_pattern_rule("01"),
@@ -678,11 +690,12 @@ def test_trial_blind_declarations_hold_on_any_data():
     assert sorted(rule.name for rule in blind) == ["coin", "evens", "identity", "odds", "primes"]
     for rule in blind:
         for start, stop in windows:
-            zeros, noise = (rule.vector_decider(BINARY, d, start, stop) for d in datas)
+            zeros, noise = (collectives._window_mask(rule, BINARY, d, start, stop)
+                            for d in datas)
             assert np.array_equal(zeros, noise), (rule.describe(), start)
     after = after_pattern_rule("10")
     assert after.reads_trials
-    zeros, noise = (after.vector_decider(BINARY, d, 0, 1000) for d in datas)
+    zeros, noise = (collectives._window_mask(after, BINARY, d, 0, 1000) for d in datas)
     assert not np.array_equal(zeros, noise)
 
 
@@ -694,12 +707,49 @@ def test_ville_peak_memory_stays_within_its_declared_bytes_per_trial():
 
 
 def test_scalar_coin_and_primes_deciders_cross_their_buffer_edges():
+    """The reference deciders refill at multiples of 4096 draws and regrow
+    their sieve past 4096 and 8192; the masks agree across those edges."""
     n = CHUNK + 5000
     data = np.zeros(n, dtype=np.uint8)
     for rule in (aux_coin_rule(3), primes_rule()):
-        decide = rule.make_decider(BINARY)
-        scalar = [decide(i + 1, data[:i]) for i in range(n)]
-        assert scalar == rule.vector_decider(BINARY, data).tolist(), rule.describe()
+        check_mask_contract(rule, data, [[], one_position_cuts(4096, 8192, 16384, CHUNK)],
+                            reference_mask(rule, BINARY, data))
+
+
+def test_majority_meets_the_mask_contract():
+    data = seeded_bits(3000, 37).data
+    check_mask_contract(majority_rule(), data,
+                        [[], [1, 2, 61, 1000], range(0, 3000, 61), one_position_cuts(8, 1500, 2991)],
+                        reference_mask(majority_rule(), BINARY, data))
+
+
+def test_a_mask_cannot_read_the_trial_it_decides_on():
+    """A rule's mask is handed x_1..x_{stop-1} only, so reading past[stop - 1]
+    fails with IndexError in every command's path."""
+    peek = PlaceSelectionRule(
+        "peek", lambda alphabet, past, start, stop: np.full(stop - start, past[stop - 1] == 1))
+    x = seeded_bits(3000, 5)
+    with pytest.raises(IndexError):
+        apply_selection(peek, x)
+    with pytest.raises(IndexError):
+        randomness_check(x, [identity_rule(), peek])
+    with pytest.raises(IndexError):
+        ville_generator([identity_rule(), peek], 100)
+
+
+def test_a_trial_blind_mask_is_handed_no_trials():
+    seen = []
+
+    def mask(alphabet, past, start, stop):
+        seen.append(len(past))
+        return np.ones(stop - start, dtype=bool)
+
+    blind = PlaceSelectionRule("blind", mask, reads_trials=False)
+    x = seeded_bits(CHUNK + 10, 6)
+    apply_selection(blind, x)
+    randomness_check(x, [blind])
+    ville_generator([blind] * 9, 500)  # eight packed ahead, the ninth asked per trial
+    assert len(seen) > 500 and set(seen) == {0}
 
 
 def test_ville_on_the_clibench_family_runs_under_a_second():

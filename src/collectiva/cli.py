@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -37,13 +36,6 @@ def _parse_rules(spec: str, seed: int) -> list[collectives.PlaceSelectionRule]:
     if not parts:
         raise InputError("empty rule list")
     return [collectives.rule_from_spec(p, default_seed=seed) for p in parts]
-
-
-def _load_json(path):
-    try:
-        return json.loads(seqio.read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _input_echo(path: str):
@@ -250,21 +242,18 @@ def cmd_battery(args) -> tuple[dict, list[str]]:
 
 def _family_from_input(args) -> tuple[marginals.MarginalFamily, marginals.CorrelationTriple | None]:
     if args.format == "csv" or args.input.endswith(".csv"):
-        import csv
         import io
 
         text = io.StringIO(seqio.read_text(args.input), newline="")
-        rows = [row for row in csv.reader(text) if row and any(s.strip() for s in row)]
+        rows = [r for r in seqio.csv_rows(text, args.input) if r and any(s.strip() for s in r)]
         return marginals.family_from_csv_rows(rows), None
-    doc = _load_json(args.input)
+    doc = seqio.read_json(args.input)
     if not isinstance(doc, dict):
         raise InputError("marginal document must be a JSON object")
     if "pmfs" in doc:
         return marginals.family_from_document(doc), None
     if {"e12", "e23", "e13"} <= set(doc):
-        def val(v):
-            return marginals._parse_value(v) if isinstance(v, str) else v
-
+        val = marginals._parse_value
         means = doc.get("means", [0, 0, 0])
         if not isinstance(means, list) or len(means) != 3:
             raise InputError("'means' must be a list of three numbers")

@@ -294,16 +294,27 @@ def primes_rule() -> PlaceSelectionRule:
 
 class _AfterPattern:
     """The mask of after_pattern_rule: position i is retained iff the trials
-    before it spell `pattern`, the tuple of labels."""
+    before it spell `pattern`, a tuple of labels or a spec string."""
 
     __slots__ = ("pattern",)
 
-    def __init__(self, pattern: tuple):
+    def __init__(self, pattern):
         self.pattern = pattern
+
+    def labels(self, alphabet: LabelAlphabet) -> tuple:
+        """The pattern's labels.  A spec string is split at '|'; without one
+        it is a single label when the alphabet has it, else one label per
+        character ("10" over 0/1, "heads" over heads/tails)."""
+        p = self.pattern
+        if not isinstance(p, str):
+            return p
+        if "|" in p:
+            return tuple(p.split("|"))
+        return (p,) if p in alphabet.labels else tuple(p)
 
     def __call__(self, alphabet, past, start, stop) -> np.ndarray:
         # position i is kept iff past[i-k:i] spells the pattern; reads past[lo-k:stop-1]
-        pidx = [alphabet.index(c) for c in self.pattern]
+        pidx = [alphabet.index(c) for c in self.labels(alphabet)]
         k = len(pidx)
         lo = max(start, k)
         mask = np.zeros(stop - start, dtype=bool)
@@ -316,12 +327,18 @@ class _AfterPattern:
 
 
 def after_pattern_rule(pattern) -> PlaceSelectionRule:
-    """Retain position n iff the preceding len(pattern) trials spell pattern.
-    Its mask is an _AfterPattern, which exposes the pattern's labels."""
-    pat = tuple(pattern)
-    if not pat:
+    """Retain position n iff the trials before it spell pattern: a spec
+    string ("10", "heads", "heads|tails"; see _AfterPattern.labels), echoed
+    as given, or a sequence of labels, echoed joined by '|' when a label is
+    not one character."""
+    if isinstance(pattern, str):
+        text = pattern
+    else:
+        pattern = tuple(pattern)
+        text = ("" if all(len(str(c)) == 1 for c in pattern) else "|").join(map(str, pattern))
+    if not pattern:
         raise InputError("pattern must be nonempty")
-    return PlaceSelectionRule("after", _AfterPattern(pat), params=("".join(str(c) for c in pat),))
+    return PlaceSelectionRule("after", _AfterPattern(pattern), params=(text,))
 
 
 def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
@@ -624,7 +641,7 @@ def _ville_attempt(family, n_trials, overrides):
         if not rule.reads_trials and len(blind) < 8:
             blind.append(i)
         elif isinstance(rule.mask, _AfterPattern):
-            pidx = [BINARY.index(c) for c in rule.mask.pattern]
+            pidx = [BINARY.index(c) for c in rule.mask.labels(BINARY)]
             k = len(pidx)
             afters.append((i, (1 << k) - 1, int("".join(map(str, pidx)), 2), k))
         else:

@@ -14,7 +14,6 @@ fall back to an absolute tolerance of 1e-12.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -435,13 +434,6 @@ def _value_to_json(v: Value):
     return v
 
 
-def _value_from_json(v) -> Value:
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or "1"))
-    return v
-
-
 def space_to_document(
     ps: FiniteProbabilitySpace, variables: Mapping[str, RandomVariable] | None = None
 ) -> dict:
@@ -456,6 +448,7 @@ def space_to_document(
 
 
 def space_from_document(doc: dict) -> tuple[FiniteProbabilitySpace, dict]:
+    from .seqio import MALFORMED, parse_rational
     try:
         space = SampleSpace(tuple(doc["atoms"]))
         masks = frozenset(
@@ -464,7 +457,7 @@ def space_from_document(doc: dict) -> tuple[FiniteProbabilitySpace, dict]:
         algebra = EventAlgebra(space, masks)
         sorted_masks = sorted(masks)
         weight = {
-            sorted_masks[int(j)]: _value_from_json(v)
+            sorted_masks[int(j)]: parse_rational(v) if isinstance(v, str) else v
             for j, v in doc["weights"].items()
         }
         ps = FiniteProbabilitySpace(algebra, weight)
@@ -475,10 +468,10 @@ def space_from_document(doc: dict) -> tuple[FiniteProbabilitySpace, dict]:
                 space, {by_str[k]: v for k, v in vals.items()}
             )
         return ps, variables
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise InputError(f"malformed probability-space document: {exc}") from exc
 
 
 def load_space(path) -> tuple[FiniteProbabilitySpace, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_document(json.load(fh))
+    from .seqio import read_json
+    return space_from_document(read_json(path))

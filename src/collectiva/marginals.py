@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, check_mem
 from .finite_prob import FLOAT_TOL, is_exact, values_equal
+from .seqio import MALFORMED, parse_rational
 
 FLOAT_SLACK = 1e-9  # constraint slack in float mode
 # HiGHS feasibility tolerances, below FLOAT_SLACK: at its default of 1e-7 a float
@@ -250,10 +251,12 @@ def _repair_simplex(R: np.ndarray, b: list[Fraction], atoms) -> tuple:
     its dual y prices positive join, at most m a round, until it decides: (witness, None) or
     (None, b.y).  Rows [b_i | B^-1 | atoms], the last [-objective | -y | reduced costs]."""
     m = len(b)
-    T = [[v] + [int(i == r) for i in range(m)] for r, v in enumerate(b)] + [[-sum(b)] + [-1] * m]
-    basis, cols, new = list(range(1, m + 1)), [], list(atoms)
+    basis, cols, new, T = list(range(1, m + 1)), [], list(atoms), None
     while True:
         _check_cells((m + 1) * (1 + m + len(cols) + len(new)), "exact repair tableau", SUPPORT_CAP)
+        if T is None:  # built only once the first round's cells pass the check
+            T = [[v] + [int(i == r) for i in range(m)] for r, v in enumerate(b)]
+            T.append([-sum(b)] + [-1] * m)
         for j in new:
             rows = [1 + r for r in R[:, j] if r >= 0]
             for row in T:
@@ -593,12 +596,17 @@ def kolmogorov_consistency(family: MarginalFamily) -> tuple[bool, list]:
 
 # --- file formats ------------------------------------------------------------
 
-def _parse_value(s: str):
-    s = s.strip()
+def _parse_value(v):
+    """A document value: a non-string as decoded; a string with a decimal point or
+    an exponent is a float, any other an exact rational (parse_rational)."""
+    if not isinstance(v, str):
+        return v
     try:
-        return Fraction(s) if ("/" in s or "." not in s and "e" not in s.lower()) else float(s)
+        if "/" in v or "." not in v and "e" not in v.lower():
+            return parse_rational(v)
+        return float(v)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse value {s!r}: {exc}") from exc
+        raise InputError(f"cannot parse value {v.strip()!r}: {exc}") from exc
 
 
 def _parse_label(s: str):
@@ -637,8 +645,8 @@ def family_from_document(doc) -> MarginalFamily:
             mass = {}
             for key, v in entry["mass"].items():
                 vals = tuple(_parse_label(s) for s in str(key).split("|"))
-                mass[vals] = _parse_value(str(v)) if isinstance(v, str) else v
+                mass[vals] = _parse_value(v)
             pmfs.append(JointPMF(obs, ranges, mass))
         return MarginalFamily(tuple(pmfs))
-    except (KeyError, TypeError) as exc:
+    except MALFORMED as exc:
         raise InputError(f"malformed marginal-family document: {exc}") from exc

@@ -1,8 +1,9 @@
-"""Sequence ingestion: raw bit-packed, ASCII characters, CSV rows, rationals."""
+"""Input text to values: raw, ASCII and CSV trial sequences, rationals, JSON documents."""
 
 from __future__ import annotations
 
 import csv
+import json
 import re
 import sys
 from fractions import Fraction
@@ -12,6 +13,8 @@ from . import collectives
 from .errors import CapacityError, InputError, check_mem
 
 FORMATS = ("raw", "ascii", "csv")
+# what a *_from_document reader reports as a malformed document
+MALFORMED = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 # a decimal in Fraction's grammar with an exponent; group 1 is its magnitude
 _EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
                        r"[eE][-+]?(\d+(?:_\d+)*)\s*")
@@ -41,7 +44,7 @@ def read_sequence(path, fmt: str, alphabet: collectives.LabelAlphabet | None = N
             raise InputError(f"{path}: empty input")
         return _from_code_points(codes, alphabet)
     if fmt == "csv":
-        rows = [r for r in csv.reader(_decode_text(blob, path).splitlines()) if r]
+        rows = [r for r in csv_rows(_decode_text(blob, path).splitlines(), path) if r]
         if not rows:
             raise InputError(f"{path}: empty input")
         vals = [r[0].strip() for r in rows]
@@ -67,6 +70,24 @@ def read_text(path) -> str:
     """The whole file as UTF-8 text; unreadable or undecodable input is an
     InputError."""
     return _decode_text(_read_bytes(path), path)
+
+
+def csv_rows(lines, path) -> list[list[str]]:
+    """The csv rows of the lines; a field past csv.field_size_limit() is an InputError."""
+    try:
+        return list(csv.reader(lines))
+    except csv.Error as exc:
+        raise InputError(f"{path}: invalid csv: {exc}") from exc
+
+
+def read_json(path):
+    """The file's JSON document; invalid JSON, an integer past the digit limit
+    (ValueError) or nesting past the recursion limit is an InputError."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _from_code_points(codes: np.ndarray, alphabet: collectives.LabelAlphabet | None
@@ -128,7 +149,7 @@ def parse_rational(text: str) -> Fraction:
 def read_rationals(path) -> list[Fraction]:
     """One rational per row: "n/d", integer, or decimal."""
     out = []
-    for i, row in enumerate(csv.reader(read_text(path).splitlines())):
+    for i, row in enumerate(csv_rows(read_text(path).splitlines(), path)):
         if not row:
             continue
         s = row[0].strip()

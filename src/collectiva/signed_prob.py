@@ -12,7 +12,6 @@ N-fold law, where wanted, is an exact integer polynomial power.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import CapacityError, InputError, NullConditioningError, check_mem, max_mem_bytes
 from .finite_prob import is_exact, values_equal
-from .seqio import read_text
+from .seqio import MALFORMED, parse_rational, read_json
 
 # per subset sum of the negativity count (tracemalloc: 13-31 bytes at 12-24 atoms)
 NEGATIVITY_BYTES_PER_SUM = 64
@@ -430,10 +429,10 @@ BUNDLED_VARIABLES: dict[str, Mapping] = {
 # --- file format ---------------------------------------------------------------
 
 def _document_number(v):
-    """A weight or variable value from a JSON document: a number, or a
-    rational string such as "p/q".  Booleans are not numbers here."""
+    """A weight or variable value from a JSON document: a number, or a string
+    in parse_rational's grammar, read exactly.  Booleans are not numbers here."""
     if isinstance(v, str):
-        return Fraction(v)
+        return parse_rational(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"malformed signed-space document: {v!r} is not a number")
     return v
@@ -447,13 +446,9 @@ def space_from_document(doc: dict) -> tuple[SignedProbabilitySpace, Mapping | No
         if "variable" in doc:
             var = {a: _document_number(doc["variable"][a]) for a in weights}
         return space, var
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except MALFORMED as exc:
         raise InputError(f"malformed signed-space document: {exc}") from exc
 
 
 def load_space(path) -> tuple[SignedProbabilitySpace, Mapping | None]:
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return space_from_document(doc)
+    return space_from_document(read_json(path))

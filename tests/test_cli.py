@@ -199,6 +199,44 @@ def test_signed_document_with_boolean_weights_exits_two(tmp_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+BIG_INT = "1" * 5000  # past the 4300-digit limit of int("...")
+HOSTILE_DOCUMENTS = {
+    "huge-int": '{"weights": {"a": %s}, "pmfs": [], "e12": %s, "e23": 0, "e13": 0}'
+                % (BIG_INT, BIG_INT),
+    "deep": "[" * 10**5 + "]" * 10**5,
+    "mass-list": json.dumps(
+        {"pmfs": [{"observables": ["a"], "ranges": {"a": [0, 1]}, "mass": [1]}]}),
+    "huge-exponent": json.dumps({"weights": {"a": "1e20000000", "b": "-1e20000000", "c": "1"}}),
+}
+
+
+@pytest.mark.parametrize("name, command, code", [
+    ("huge-int", "signed", 2), ("huge-int", "marginal", 2), ("huge-int", "consistency", 2),
+    ("deep", "signed", 2), ("deep", "marginal", 2), ("deep", "consistency", 2),
+    ("mass-list", "marginal", 2), ("mass-list", "consistency", 2),
+    ("huge-exponent", "signed", 3),
+])
+def test_hostile_json_documents_exit_two_or_three_quickly(tmp_path, capsys, name, command, code):
+    doc = tmp_path / "doc.json"
+    doc.write_text(HOSTILE_DOCUMENTS[name])
+    start = time.monotonic()
+    assert main([command, str(doc)]) == code
+    assert time.monotonic() - start < 5
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "--format", "csv"], ["padic", "--format", "csv"],
+    ["marginal", "--format", "csv"], ["consistency", "--format", "csv"],
+])
+def test_a_csv_field_past_the_field_limit_exits_two(tmp_path, capsys, argv):
+    f = tmp_path / "wide.csv"
+    f.write_text("1" * 200_000 + "\n0\n")  # csv.field_size_limit() is 131072
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "field limit" in err and len(err.strip().splitlines()) == 1
+
+
 def test_window_without_two_checkpoints_exits_two(tmp_path, capsys):
     f = write_ascii(tmp_path, "01" * 500)
     assert main(["stabilize", f, "--window", "0"]) == 2
@@ -292,6 +330,21 @@ def test_randomness_on_a_seeded_word_passes(tmp_path):
     assert code == 0
     assert report["payload"]["overall"] == "pass"
     assert len(report["payload"]["rules"]) == 3
+
+
+def test_after_names_labels_longer_than_one_character(tmp_path):
+    trials = np.random.default_rng(7).choice(["heads", "tails"], size=3000).tolist()
+    f = tmp_path / "coins.csv"
+    f.write_text("".join(f"{t}\n" for t in trials))
+    code, report = run(["randomness", str(f), "--format", "csv",
+                        "--rules", "identity,after:heads,after:heads|tails"], tmp_path)
+    assert code == 0
+    rules = {r["rule"]: r for r in report["payload"]["rules"]}
+    assert list(rules) == ["identity", "after:heads", "after:heads|tails"]
+    assert rules["after:heads"]["selected"] == sum(
+        a == "heads" for a in trials[:-1])
+    assert rules["after:heads|tails"]["selected"] == sum(
+        (a, b) == ("heads", "tails") for a, b in zip(trials, trials[1:-1]))
 
 
 def test_complexity_flags_a_compressible_word(tmp_path):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from collectiva.cli import main
 from collectiva.report import validate_report
 
-FUZZ_EXAMPLES = 50
+# COLLECTIVA_FUZZ_EXAMPLES=500 runs the gate at ten times its tier-1 volume
+FUZZ_EXAMPLES = int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "50"))
 FUZZ_MEM = "268435456"  # COLLECTIVA_MAX_MEM for every example
 
 SEQUENCE_FORMATS = ("raw", "ascii", "csv")
@@ -46,7 +47,7 @@ RULES = ["identity", "evens", "odds", "primes", "after:1", "after:10", "after:01
          "coin", "coin:5", "coin:abc", "nope", ""]
 LABELS = ["0", "1", "a", "b", "A", "zz", ""]
 NUMBERS = ["0", "1", "-1", "1/2", "-1/2", "3/4", "0.25", "1e999", "1e-400", "nan",
-           "abc", "1/0", "true"]
+           "abc", "1/0", "true", "1e20000000"]
 
 
 def integers(hi=4096):
@@ -72,18 +73,27 @@ json_value = st.one_of(
     st.sampled_from(NUMBERS), st.integers(-3, 4096), st.booleans(), st.none(),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+any_json = st.recursive(
+    json_value | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
 observable = st.sampled_from(["x", "y", "z"])
 
 
 @st.composite
 def pmf_entry(draw):
+    """A pmf entry whose fields are each well formed, or any JSON value."""
     obs = draw(st.lists(observable, min_size=1, max_size=3))
     ranges = {o: draw(st.lists(st.sampled_from(["0", "1", "2"]), min_size=1, max_size=3))
               for o in obs}
     keys = st.lists(st.sampled_from(["0", "1", "2"]), min_size=len(obs),
                     max_size=len(obs)).map("|".join)
-    return {"observables": obs, "ranges": ranges,
-            "mass": draw(st.dictionaries(keys, json_value, max_size=6))}
+    mass = draw(st.dictionaries(keys, json_value, max_size=6))
+    return {"observables": draw(st.just(obs) | any_json),
+            "ranges": draw(st.just(ranges) | any_json),
+            "mass": draw(st.just(mass) | any_json)}
 
 
 # well-formed documents, so that the analyses past the parsers are reached too
@@ -125,16 +135,19 @@ json_doc = st.one_of(
     st.fixed_dictionaries({"e12": json_value, "e23": json_value, "e13": json_value},
                           optional={"means": st.lists(json_value, max_size=4)}),
     st.fixed_dictionaries({"pmfs": st.lists(pmf_entry(), max_size=3)}),
-    st.fixed_dictionaries({"weights": st.dictionaries(atom, json_value, max_size=4)},
-                          optional={"variable": st.dictionaries(atom, json_value,
-                                                                max_size=4)}),
-    st.recursive(
-        json_value | st.text(max_size=4),
-        lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-        max_leaves=8,
-    ),
+    st.fixed_dictionaries(
+        {"weights": st.dictionaries(atom, json_value, max_size=4) | any_json},
+        optional={"variable": st.dictionaries(atom, json_value, max_size=4) | any_json}),
+    any_json,
 )
+# raw JSON text that json.dumps cannot write: an int past the 4300-digit
+# limit of int("..."), and nesting past the recursion limit
+BIG_INT = "1" * 5000
+HOSTILE_JSON = [
+    '{"weights": {"u": %s}, "e12": %s, "e23": 0, "e13": 0, "pmfs": [{"observables": ["x"], '
+    '"ranges": {"x": [0, 1]}, "mass": {"0": %s}}]}' % (BIG_INT, BIG_INT, BIG_INT),
+    "[" * 10**5 + "]" * 10**5,
+]
 csv_cell = st.sampled_from([*NUMBERS, *LABELS, "x|y", "0|1", "x|y|z", "1|0|1"])
 csv_text = st.lists(st.lists(csv_cell, min_size=1, max_size=3), max_size=12).map(
     lambda rows: "".join(",".join(r) + "\n" for r in rows))
@@ -146,6 +159,7 @@ input_bytes = st.one_of(
     st.binary(max_size=256),
     st.text(alphabet="01ab\n ,", max_size=300).map(str.encode),
     json_doc.map(lambda d: json.dumps(d).encode()),
+    st.sampled_from(HOSTILE_JSON).map(str.encode),
     st.one_of(csv_text, family_csv, rationals_csv).map(str.encode),
 )
 

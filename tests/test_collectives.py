@@ -420,6 +420,21 @@ def test_rule_spec_parsing():
     assert set(RULE_CATALOGUE) == {"identity", "evens", "odds", "primes", "after", "coin"}
 
 
+@pytest.mark.parametrize("param, labels", [
+    ("heads", ("heads",)), ("ht", ("h", "t")), ("ab", ("ab",)), ("a|b", ("a", "b")),
+    ("heads|t|heads", ("heads", "t", "heads")), ("ba", ("b", "a")),
+])
+def test_after_parameter_splits_at_bars_else_is_one_label_else_characters(param, labels):
+    alphabet = LabelAlphabet(("heads", "tails", "h", "t", "ab", "a", "b"))
+    rule = rule_from_spec(f"after:{param}")
+    assert rule.describe() == f"after:{param}"
+    assert rule.mask.labels(alphabet) == labels
+    data = np.random.default_rng(3).integers(0, alphabet.size, 4000).astype(np.uint8)
+    want = reference_mask(rule, alphabet, data)
+    assert want.any()
+    assert np.array_equal(collectives._window_mask(rule, alphabet, data, 0, len(data)), want)
+
+
 # --- randomness check ---------------------------------------------------------------
 
 def test_alternating_fails_under_evens_selection():

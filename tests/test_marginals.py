@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -630,15 +631,37 @@ def test_missing_highs_bindings_name_the_scipy_that_ships_them(tmp_path):
         marginals._load_highs(tmp_path)
 
 
+def uniform_pmf_of_8000_cells() -> MarginalFamily:
+    vals = tuple(range(20))
+    mass = {t: Fraction(1, 8000) for t in itertools.product(vals, repeat=3)}
+    return MarginalFamily((JointPMF(("a", "b", "c"), {o: vals for o in "abc"}, mass),))
+
+
 def test_one_exact_pmf_of_8000_cells_is_refused_before_the_support_solve():
     """Its own joint, but the exact support solve would hold 8001 x 8001 cells."""
-    vals = tuple(range(20))
-    pmf = JointPMF(("a", "b", "c"), {o: vals for o in "abc"},
-                   {t: Fraction(1, 8000) for t in itertools.product(vals, repeat=3)})
+    fam = uniform_pmf_of_8000_cells()
     start = time.monotonic()
     with pytest.raises(CapacityError, match="exact support solve exceeds"):
-        joint_exists(MarginalFamily((pmf,)))
+        joint_exists(fam)
     assert time.monotonic() - start < 5
+
+
+def test_one_exact_pmf_of_8000_cells_is_refused_before_the_repair_tableau(monkeypatch):
+    """A proposal of no atoms passes the support solve (one column) and reaches the
+    repair simplex, whose first tableau would hold 8002 x 8002 cells: it is refused
+    before any of them is built."""
+    fam = uniform_pmf_of_8000_cells()
+    start = time.monotonic()
+    tracemalloc.start()
+    try:
+        with spoil_the_proposal(monkeypatch, 0.0), \
+                pytest.raises(CapacityError, match="exact repair tableau exceeds"):
+            joint_exists(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 5
+    assert peak < 16 * 2**20, peak  # the whole first tableau would be about 500 MB
 
 
 def test_thirteen_observable_chain_is_certified_past_4096_atoms():

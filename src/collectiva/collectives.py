@@ -294,23 +294,24 @@ def primes_rule() -> PlaceSelectionRule:
 
 class _AfterPattern:
     """The mask of after_pattern_rule: position i is retained iff the trials
-    before it spell `pattern`, a tuple of labels or a spec string."""
+    before it spell `pattern`, the rule's spec string."""
 
     __slots__ = ("pattern",)
 
-    def __init__(self, pattern):
+    def __init__(self, pattern: str):
         self.pattern = pattern
 
     def labels(self, alphabet: LabelAlphabet) -> tuple:
-        """The pattern's labels.  A spec string is split at '|'; without one
-        it is a single label when the alphabet has it, else one label per
-        character ("10" over 0/1, "heads" over heads/tails)."""
+        """The pattern's labels: the whole string when the alphabet has it,
+        else its pieces between '|' when each is a label, else one label per
+        character ("10" over 0/1, "heads|tails" over heads/tails)."""
         p = self.pattern
-        if not isinstance(p, str):
-            return p
-        if "|" in p:
-            return tuple(p.split("|"))
-        return (p,) if p in alphabet.labels else tuple(p)
+        if p in alphabet.labels:
+            return (p,)
+        pieces = tuple(p.split("|"))
+        if len(pieces) > 1 and all(q in alphabet.labels for q in pieces):
+            return pieces
+        return tuple(p)
 
     def __call__(self, alphabet, past, start, stop) -> np.ndarray:
         # position i is kept iff past[i-k:i] spells the pattern; reads past[lo-k:stop-1]
@@ -329,16 +330,12 @@ class _AfterPattern:
 def after_pattern_rule(pattern) -> PlaceSelectionRule:
     """Retain position n iff the trials before it spell pattern: a spec
     string ("10", "heads", "heads|tails"; see _AfterPattern.labels), echoed
-    as given, or a sequence of labels, echoed joined by '|' when a label is
-    not one character."""
-    if isinstance(pattern, str):
-        text = pattern
-    else:
-        pattern = tuple(pattern)
-        text = ("" if all(len(str(c)) == 1 for c in pattern) else "|").join(map(str, pattern))
+    as given.  A sequence of labels is first joined by '|'."""
+    if not isinstance(pattern, str):
+        pattern = "|".join(map(str, pattern))
     if not pattern:
         raise InputError("pattern must be nonempty")
-    return PlaceSelectionRule("after", _AfterPattern(pattern), params=(text,))
+    return PlaceSelectionRule("after", _AfterPattern(pattern), params=(pattern,))
 
 
 def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:

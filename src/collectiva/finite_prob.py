@@ -470,8 +470,3 @@ def space_from_document(doc: dict) -> tuple[FiniteProbabilitySpace, dict]:
         return ps, variables
     except MALFORMED as exc:
         raise InputError(f"malformed probability-space document: {exc}") from exc
-
-
-def load_space(path) -> tuple[FiniteProbabilitySpace, dict]:
-    from .seqio import read_json
-    return space_from_document(read_json(path))

@@ -6,6 +6,7 @@ import csv
 import json
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,10 +73,10 @@ def read_text(path) -> str:
     return _decode_text(_read_bytes(path), path)
 
 
-def csv_rows(lines, path) -> list[list[str]]:
+def csv_rows(lines, path) -> Iterator[list[str]]:
     """The csv rows of the lines; a field past csv.field_size_limit() is an InputError."""
     try:
-        return list(csv.reader(lines))
+        yield from csv.reader(lines)
     except csv.Error as exc:
         raise InputError(f"{path}: invalid csv: {exc}") from exc
 

@@ -363,8 +363,14 @@ def reference_decider(rule, alphabet=BINARY, p: float = 0.5):
     if name == "majority":
         return lambda n, prefix: 2 * int(prefix.sum()) > n - 1
     if name == "after":
-        (text,) = rule.params  # labels split at "|", else one label, else one per character
-        labels = text.split("|") if "|" in text else [text] if text in alphabet.labels else text
+        (text,) = rule.params  # one label, else labels between "|", else one per character
+        pieces = text.split("|")
+        if text in alphabet.labels:
+            labels = [text]
+        elif len(pieces) > 1 and set(pieces) <= set(alphabet.labels):
+            labels = pieces
+        else:
+            labels = list(text)
         pattern = tuple(alphabet.index(c) for c in labels)
         k = len(pattern)
         return lambda n, prefix: n - 1 >= k and tuple(prefix[n - 1 - k:].tolist()) == pattern

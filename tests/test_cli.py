@@ -347,6 +347,18 @@ def test_after_names_labels_longer_than_one_character(tmp_path):
         (a, b) == ("heads", "tails") for a, b in zip(trials, trials[1:-1]))
 
 
+def test_after_a_bar_is_a_label_of_an_ascii_input_that_has_it(tmp_path):
+    text = "".join(np.random.default_rng(8).choice(list("ab|"), size=3000))
+    f = write_ascii(tmp_path, text)
+    code, report = run(["randomness", f, "--rules", "after:|,after:a|"], tmp_path)
+    assert code == 0
+    rules = {r["rule"]: r for r in report["payload"]["rules"]}
+    assert list(rules) == ["after:|", "after:a|"]
+    assert rules["after:|"]["selected"] == text[:-1].count("|")
+    assert rules["after:a|"]["selected"] == sum(
+        text[i:i + 2] == "a|" for i in range(len(text) - 2))
+
+
 def test_complexity_flags_a_compressible_word(tmp_path):
     f = tmp_path / "zeros.bin"
     f.write_bytes(bytes(4096))

@@ -423,9 +423,10 @@ def test_rule_spec_parsing():
 @pytest.mark.parametrize("param, labels", [
     ("heads", ("heads",)), ("ht", ("h", "t")), ("ab", ("ab",)), ("a|b", ("a", "b")),
     ("heads|t|heads", ("heads", "t", "heads")), ("ba", ("b", "a")),
+    ("|", ("|",)), ("a|", ("a", "|")), ("|b", ("|", "b")), ("t|b", ("t", "b")),
 ])
 def test_after_parameter_splits_at_bars_else_is_one_label_else_characters(param, labels):
-    alphabet = LabelAlphabet(("heads", "tails", "h", "t", "ab", "a", "b"))
+    alphabet = LabelAlphabet(("heads", "tails", "h", "t", "ab", "a", "b", "|"))
     rule = rule_from_spec(f"after:{param}")
     assert rule.describe() == f"after:{param}"
     assert rule.mask.labels(alphabet) == labels
@@ -433,6 +434,14 @@ def test_after_parameter_splits_at_bars_else_is_one_label_else_characters(param,
     want = reference_mask(rule, alphabet, data)
     assert want.any()
     assert np.array_equal(collectives._window_mask(rule, alphabet, data, 0, len(data)), want)
+
+
+def test_a_label_sequence_is_named_by_the_spec_that_selects_it():
+    alphabet = LabelAlphabet(("a", "b", "ab"))
+    for pattern in (("a", "b"), ("ab",), ("ab", "a")):
+        rule = after_pattern_rule(pattern)
+        assert rule.mask.labels(alphabet) == pattern
+        assert rule_from_spec(rule.describe()).mask.labels(alphabet) == pattern
 
 
 # --- randomness check ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 # each command runs only the modules it calls (the package loads them lazily)
 from . import collectives, complexity, marginals, padic, report, seqio, signed_prob
-from .errors import CapacityError, ConstructionError, InputError
+from .errors import CapacityError, ConstructionError, InputError, echo
 
 DEFAULT_RULES = "identity,primes,after:10"
 NEGATIVITY_ATOM_CAP = 32  # the event count takes 2^(k/2) subset sums per half
@@ -25,10 +25,11 @@ NEGATIVITY_ATOM_CAP = 32  # the event count takes 2^(k/2) subset sums per half
 
 def _frac(text) -> Fraction:
     """Exact rational from a CLI string ("0.01", "1/100", "1e-3")."""
+    text = str(text)
     try:
-        return seqio.parse_rational(str(text))
+        return seqio.parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse {text!r} as a number: {exc}") from exc
+        raise InputError(f"cannot parse {echo(text)} as a number: {exc}") from exc
 
 
 def _parse_rules(spec: str, seed: int) -> list[collectives.PlaceSelectionRule]:

@@ -46,6 +46,22 @@ def check_mem(nbytes: int, what: str):
         raise CapacityError(f"{what} exceeds COLLECTIVA_MAX_MEM ({nbytes} > {mem} bytes)")
 
 
+ECHO_CHARS = 32  # the most of an input value a one-line error repeats
+
+
+def echo(text: str) -> str:
+    """repr(text), or past ECHO_CHARS characters the repr of its first ECHO_CHARS and its
+    length: what a one-line error repeats of an input value, which may be megabytes long."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
+def echoed(exc: Exception, text: str) -> str:
+    """exc's message with its repr of text (Fraction's and float's hold one) put through echo."""
+    return str(exc).replace(repr(text), echo(text))
+
+
 class ConstructionError(CollectivaError):
     """A constructive search exhausted its budget without a valid object."""
 

@@ -5,11 +5,19 @@ finite-valued observables, decide whether one joint distribution produces
 all of them, produce a witness when it does, and evaluate the linear
 correlation inequalities that are necessary for existence.
 
-Existence is a phase-1 LP over the atoms of the joint support, which HiGHS
-solves by delayed column generation (Dantzig & Wolfe 1960; Gilmore & Gomory
-1961): it starts on as many atoms as the LP has rows and adds, warm, the atoms
-its row duals price positive, a round at a time, so it holds the whole support
-only when it must.  Float families take its answer ("lp-highs"); exact ones get
+Existence is a phase-1 LP over the atoms of the joint support.  Its rows are a
+basis of the marginal cells: each pmf, read over the family's ranges, keeps
+the cells whose set of observables off their last value is nonempty and lies
+in no earlier pmf's index set, plus one total-mass row.  Expanding each last value
+as 1 minus the others writes every cell as the indicator of its off-last
+values plus indicators on larger sets, a triangular change of basis, so the
+kept rows are independent and span every cell row; once overlaps agree
+(check_no_signaling), every dropped equation holds on every solution of the
+kept ones (Abramsky & Brandenburger 2011).  HiGHS solves the LP by delayed
+column generation (Dantzig & Wolfe 1960; Gilmore & Gomory 1961): it starts on
+as many atoms as the LP has rows and adds, warm by the primal simplex, the
+atoms its row duals price positive, a round at a time, so it holds the whole
+support only when it must.  Float families take its answer ("lp-highs"); exact ones get
 it certified in `Fraction` ("lp-certified"): a witness, or a Farkas vector y
 with A^T y <= 0 < b.y on every atom, a Boole/Bell-type inequality the marginals
 violate.  Disagreeing overlaps: "marginal-consistency".
@@ -41,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, check_mem
+from .errors import CapacityError, InputError, check_mem, echo, echoed
 from .finite_prob import FLOAT_TOL, is_exact, values_equal
 from .seqio import MALFORMED, parse_rational
 
@@ -320,10 +328,15 @@ def _phase1_model(R: np.ndarray, b: np.ndarray):
                "simplex_strategy": int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
                "highs_debug_level": int(h.HighsDebugLevel.kHighsDebugLevelNone), **HIGHS_OPTIONS}
     for name, value in options.items():
-        if highs.setOptionValue(name, value) != h.HighsStatus.kOk:
-            raise ValueError(f"HiGHS rejects the option {name}={value!r}")
+        _set_option(highs, name, value)
     highs.passModel(lp)
     return highs
+
+
+def _set_option(highs, name: str, value):
+    """Set a HiGHS option; ValueError when HiGHS rejects it."""
+    if highs.setOptionValue(name, value) != _highs().HighsStatus.kOk:
+        raise ValueError(f"HiGHS rejects the option {name}={value!r}")
 
 
 def _add_atoms(highs, R: np.ndarray):
@@ -331,7 +344,7 @@ def _add_atoms(highs, R: np.ndarray):
     keep, n = R.T >= 0, R.shape[1]
     highs.addCols(n, np.zeros(n), np.zeros(n), np.full(n, np.inf), int(keep.sum()),
                   np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]].astype(np.int32),
-                  R.T[keep].astype(np.int32), np.ones(keep.sum()))
+                  R.T[keep], np.ones(keep.sum()))
 
 
 def _phase1_lp(highs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +369,7 @@ def _phase1_lp(highs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The optimal (x, a) and row duals of the phase-1 LP on every atom of R, by delayed
     column generation: HiGHS solves on the m = len(b) atoms with the largest sum of log
-    cell masses (on all of them when there are at most m), then, warm, on those and at
+    masses of their rows (on all of them when there are at most m), then, warm, on those and at
     most m a round of the atoms its duals price above its dual tolerance, most positive
     first, until none is.  The last optimum is one of the full LP, its duals feasible
     for every atom."""
@@ -374,6 +387,10 @@ def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         new = np.sort(new[np.argsort(-price[new], kind="stable")[:m]])
         _add_atoms(highs, R[:, new])
         order = np.r_[order, new]
+        # added columns leave the last basis primal feasible, so the rounds after the first
+        # solve re-optimize by the primal simplex (Desrosiers & Luebbecke 2005)
+        _set_option(highs, "simplex_strategy",
+                    int(_highs().simplex_constants.SimplexStrategy.kSimplexStrategyPrimal))
     x = np.zeros(n + m)
     x[order], x[n:] = np.r_[xa[:first], xa[first + m:]], xa[first:first + m]
     return x, duals
@@ -383,9 +400,13 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     """Linear feasibility: is there a joint pmf with the given marginals?
 
     HiGHS solves min 1.a s.t. A x + a = b, x, a >= 0 (0 just when a joint exists), adding
-    atoms by pricing (_priced_phase1).  Float families take its answer; exact ones its
-    dual y if A^T y <= 0 < b.y holds exactly on every atom, else an exact solve on its
-    support, else the repair simplex."""
+    atoms by pricing (_priced_phase1).  A has a row basis of the marginal cells: of each
+    pmf, the cells t whose set U(t) of observables off their last value is nonempty and
+    in no earlier pmf's index set, plus the total-mass row.  Overlaps that agree make every
+    dropped cell's equation a signed sum of kept ones, right-hand sides included, so the
+    LP has as many rows as the cells' rank.  Float families take its answer; exact ones
+    its dual y if A^T y <= 0 < b.y holds exactly on every atom, else an exact solve on its
+    support, else the repair simplex.  A witness is checked on every cell of every pmf."""
     ok, violations = family.no_signaling
     if not ok:
         worst = max(violations, key=lambda v: v[3])
@@ -402,18 +423,23 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
             raise CapacityError(f"joint support exceeds {SUPPORT_CAP} atoms")
     _check_cells((len(family.pmfs) + 1) * support, "feasibility LP")
 
-    # R[k, j]: atom j's row among pmf k's cells (mixed-radix index into its ranges),
-    # -1 when a value is outside them; the last block is the total-mass row
-    grid, blocks, rhs = np.indices(dims, sparse=True), [], []
-    for p in family.pmfs:
-        loc = np.broadcast_arrays(*(
-            np.array([p.ranges[o].index(v) if v in p.ranges[o] else -1
-                      for v in ranges[o]])[grid[names.index(o)]] for o in p.observables))
-        cell = np.ravel_multi_index(loc, [len(p.ranges[o]) for o in p.observables], mode="clip")
-        blocks.append(np.broadcast_to(
-            np.where(np.min(loc, axis=0) < 0, -1, cell + len(rhs)), dims).ravel())
-        rhs.extend(p.prob(t) for t in p.support())
-    R = np.array(blocks + [np.full(support, len(rhs))])
+    # R[k, j]: atom j's row among pmf k's kept cells, -1 for a dropped one; the last block
+    # is the total-mass row.  Each pmf is read over the family's ranges (a tuple outside
+    # its own has mass 0); it keeps cell t when the set U(t) of observables that t holds
+    # off their last value is nonempty and no earlier pmf holds all of U(t)
+    R, rhs, held = np.empty((len(family.pmfs) + 1, support), np.int32), [], []
+    grid = np.indices(dims, sparse=True)
+    for k, p in enumerate(family.pmfs):
+        axes = [names.index(o) for o in p.observables]
+        row = np.full([dims[i] for i in axes], -1, np.int32)
+        for d in np.ndindex(row.shape):
+            off = {o for o, i, v in zip(p.observables, axes, d) if v != dims[i] - 1}
+            if off and not any(off <= s for s in held):
+                row[d] = len(rhs)
+                rhs.append(p.prob(tuple(ranges[o][v] for o, v in zip(p.observables, d))))
+        held.append(set(p.observables))
+        R[k].reshape(dims)[...] = row[tuple(grid[i] for i in axes)]
+    R[-1] = len(rhs)
     rhs.append(Fraction(1) if family.exact else 1.0)
 
     xa, duals = _priced_phase1(R, np.array([float(v) for v in rhs]))
@@ -606,7 +632,7 @@ def _parse_value(v):
             return parse_rational(v)
         return float(v)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse value {v.strip()!r}: {exc}") from exc
+        raise InputError(f"cannot parse value {echo(v.strip())}: {echoed(exc, v)}") from exc
 
 
 def _parse_label(s: str):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import collectives
-from .errors import CapacityError, InputError, check_mem
+from .errors import CapacityError, InputError, check_mem, echo, echoed
 
 FORMATS = ("raw", "ascii", "csv")
 # what a *_from_document reader reports as a malformed document
@@ -135,7 +135,8 @@ def parse_rational(text: str) -> Fraction:
     """Fraction(text), but a decimal exponent whose magnitude exceeds
     sys.get_int_max_str_digits() (the limit the report's rationals obey)
     is a CapacityError before Fraction multiplies out 10^|exponent|.
-    ValueError and ZeroDivisionError pass through as Fraction raises them."""
+    ValueError and ZeroDivisionError pass through as Fraction raises them,
+    its echo of the text cut by errors.echo."""
     limit = sys.get_int_max_str_digits()
     m = _EXPONENT.fullmatch(text)
     if limit and m:
@@ -144,7 +145,10 @@ def parse_rational(text: str) -> Fraction:
             raise CapacityError(
                 f"a decimal exponent past the {limit}-digit limit of integer string conversion"
             )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise ValueError(echoed(exc, text)) from None
 
 
 def read_rationals(path) -> list[Fraction]:
@@ -159,7 +163,7 @@ def read_rationals(path) -> list[Fraction]:
         try:
             out.append(parse_rational(s))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{path} row {i + 1}: bad rational {s!r}: {exc}") from exc
+            raise InputError(f"{path} row {i + 1}: bad rational {echo(s)}: {exc}") from exc
     if not out:
         raise InputError(f"{path}: empty input")
     return out

@@ -162,6 +162,55 @@ def simplex_feasible(family) -> bool:
     return _phase1_simplex(rows, rhs) is not None
 
 
+def all_cell_rows(family) -> tuple[np.ndarray, list]:
+    """The feasibility LP with a row for every cell of every pmf, over the pmf's own ranges,
+    and the total-mass row, as (R, b) in `marginals.joint_exists`'s layout: R[k, j] is atom
+    j's row in pmf k's block, -1 when a value of the atom is outside that pmf's ranges."""
+    names = family.observables()
+    ranges = {o: family.range_of(o) for o in names}
+    dims = [len(ranges[o]) for o in names]
+    grid, blocks, rhs = np.indices(dims, sparse=True), [], []
+    for p in family.pmfs:
+        loc = np.broadcast_arrays(*(
+            np.array([p.ranges[o].index(v) if v in p.ranges[o] else -1
+                      for v in ranges[o]])[grid[names.index(o)]] for o in p.observables))
+        cell = np.ravel_multi_index(loc, [len(p.ranges[o]) for o in p.observables], mode="clip")
+        blocks.append(np.broadcast_to(
+            np.where(np.min(loc, axis=0) < 0, -1, cell + len(rhs)), dims).ravel())
+        rhs.extend(p.prob(t) for t in p.support())
+    R = np.array(blocks + [np.full(math.prod(dims), len(rhs))])
+    rhs.append(Fraction(1) if family.exact else 1.0)
+    return R, rhs
+
+
+def row_matrix(R: np.ndarray, m: int) -> np.ndarray:
+    """The dense 0/1 matrix A of m rows with A[R[k, j], j] = 1 wherever R[k, j] >= 0."""
+    A = np.zeros((m, R.shape[1]), dtype=np.int64)
+    for row in R:
+        A[row[row >= 0], np.flatnonzero(row >= 0)] = 1
+    return A
+
+
+def rank_mod_p(A: np.ndarray, p: int = 2**31 - 1) -> int:
+    """Rank of an integer matrix over GF(p) by Gauss-Jordan elimination.  It is at most the
+    rational rank, and equals it unless p divides every nonzero minor of that order."""
+    A, rank = np.array(A, dtype=np.int64) % p, 0
+    for c in range(A.shape[1]):
+        nz = np.flatnonzero(A[rank:, c])
+        if not len(nz):
+            continue
+        r = rank + nz[0]
+        A[[rank, r]] = A[[r, rank]]
+        A[rank] = A[rank] * pow(int(A[rank, c]), -1, p) % p
+        others = np.flatnonzero(A[:, c])
+        others = others[others != rank]
+        A[others] = (A[others] - A[others, c, None] * A[rank]) % p
+        rank += 1
+        if rank == len(A):
+            break
+    return rank
+
+
 def linprog_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The LP of `marginals._phase1_lp` through scipy.optimize.linprog(method="highs")
     on a scipy.sparse [A | I]: its optimal (x, a) and row duals, or AssertionError."""

@@ -237,6 +237,25 @@ def test_a_csv_field_past_the_field_limit_exits_two(tmp_path, capsys, argv):
     assert "field limit" in err and len(err.strip().splitlines()) == 1
 
 
+OVERSIZED_INPUTS = {  # a 5000-character bad value in each place that echoes one
+    "marginal": ("corr.json", json.dumps({"e12": "1/3", "e23": "1" * 5000, "e13": 0}), []),
+    "padic": ("rows.csv", "1/2\n" + "x" * 5000 + "\n", ["--format", "csv"]),
+    "stabilize": ("seq.txt", "01" * 50, ["--eps", "1x" * 2500]),
+    "signed": ("space.json", json.dumps({"weights": {"a": "x" * 5000, "b": 1}}), []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED_INPUTS))
+def test_an_oversized_bad_value_is_echoed_by_its_prefix_and_length(tmp_path, capsys, command):
+    name, text, options = OVERSIZED_INPUTS[command]
+    f = tmp_path / name
+    f.write_text(text)
+    assert main([command, str(f), *options]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and len(err.encode()) < 300, err
+    assert "(5000 characters)" in err
+
+
 def test_window_without_two_checkpoints_exits_two(tmp_path, capsys):
     f = write_ascii(tmp_path, "01" * 500)
     assert main(["stabilize", f, "--window", "0"]) == 2

@@ -34,9 +34,12 @@ from collectiva.marginals import (
 )
 
 from _oracles import (
+    all_cell_rows,
     correlations_of_joint,
     linprog_phase1,
     pair_feasible_interval,
+    rank_mod_p,
+    row_matrix,
     simplex_feasible,
     tetrahedron_facets,
     triangle_facets_4,
@@ -403,7 +406,8 @@ def spoil_the_proposal(monkeypatch, value: float):
     """HiGHS still solves, but every entry of its primal and dual comes back
     as `value`: 0 leaves the repair simplex no atoms to start from, and 1
     proposes every atom and a dual that no Farkas check may accept.  The
-    block must reach the spoiled solve at least once."""
+    block must reach the spoiled solve at least once.  It yields the list of
+    the LP's row counts, one per solve."""
     real, calls = marginals._phase1_lp, []
 
     def spoiled(R, b):
@@ -412,7 +416,7 @@ def spoil_the_proposal(monkeypatch, value: float):
         return np.full_like(xa, value), np.full_like(duals, value)
 
     monkeypatch.setattr(marginals, "_phase1_lp", spoiled)
-    yield
+    yield calls
     assert calls, "the spoiled HiGHS solve never ran"
 
 
@@ -573,6 +577,117 @@ def test_the_priced_optimum_is_the_full_lp_optimum(family):
             assert verdict.feasible == simplex_feasible(family)
 
 
+# --- the row basis of the marginal cells ------------------------------------------------
+
+def lp_of(family):
+    """The verdict of joint_exists on the family, and the R and b its LP ran on."""
+    real, seen = marginals._priced_phase1, []
+
+    def spy(R, b):
+        seen.append((R, b))
+        return real(R, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(marginals, "_priced_phase1", spy)
+        verdict = joint_exists(family)
+    ((R, b),) = seen
+    return verdict, R, b
+
+
+@st.composite
+def basis_families(draw, exact: bool = True):
+    """The marginals of a random joint of 2-4 observables with 2-3 values on pairs and
+    triples (singles too), sometimes with one index set again in another order, sometimes
+    with a pmf whose ranges omit its values of zero mass."""
+    k = draw(st.integers(2, 4), label="observables")
+    names = tuple(f"a{i}" for i in range(k))
+    ranges = {o: tuple(range(draw(st.integers(2, 3)))) for o in names}
+    atoms = list(itertools.product(*ranges.values()))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(atoms), max_size=len(atoms))
+                   .filter(any), label="weights")
+    total = sum(weights)
+    joint = JointPMF(names, ranges, {
+        t: Fraction(w, total) if exact else w / total for t, w in zip(atoms, weights) if w})
+    subsets = draw(st.lists(st.sampled_from([
+        c for r in (1, 2, 3) for c in itertools.combinations(names, r)]),
+        min_size=1, unique=True), label="index sets")
+    if draw(st.booleans(), label="reordered"):
+        subsets.append(draw(st.sampled_from(subsets))[::-1])
+    pmfs = [marginalize(joint, c) for c in dict.fromkeys(subsets)]
+    if draw(st.booleans(), label="sub-ranges"):
+        i = draw(st.integers(0, len(pmfs) - 1))
+        p = pmfs[i]
+        pmfs[i] = JointPMF(p.observables, {o: tuple(sorted({t[n] for t in p.mass}))
+                                           for n, o in enumerate(p.observables)}, p.mass)
+    return MarginalFamily(tuple(pmfs))
+
+
+def whole_ranges(family) -> bool:
+    return all(p.ranges[o] == family.range_of(o) for p in family.pmfs for o in p.observables)
+
+
+@given(basis_families())
+@settings(max_examples=120, deadline=None)
+def test_the_kept_rows_are_a_basis_of_every_cell_row(family):
+    _, R, b = lp_of(family)
+    assert R.dtype == np.int32 and R.shape == (len(family.pmfs) + 1, R.shape[1])
+    kept = row_matrix(R, len(b))
+    assert rank_mod_p(kept) == len(b)  # independent
+    R_all, b_all = all_cell_rows(family)
+    every = row_matrix(R_all, len(b_all))
+    assert rank_mod_p(np.vstack([kept, every])) == len(b)  # spanning every cell row
+    if whole_ranges(family):
+        assert len(b) == rank_mod_p(every)
+
+
+@given(basis_families())
+@settings(max_examples=80, deadline=None)
+def test_verdicts_on_the_kept_rows_match_the_dense_simplex_oracle(family):
+    """Infeasible correlation pairs are checked the same way above."""
+    verdict = joint_exists(family)
+    assert verdict.feasible == simplex_feasible(family)
+    assert_certified(verdict, family)
+
+
+@given(basis_families(exact=False), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_float_family_perturbed_within_the_slack_gets_the_all_cells_verdict(family, data):
+    """Dropped rows hold only within FLOAT_SLACK once an overlap is off by that much: the
+    verdict is the all-cells LP's, or the one-line capacity error of a witness that misses
+    a cell."""
+    k = data.draw(st.integers(0, len(family.pmfs) - 1), label="pmf")
+    p = family.pmfs[k]
+    cells = sorted(p.mass, key=repr)
+    delta = data.draw(st.sampled_from([1e-12, 1e-10, marginals.FLOAT_SLACK / 2]))
+    if len(cells) > 1:
+        up, down = data.draw(st.permutations(cells), label="cells")[:2]
+        mass = dict(p.mass)
+        delta = min(delta, mass[down])
+        mass[up], mass[down] = mass[up] + delta, mass[down] - delta
+        family = MarginalFamily(family.pmfs[:k] + (JointPMF(p.observables, p.ranges, mass),)
+                                + family.pmfs[k + 1:])
+    if not family.no_signaling[0]:
+        return
+    try:
+        verdict = joint_exists(family)
+    except CapacityError as exc:
+        assert "float witness misses marginal" in str(exc)
+        return
+    R, b = all_cell_rows(family)
+    xa, _ = linprog_phase1(R, np.array(b))
+    assert verdict.feasible == (xa[R.shape[1]:].max() <= marginals.FLOAT_SLACK)
+
+
+def test_all_pairs_of_twelve_binary_observables_have_79_rows():
+    """12 singles, 66 pairs and the total mass: the rank of the 265 cell rows."""
+    fam = float_pairs_of_twelve(12)
+    verdict, R, b = lp_of(fam)
+    assert verdict.feasible
+    assert len(b) == 12 + 66 + 1 and R.dtype == np.int32 and R.shape == (67, 2**12)
+    R_all, b_all = all_cell_rows(fam)
+    assert len(b_all) == 66 * 4 + 1
+
+
 def float_pairs_of_twelve(seed: int) -> MarginalFamily:
     """All 66 pairs of a float joint on 12 binary observables with 48 random atoms."""
     rng = random.Random(seed)
@@ -611,10 +726,10 @@ def test_twelve_float_observables_never_hand_highs_the_whole_support(monkeypatch
 def test_pricing_ends_within_its_round_limit_on_a_spoiled_dual(monkeypatch):
     """Dual 1 prices every atom positive, so each round adds m atoms until all are in."""
     fam = float_pairs_of_twelve(12)
-    n, m = 2**12, 66 * 4 + 1
-    with spoil_the_proposal(monkeypatch, 1.0):
+    with spoil_the_proposal(monkeypatch, 1.0) as rows:
         atoms = count_the_solves(monkeypatch)
         joint_exists(fam)
+    n, m = 2**12, rows[0]
     assert len(atoms) <= -(-n // m) + 1
     assert atoms[-1] == n
 

@@ -32,13 +32,13 @@ _PUBLIC = {
         "kolmogorov_consistency", "marginalize", "triple_to_family",
     ),
     "collectives": (
-        "BINARY", "FrequencyTrace", "LabelAlphabet", "PlaceSelectionRule", "TrialSequence",
-        "apply_selection", "detect_stabilization", "frequencies", "frequency_probability",
-        "kamke_adversary", "log_checkpoints", "mix", "randomness_check", "rule_from_spec",
-        "ville_generator",
+        "BINARY", "FrequencyTrace", "LabelAlphabet", "PlaceSelectionRule", "TrialPrefix",
+        "TrialSequence", "VilleSequence", "apply_selection", "detect_stabilization",
+        "frequencies", "frequency_probability", "kamke_adversary", "log_checkpoints", "mix",
+        "randomness_check", "rule_from_spec", "trace_probability", "ville_generator",
     ),
     "complexity": (
-        "Codec", "ComplexityEstimate", "arith_codec", "as_bits", "battery_passed",
+        "Codec", "ComplexityEstimate", "arith_codec", "as_bits", "as_word", "battery_passed",
         "deflate_codec", "estimate_K", "estimate_K_conditional", "martin_lof_dip_scan",
         "run_battery",
     ),

@@ -46,7 +46,7 @@ def _input_echo(path: str):
         return path
     digest, size = hashlib.sha256(), 0
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        while chunk := fh.read(1 << 16):
             digest.update(chunk)
             size += len(chunk)
     return {"name": os.path.basename(path), "bytes": size, "sha256": digest.hexdigest()}
@@ -161,9 +161,7 @@ def cmd_mix(args) -> tuple[dict, list[str]]:
     additive = all(
         mixed_trace.values["1"][k] == member_sum[k] for k in range(len(cps))
     )
-    fp = collectives.frequency_probability(
-        x, members, window=args.window, epsilon=eps, checkpoints=cps
-    )
+    fp = collectives.trace_probability(mixed_trace, window=args.window, epsilon=eps)
     payload = {
         "length": len(x),
         "members": members,
@@ -195,16 +193,15 @@ def cmd_randomness(args) -> tuple[dict, list[str]]:
 
 
 def cmd_complexity(args) -> tuple[dict, list[str]]:
-    x = seqio.read_sequence(args.input, args.format)
-    bits = complexity.as_bits(x)
+    word = complexity.as_word(seqio.read_sequence(args.input, args.format))
     # each prefix is compressed once; the last is the whole word (unless the
     # word is one bit), whose compression the curve round-trips
-    curve = complexity.complexity_rate_curve(bits)
-    est = curve[-1] if curve else complexity.estimate_K(bits)
+    curve = complexity.complexity_rate_curve(word)
+    est = curve[-1] if curve else complexity.estimate_K(word)
     cond = complexity.without_header(est)
     dips = [e.n_bits for e in curve if complexity.is_dip(complexity.without_header(e))]
     payload = {
-        "n_bits": int(bits.size),
+        "n_bits": len(word),
         "codec": est.codec,
         "estimate": {"k_hat": est.k_hat, "rate": est.rate},
         "conditional": {"k_hat": cond.k_hat, "rate": cond.rate},
@@ -218,11 +215,10 @@ def cmd_complexity(args) -> tuple[dict, list[str]]:
 
 
 def cmd_battery(args) -> tuple[dict, list[str]]:
-    x = seqio.read_sequence(args.input, args.format)
-    bits = complexity.as_bits(x)
-    results = complexity.run_battery(bits, significance=args.significance)
+    word = complexity.as_word(seqio.read_sequence(args.input, args.format))
+    results = complexity.run_battery(word, significance=args.significance)
     payload = {
-        "n_bits": int(bits.size),
+        "n_bits": len(word),
         "significance": args.significance,
         "results": [
             {
@@ -453,8 +449,6 @@ def cmd_signed(args) -> tuple[dict, list[str]]:
 
 
 def cmd_ville(args) -> tuple[dict, list[str]]:
-    import numpy as np
-
     family = _parse_rules(args.rules, _check_seed(args.seed))
     eps = _frac(args.eps)
     try:
@@ -470,17 +464,15 @@ def cmd_ville(args) -> tuple[dict, list[str]]:
             "detail": str(exc),
         }
         return payload, ["construction failed; no sequence emitted"]
-    ones = int(np.count_nonzero(x.data))
-    margins = collectives.running_margins(x.data)
     reports = collectives.randomness_check(x, family, epsilon=eps, min_length=1)
     payload = {
         "constructed": True,
         "n": len(x),
         "epsilon": eps,
-        "ones": ones,
-        "never_below_half": bool(margins.min() >= 0),
-        "min_twice_ones_minus_n": int(margins.min()),
-        "final_mean": Fraction(ones, len(x)),
+        "ones": x.ones,
+        "never_below_half": x.min_margin >= 0,
+        "min_twice_ones_minus_n": x.min_margin,
+        "final_mean": Fraction(x.ones, len(x)),
         "unit_interval_value": collectives.seq_to_unit_interval(x),
         "rules": _rule_rows(reports),
     }

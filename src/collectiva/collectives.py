@@ -26,9 +26,11 @@ from .stability import window_stability
 
 DEFAULT_EPSILON = Fraction(1, 100)
 CHUNK = 1 << 18  # elements per step of the chunked kernels, bounding their temporaries
-# the bits (1 byte) and the margin scan's int64 arrays: about 17 bytes per trial at
-# n = 100 000 on identity, primes, after:10 and coin
-VILLE_BYTES_PER_TRIAL = 32
+COIN_STEP = CHUNK >> 3  # doubles the coin rule draws per step: 8 bytes each
+# the attempt's bits (1 byte) and the packed sequence (1/8): 2.4 bytes per trial at
+# n = 100 000 on identity, primes, after:10 and coin, beside about 130 kB of window
+# temporaries, which 16 bytes a trial cover from n = 10 000 on
+VILLE_BYTES_PER_TRIAL = 16
 # positions per window of ville's packed selection masks: small, so that a window's
 # temporaries (8 bytes a position for coin's draws) reuse freed heap blocks
 # instead of raising the peak resident memory
@@ -62,16 +64,30 @@ BINARY = LabelAlphabet(("0", "1"))
 
 
 def index_dtype(size: int) -> np.dtype:
-    """Storage type of the trial indices over an alphabet of `size` labels:
-    one byte per trial when the indices fit in one."""
+    """Type of the trial indices over an alphabet of `size` labels, as
+    TrialSequence.trials returns them: one byte per trial when the indices
+    fit in one."""
     return np.dtype(np.uint8 if size <= 256 else np.int64)
 
 
-class TrialSequence:
-    """Immutable sequence of labels, stored as an index array of
-    index_dtype(alphabet.size)."""
+def store_bytes(size: int, n: int) -> int:
+    """Bytes a TrialSequence of n trials over `size` labels stores: one bit
+    per trial of a binary alphabet, else one index of index_dtype(size)."""
+    return (n + 7) // 8 if size == 2 else n * index_dtype(size).itemsize
 
-    __slots__ = ("alphabet", "data")
+
+class TrialSequence:
+    """Immutable sequence of labels over an alphabet.
+
+    A binary sequence stores one bit per trial, most-significant bit first
+    and zero-padded to whole bytes, as the raw format lays them out; any
+    other alphabet stores one label index per trial, of
+    index_dtype(alphabet.size).  Kernels read the trials a window at a time
+    through trials(start, stop) or windows(); `data`, the whole index array,
+    is unpacked anew on each access of a binary sequence, for library
+    callers."""
+
+    __slots__ = ("alphabet", "_store", "_n")
 
     def __init__(self, alphabet: LabelAlphabet, data: np.ndarray):
         data = np.asarray(data)
@@ -84,10 +100,15 @@ class TrialSequence:
         # range check before the narrowing cast, which would wrap a bad index
         if data.size and (data.min() < 0 or data.max() >= alphabet.size):
             raise InputError("trial index outside the alphabet")
-        data = np.ascontiguousarray(data, dtype=index_dtype(alphabet.size))
-        data.setflags(write=False)
-        self.alphabet = alphabet
-        self.data = data
+        if alphabet.size == 2:
+            store = np.packbits(data)
+        else:
+            store = np.ascontiguousarray(data, dtype=index_dtype(alphabet.size))
+        self._hold(alphabet, store, data.size)
+
+    def _hold(self, alphabet: LabelAlphabet, store: np.ndarray, n: int):
+        store.setflags(write=False)
+        self.alphabet, self._store, self._n = alphabet, store, int(n)
 
     @classmethod
     def from_labels(cls, alphabet: LabelAlphabet, labels: Iterable) -> "TrialSequence":
@@ -98,21 +119,135 @@ class TrialSequence:
     def from_bits(cls, bits: np.ndarray) -> "TrialSequence":
         return cls(BINARY, bits)
 
+    @classmethod
+    def from_packed(cls, packed, n: int) -> "TrialSequence":
+        """The binary sequence of n trials packed in the (n + 7) // 8 bytes of
+        a bytes-like object, most-significant bit first, held as they are; a
+        copy is made only to clear padding bits."""
+        store = np.frombuffer(packed, dtype=np.uint8)
+        if store.size != (n + 7) // 8:
+            raise InputError(f"{n} trials need {(n + 7) // 8} packed bytes, got {store.size}")
+        keep = -(1 << (8 - n % 8)) & 0xFF if n % 8 else 0xFF  # the last byte's trials
+        if store.size and int(store[-1]) & ~keep:
+            store = store.copy()
+            store[-1] &= keep
+        self = cls.__new__(cls)
+        self._hold(BINARY, store, n)
+        return self
+
+    @classmethod
+    def from_windows(cls, alphabet: LabelAlphabet, n: int, windows: Iterable) -> "TrialSequence":
+        """The sequence of n trials given as consecutive arrays of label
+        indices (trusted to lie in the alphabet), stored as they arrive; a
+        binary sequence packs each window's whole bytes and carries its last
+        n % 8 trials into the next."""
+        binary = alphabet.size == 2
+        store = np.zeros((n + 7) // 8 if binary else n,
+                         dtype=np.uint8 if binary else index_dtype(alphabet.size))
+        pos, carry = 0, np.zeros(0, dtype=np.uint8)
+        for w in windows:
+            if pos + carry.size + len(w) > n:  # the source changed since it was counted
+                raise InputError(f"expected {n} trials, got more")
+            if not binary:
+                store[pos:pos + len(w)] = w
+                pos += len(w)
+                continue
+            if carry.size:
+                w = np.concatenate([carry, w])
+            cut = len(w) & ~7
+            store[pos >> 3:(pos + cut) >> 3] = np.packbits(w[:cut])
+            carry, pos = w[cut:], pos + cut
+        if carry.size:
+            store[pos >> 3] = np.packbits(carry)[0]
+            pos += carry.size
+        if pos != n:
+            raise InputError(f"expected {n} trials, got {pos}")
+        self = cls.__new__(cls)
+        self._hold(alphabet, store, n)
+        return self
+
     def __len__(self) -> int:
-        return int(self.data.size)
+        return self._n
+
+    def trials(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Label indices of the positions start..stop-1 (slice semantics),
+        of index_dtype(alphabet.size); a binary sequence unpacks just the
+        bytes that hold them."""
+        start, stop, _ = slice(start, stop).indices(self._n)
+        stop = max(start, stop)
+        if self.alphabet.size != 2:
+            return self._store[start:stop]
+        a = start >> 3
+        return np.unpackbits(self._store[a:(stop + 7) >> 3], count=stop - 8 * a)[start - 8 * a:]
+
+    def windows(self):
+        """(a, trials(a, a + CHUNK)) over the consecutive windows of CHUNK
+        positions (the last one shorter) that cover the sequence."""
+        for a in range(0, self._n, CHUNK):
+            yield a, self.trials(a, a + CHUNK)
+
+    def packed(self, stop: int | None = None) -> memoryview:
+        """The first `stop` trials of a binary sequence as bytes, most-
+        significant bit first and zero-padded: a view of the store, copied
+        only to clear the trials past stop in the last byte."""
+        if self.alphabet.size != 2:
+            raise InputError("only a binary sequence packs one bit per trial")
+        stop = self._n if stop is None else stop
+        head = self._store[:(stop + 7) >> 3]
+        if stop % 8 and stop < self._n:
+            head = head.copy()
+            head[-1] &= -(1 << (8 - stop % 8)) & 0xFF
+        return memoryview(head)
+
+    @property
+    def data(self) -> np.ndarray:
+        """All the label indices, read-only; O(n) for a binary sequence."""
+        out = self.trials()
+        out.setflags(write=False)
+        return out
 
     def label_at(self, i: int):
-        return self.alphabet.labels[int(self.data[i])]
+        i = range(self._n)[i]  # IndexError past either end
+        return self.alphabet.labels[int(self.trials(i, i + 1)[0])]
 
     def labels(self) -> list:
-        return [self.alphabet.labels[j] for j in self.data]
+        labels = self.alphabet.labels
+        return [labels[j] for _, w in self.windows() for j in w.tolist()]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TrialSequence)
             and self.alphabet == other.alphabet
-            and np.array_equal(self.data, other.data)
+            and self._n == other._n
+            and np.array_equal(self._store, other._store)
         )
+
+
+class TrialPrefix:
+    """The first `stop` trials of a sequence as a lazy index array, the past
+    a place-selection rule is handed: an index or a slice unpacks only the
+    trials it reads, and np.asarray (or any numpy function) all of them."""
+
+    __slots__ = ("seq", "stop")
+
+    def __init__(self, seq: TrialSequence, stop: int):
+        self.seq, self.stop = seq, stop
+
+    def __len__(self) -> int:
+        return self.stop
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self.stop)
+            if step == 1:
+                return self.seq.trials(start, stop)
+            return np.asarray(self)[key]
+        i = range(self.stop)[key]  # IndexError past either end
+        return self.seq.trials(i, i + 1)[0]
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.seq.trials(0, self.stop)
+        return out if dtype is None else out.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -130,14 +265,15 @@ class FrequencyTrace:
         return {lab: vals[-1] for lab, vals in self.values.items()}
 
 
-def prefix_counts(data: np.ndarray, value: int, checkpoints: Sequence[int]) -> list[int]:
-    """Occurrences of `value` in data[:c] for each checkpoint c, in the given
-    order.  Counts each segment between sorted distinct checkpoints at most
-    CHUNK elements at a time, so no full-length temporary is built."""
+def prefix_counts(x: TrialSequence, value: int, checkpoints: Sequence[int]) -> list[int]:
+    """Occurrences of `value` among the first c trials of x for each
+    checkpoint c, in the given order.  Counts each segment between sorted
+    distinct checkpoints at most CHUNK trials at a time, so no full-length
+    temporary is built."""
     counts, total, lo = {}, 0, 0
     for c in sorted(set(checkpoints)):
         for a in range(lo, c, CHUNK):
-            total += int(np.count_nonzero(data[a:min(a + CHUNK, c)] == value))
+            total += int(np.count_nonzero(x.trials(a, min(a + CHUNK, c)) == value))
         counts[c], lo = total, c
     return [counts[c] for c in checkpoints]
 
@@ -152,7 +288,7 @@ def frequencies(x: TrialSequence, checkpoints: Sequence[int]) -> FrequencyTrace:
     if max(cps) > len(x):
         raise InputError(f"checkpoint {max(cps)} beyond data length {len(x)}")
     values = {
-        lab: tuple(Fraction(k, c) for k, c in zip(prefix_counts(x.data, j, cps), cps))
+        lab: tuple(Fraction(k, c) for k, c in zip(prefix_counts(x, j, cps), cps))
         for j, lab in enumerate(x.alphabet.labels)
     }
     return FrequencyTrace(x.alphabet, cps, values)
@@ -220,7 +356,9 @@ class PlaceSelectionRule:
     mask(alphabet, past, start, stop) returns the boolean mask of the 0-based
     positions start..stop-1 (trials start+1..stop), True retaining the trial.
     past holds the label indices of the trials before the window's last
-    position, x_1..x_{stop-1}, and nothing after them; a rule declaring
+    position, x_1..x_{stop-1}, and nothing after them.  It may be a lazy
+    view (a TrialPrefix), which unpacks only what is read: a rule slices it,
+    or takes np.asarray(past) for all of it.  A rule declaring
     reads_trials=False gets an empty past, so its masks depend on the
     positions (and the rule's own parameters) alone and can be taken before
     the trials they decide on exist.  The decision at position i may read
@@ -348,7 +486,11 @@ def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
         # same stream as rng.random(stop)[start:]
         rng = np.random.default_rng(seed)
         rng.bit_generator.advance(start)
-        return rng.random(stop - start) < p
+        mask = np.empty(stop - start, dtype=bool)
+        for a in range(0, stop - start, COIN_STEP):
+            b = min(a + COIN_STEP, stop - start)
+            mask[a:b] = rng.random(b - a) < p
+        return mask
 
     return PlaceSelectionRule("coin", mask_of, params=(seed,), reads_trials=False)
 
@@ -397,9 +539,12 @@ def default_family() -> list[PlaceSelectionRule]:
 
 def _window_mask(rule: PlaceSelectionRule, alphabet, data, start: int, stop: int) -> np.ndarray:
     """The rule's mask of positions start..stop-1, checked for shape.  The rule
-    is handed data[:stop - 1], or data[:0] when it declares reads_trials=False,
-    so no window can read a trial at or after its last position."""
-    past = data[: stop - 1] if rule.reads_trials else data[:0]
+    is handed the first stop - 1 trials of data (a TrialSequence, as their
+    TrialPrefix, or an index array), or none when it declares
+    reads_trials=False, so no window can read a trial at or after its last
+    position."""
+    cut = stop - 1 if rule.reads_trials else 0
+    past = TrialPrefix(data, cut) if isinstance(data, TrialSequence) else data[:cut]
     mask = np.asarray(rule.mask(alphabet, past, start, stop), dtype=bool)
     if mask.shape != (stop - start,):
         raise InputError(f"rule {rule.name}: bad mask shape")
@@ -409,10 +554,8 @@ def _window_mask(rule: PlaceSelectionRule, alphabet, data, start: int, stop: int
 def _selections(rule: PlaceSelectionRule, x: TrialSequence):
     """(window, mask) pairs covering x in order, one per CHUNK positions, the
     mask marking the retained trials."""
-    data = x.data
-    for start in range(0, len(data), CHUNK):
-        stop = min(start + CHUNK, len(data))
-        yield data[start:stop], _window_mask(rule, x.alphabet, data, start, stop)
+    for start, window in x.windows():
+        yield window, _window_mask(rule, x.alphabet, x, start, start + len(window))
 
 
 def apply_selection(rule: PlaceSelectionRule, x: TrialSequence) -> TrialSequence:
@@ -422,7 +565,7 @@ def apply_selection(rule: PlaceSelectionRule, x: TrialSequence) -> TrialSequence
     position, so no trial at or after it can be read.
     """
     parts = (window[mask] for window, mask in _selections(rule, x))
-    return TrialSequence(x.alphabet, np.concatenate([x.data[:0], *parts]))
+    return TrialSequence(x.alphabet, np.concatenate([x.trials(0, 0), *parts]))
 
 
 def _selected_counts(rule: PlaceSelectionRule, x: TrialSequence) -> np.ndarray:
@@ -492,9 +635,9 @@ def mix(x: TrialSequence, members: Iterable) -> TrialSequence:
     frequency probability holds exactly at every finite N.  Empty and full
     subsets are allowed and produce the degenerate all-0/all-1 sequences.
     """
-    member = np.zeros(x.alphabet.size, dtype=bool)
-    member[[x.alphabet.index(lab) for lab in members]] = True
-    return TrialSequence(BINARY, member[x.data])
+    member = np.zeros(x.alphabet.size, dtype=np.uint8)
+    member[[x.alphabet.index(lab) for lab in members]] = 1
+    return TrialSequence.from_windows(BINARY, len(x), (member[w] for _, w in x.windows()))
 
 
 @dataclass(frozen=True)
@@ -515,7 +658,12 @@ def frequency_probability(
     stabilization criterion accepts it; otherwise an explicit non-verdict."""
     mixed = mix(x, members)
     cps = tuple(checkpoints) if checkpoints is not None else log_checkpoints(len(mixed))
-    trace = frequencies(mixed, cps)
+    return trace_probability(frequencies(mixed, cps), window, epsilon)
+
+
+def trace_probability(trace: FrequencyTrace, window: int | None = None,
+                      epsilon=DEFAULT_EPSILON) -> FrequencyProbability:
+    """frequency_probability from the frequency trace of a mixed sequence."""
     verdict = detect_stabilization(trace, window=window, epsilon=epsilon)
     lab = verdict.per_label["1"]
     if lab.stabilized:
@@ -532,7 +680,15 @@ def kamke_adversary(x: TrialSequence, target) -> np.ndarray:
     array when the label never occurs.
     """
     j = x.alphabet.index(target)
-    return np.flatnonzero(x.data == j) + 1
+    return np.concatenate([np.zeros(0, dtype=np.intp),
+                           *(np.flatnonzero(w == j) + (a + 1) for a, w in x.windows())])
+
+
+class VilleSequence(TrialSequence):
+    """ville_generator's sequence, with its count of ones and the least
+    running margin 2 * ones - n over its prefixes, both from its scan."""
+
+    __slots__ = ("ones", "min_margin")
 
 
 def ville_generator(
@@ -541,7 +697,7 @@ def ville_generator(
     epsilon=DEFAULT_EPSILON,
     min_count: int | None = None,
     backtrack_budget: int = 32,
-) -> TrialSequence:
+) -> VilleSequence:
     """A binary sequence whose running mean never drops below 1/2 while every
     family rule's selected subsequence stays epsilon-balanced.
 
@@ -569,9 +725,11 @@ def ville_generator(
 
     while True:
         bits, last_free, counts = _ville_attempt(family, n_trials, overrides)
-        failure = _ville_scan(bits, counts, eps, min_count)
+        failure, ones, low = _ville_scan(bits, counts, eps, min_count)
         if failure is None:
-            return TrialSequence(BINARY, bits)
+            x = VilleSequence(BINARY, bits)
+            x.ones, x.min_margin = ones, low
+            return x
         if budget > 0 and last_free is not None:
             overrides = {p: b for p, b in overrides.items() if p < last_free}
             overrides[last_free] = 1 - int(bits[last_free])
@@ -698,13 +856,22 @@ def running_margins(bits: np.ndarray) -> np.ndarray:
 
 
 def _ville_scan(bits, counts, eps, min_count):
-    below = np.flatnonzero(running_margins(bits) < 0)
-    if below.size:
-        return f"running mean below 1/2 at position {below[0] + 1}"
+    """(failure, ones, least running margin): failure names the first
+    position where the running mean drops below 1/2, else the first rule out
+    of balance, else is None.  The margins are taken VILLE_WINDOW positions
+    at a time."""
+    ones, low = 0, len(bits)  # no margin exceeds n
+    for a in range(0, len(bits), VILLE_WINDOW):
+        margins = running_margins(bits[a:a + VILLE_WINDOW]) + (2 * ones - a)
+        below = np.flatnonzero(margins < 0)
+        if below.size:
+            return f"running mean below 1/2 at position {a + below[0] + 1}", None, None
+        low = min(low, int(margins.min()))
+        ones = (int(margins[-1]) + a + len(margins)) // 2
     for i, (k, o) in enumerate(counts):
         if k >= min_count and abs(Fraction(o, k) - Fraction(1, 2)) > eps:
-            return f"rule #{i} deviation {o}/{k} exceeds epsilon"
-    return None
+            return f"rule #{i} deviation {o}/{k} exceeds epsilon", None, None
+    return None, ones, low
 
 
 def seq_to_unit_interval(x: TrialSequence) -> float:
@@ -712,7 +879,7 @@ def seq_to_unit_interval(x: TrialSequence) -> float:
     if x.alphabet.size != 2:
         raise InputError("sequence must be binary")
     r = 0.0
-    for j, b in enumerate(x.data[:64], start=1):
+    for j, b in enumerate(x.trials(0, 64).tolist(), start=1):
         if b:
             r += 2.0 ** -j
     return r

@@ -29,22 +29,31 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .collectives import CHUNK
+from .collectives import BINARY, CHUNK, TrialSequence, prefix_counts
 from .errors import CodecIntegrityError, InputError
 
 
-def as_bits(x) -> np.ndarray:
-    """Normalize a binary word (TrialSequence, array, list, 0/1 string) to uint8."""
-    from .collectives import TrialSequence
+def as_word(x) -> TrialSequence:
+    """A binary word (TrialSequence, array, list, 0/1 string) as a binary
+    TrialSequence, one bit per trial; a binary TrialSequence is itself."""
+    if not isinstance(x, TrialSequence):
+        return TrialSequence(BINARY, as_bits(x))
+    if x.alphabet.size != 2:
+        raise InputError("complexity estimates need a binary sequence")
+    if not len(x):
+        raise InputError("binary word must be a nonempty 1-d bit vector")
+    return x
 
+
+def as_bits(x) -> np.ndarray:
+    """Normalize a binary word (TrialSequence, array, list, 0/1 string) to
+    uint8, one byte per bit."""
     if isinstance(x, TrialSequence):
-        if x.alphabet.size != 2:
-            raise InputError("complexity estimates need a binary sequence")
-        bits = x.data.astype(np.uint8, copy=False)
+        bits = as_word(x).data
     elif isinstance(x, str):
         bits = np.frombuffer(x.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
@@ -62,18 +71,29 @@ def pack_bits(bits: np.ndarray) -> bytes:
 
 @dataclass(frozen=True)
 class Codec:
-    """Deterministic lossless bytes->bytes compressor with inverse."""
+    """Deterministic lossless bytes->bytes compressor with inverse.  pieces,
+    when given, yields the inverse's output in consecutive pieces, so that a
+    round trip is checked without a whole second copy of the data."""
 
     name: str
     compress: Callable[[bytes], bytes]
     decompress: Callable[[bytes], bytes]
+    pieces: Callable[[bytes], Iterable[bytes]] | None = None
 
     def compressed(self, data: bytes, verify: bool = True) -> bytes:
         """compress(data); with verify, checked to decompress back to data."""
         blob = self.compress(data)
-        if verify and self.decompress(blob) != data:
+        if verify and not self._restores(blob, data):
             raise CodecIntegrityError(f"codec {self.name} failed round-trip")
         return blob
+
+    def _restores(self, blob: bytes, data: bytes) -> bool:
+        pos = 0
+        for piece in self.pieces(blob) if self.pieces else (self.decompress(blob),):
+            if piece != data[pos:pos + len(piece)]:
+                return False
+            pos += len(piece)
+        return pos == len(data)
 
 
 def _deflate_compress(data: bytes) -> bytes:
@@ -81,12 +101,18 @@ def _deflate_compress(data: bytes) -> bytes:
     return co.compress(data) + co.flush()
 
 
-def _deflate_decompress(blob: bytes) -> bytes:
-    return zlib.decompressobj(-15).decompress(blob)
+def _deflate_decompress(blob: bytes) -> Iterator[bytes]:
+    """The raw-DEFLATE stream's output, at most CHUNK bytes a piece."""
+    d = zlib.decompressobj(-15)
+    while piece := d.decompress(blob, CHUNK):
+        yield piece
+        blob = d.unconsumed_tail
+    yield d.flush()
 
 
 def deflate_codec() -> Codec:
-    return Codec("deflate-raw-9", _deflate_compress, _deflate_decompress)
+    return Codec("deflate-raw-9", _deflate_compress,
+                 lambda blob: b"".join(_deflate_decompress(blob)), _deflate_decompress)
 
 
 # --- adaptive order-0 binary arithmetic coder --------------------------------
@@ -253,21 +279,25 @@ class ComplexityEstimate:
 
 def estimate_K(x, codec: Codec | None = None, verify: bool = True) -> ComplexityEstimate:
     """Compressed size in bits plus the length header (an upper-bound proxy)."""
-    bits = as_bits(x)
-    codec = codec or DEFAULT_CODEC()
-    packed = pack_bits(bits)
-    body = 8 * len(codec.compressed(packed, verify))
-    return ComplexityEstimate(bits.size, body + header_bits(bits.size), codec.name)
+    word = as_word(x)
+    return _prefix_estimate(word, len(word), codec or DEFAULT_CODEC(), verify)
+
+
+def _prefix_estimate(word: TrialSequence, n: int, codec: Codec,
+                     verify: bool) -> ComplexityEstimate:
+    """estimate_K of the word's first n bits, compressed from its packed store."""
+    body = 8 * len(codec.compressed(word.packed(n), verify))
+    return ComplexityEstimate(n, body + header_bits(n), codec.name)
 
 
 def estimate_K_conditional(x, n: int, codec: Codec | None = None,
                            verify: bool = True) -> ComplexityEstimate:
     """Same body, no header: the length n is supplied out of band, so
     K-hat(x; n) <= K-hat(x) holds by construction."""
-    bits = as_bits(x)
-    if bits.size != n:
-        raise InputError(f"declared length {n} != actual {bits.size}")
-    return without_header(estimate_K(bits, codec, verify))
+    word = as_word(x)
+    if len(word) != n:
+        raise InputError(f"declared length {n} != actual {len(word)}")
+    return without_header(estimate_K(word, codec, verify))
 
 
 def without_header(est: ComplexityEstimate) -> ComplexityEstimate:
@@ -296,14 +326,16 @@ def complexity_rate_curve(x, prefix_lengths: Sequence[int] | None = None,
     """Per-prefix estimates with one codec (rates plot the structure).  The
     compression of the whole word, when it is one of the prefixes, is checked
     to decompress back; the shorter prefixes' are not."""
-    bits = as_bits(x)
+    word = as_word(x)
     codec = codec or DEFAULT_CODEC()
-    ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(bits.size)
+    ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(len(word))
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InputError("prefix lengths must be strictly increasing")
-    if ns and ns[-1] > bits.size:
+    if ns and ns[0] < 1:
+        raise InputError("prefix lengths must be >= 1")
+    if ns and ns[-1] > len(word):
         raise InputError("prefix length beyond the word")
-    return [estimate_K(bits[:n], codec, verify=n == bits.size) for n in ns]
+    return [_prefix_estimate(word, n, codec, verify=n == len(word)) for n in ns]
 
 
 def martin_lof_dip_scan(x, prefix_lengths: Sequence[int] | None = None,
@@ -313,12 +345,15 @@ def martin_lof_dip_scan(x, prefix_lengths: Sequence[int] | None = None,
     K-hat is an upper bound, so every reported dip is genuine; an empty
     result is inconclusive, not evidence of randomness.
     """
-    bits = as_bits(x)
+    word = as_word(x)
     codec = codec or DEFAULT_CODEC()
-    ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(bits.size)
+    ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(len(word))
     if any(n < 2 for n in ns):
         raise InputError("dip scan needs prefix lengths >= 2")
-    return [n for n in ns if is_dip(estimate_K_conditional(bits[:n], n, codec, verify=False))]
+    for n in ns:
+        if n > len(word):
+            raise InputError(f"declared length {n} != actual {len(word)}")
+    return [n for n in ns if is_dip(without_header(_prefix_estimate(word, n, codec, False)))]
 
 
 # --- battery ------------------------------------------------------------------
@@ -384,38 +419,51 @@ def chi2_sf(chi2: float, dof: int) -> float:
     return base + math.exp(_log_term(peak, h)) * math.fsum(terms)
 
 
-def monobit_test(bits: np.ndarray) -> TestResult:
-    n = bits.size
+def _ones(word: TrialSequence) -> int:
+    return prefix_counts(word, 1, [len(word)])[0]
+
+
+def monobit_test(x) -> TestResult:
+    word = as_word(x)
+    n = len(word)
     if n < 100:
         return TestResult("monobit", math.nan, None, None, True, "needs n >= 100")
-    s = abs(int(2 * int(bits.sum()) - n))
+    s = abs(2 * _ones(word) - n)
     p = math.erfc(s / math.sqrt(2 * n))
     return TestResult("monobit", float(s), p, None)
 
 
-def block_frequency_test(bits: np.ndarray, block: int = 128) -> TestResult:
-    n = bits.size
+def block_frequency_test(x, block: int = 128) -> TestResult:
+    word = as_word(x)
+    n = len(word)
     if n < block:
         return TestResult("block-frequency", math.nan, None, None, True,
                           f"needs n >= {block}")
     nblocks = n // block
-    pi = bits[: nblocks * block].reshape(nblocks, block).mean(axis=1)
+    # each block's mean is exact (an integer count over block), and the
+    # chi-square sums the whole array of them, as one full-length mean would
+    pi = np.empty(nblocks)
+    step = max(1, CHUNK // block)
+    for a in range(0, nblocks, step):
+        b = min(a + step, nblocks)
+        pi[a:b] = word.trials(a * block, b * block).reshape(b - a, block).mean(axis=1)
     chi2 = 4.0 * block * float(((pi - 0.5) ** 2).sum())
     return TestResult("block-frequency", chi2, chi2_sf(chi2, nblocks), None)
 
 
-def runs_test(bits: np.ndarray) -> TestResult:
-    n = bits.size
+def runs_test(x) -> TestResult:
+    word = as_word(x)
+    n = len(word)
     if n < 100:
         return TestResult("runs", math.nan, None, None, True, "needs n >= 100")
-    pi = float(bits.mean())
+    pi = _ones(word) / n  # the mean of the bits, whose float sum is exact
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return TestResult("runs", math.nan, 0.0, None,
                           note="frequency prerequisite failed")
     v = 1
-    for a in range(0, n - 1, CHUNK):  # transitions between bits[a..b] and bits[a+1..b+1]
-        b = min(a + CHUNK, n - 1)
-        v += int(np.count_nonzero(bits[a + 1:b + 1] != bits[a:b]))
+    for a in range(0, n - 1, CHUNK):  # transitions between bits a..b and a+1..b+1
+        bits = word.trials(a, min(a + CHUNK, n - 1) + 1)
+        v += int(np.count_nonzero(bits[1:] != bits[:-1]))
     num = abs(v - 2.0 * n * pi * (1 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)
     return TestResult("runs", float(v), math.erfc(num / den), None)
@@ -451,26 +499,29 @@ def _longest_runs(blocks: np.ndarray) -> np.ndarray:
     return longest
 
 
-def longest_run_test(bits: np.ndarray) -> TestResult:
-    n = bits.size
+def longest_run_test(x) -> TestResult:
+    word = as_word(x)
+    n = len(word)
     if n < 128:
         return TestResult("longest-run", math.nan, None, None, True, "needs n >= 128")
     for min_n, m, lo, hi, pis in _LONGEST_RUN_TABLES:
         if n >= min_n:
             break
     nblocks = n // m
-    step = max(1, CHUNK // m)  # blocks per step, so each step reads about CHUNK bits
+    # blocks per step, so each step reads about CHUNK/4 bits: _longest_runs
+    # holds about 8 bytes per bit of them
+    step = max(1, CHUNK // (4 * m))
     counts = np.zeros(hi - lo + 1, dtype=np.int64)
     for a in range(0, nblocks, step):
         b = min(a + step, nblocks)
-        longest = _longest_runs(bits[a * m:b * m].reshape(b - a, m))
+        longest = _longest_runs(word.trials(a * m, b * m).reshape(b - a, m))
         counts += np.bincount(np.clip(longest, lo, hi) - lo, minlength=hi - lo + 1)
     expected = nblocks * np.asarray(pis)
     chi2 = float(((counts.astype(float) - expected) ** 2 / expected).sum())
     return TestResult("longest-run", chi2, chi2_sf(chi2, hi - lo), None)
 
 
-DEFAULT_BATTERY: tuple[Callable[[np.ndarray], TestResult], ...] = (
+DEFAULT_BATTERY: tuple[Callable[[TrialSequence], TestResult], ...] = (
     monobit_test,
     block_frequency_test,
     runs_test,
@@ -480,14 +531,15 @@ DEFAULT_BATTERY: tuple[Callable[[np.ndarray], TestResult], ...] = (
 
 def run_battery(x, tests: Sequence[Callable] | None = None,
                 significance: float = 0.01) -> list[TestResult]:
-    """Run the configured tests; a word too short for a test yields a
-    'skipped' row, and the overall verdict is the AND of the executed ones."""
+    """Run the configured tests, each handed the word as a binary
+    TrialSequence; a word too short for a test yields a 'skipped' row, and
+    the overall verdict is the AND of the executed ones."""
     if not 0 < significance < 1:
         raise InputError(f"significance must lie in (0, 1), got {significance}")
-    bits = as_bits(x)
+    word = as_word(x)
     out = []
     for test in (tests if tests is not None else DEFAULT_BATTERY):
-        r = test(bits)
+        r = test(word)
         if not r.skipped:
             r = TestResult(r.name, r.statistic, r.p_value,
                            bool(r.p_value >= significance), False, r.note)

@@ -278,5 +278,5 @@ def realized_trace(x: collectives.TrialSequence, checkpoints: Sequence[int],
     for n in checkpoints:
         if not 1 <= n <= len(x):
             raise InputError(f"checkpoint {n} out of range")
-    counts = collectives.prefix_counts(x.data, j, checkpoints)
+    counts = collectives.prefix_counts(x, j, checkpoints)
     return [Fraction(k, n) for k, n in zip(counts, checkpoints)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import re
@@ -14,6 +15,9 @@ from . import collectives
 from .errors import CapacityError, InputError, check_mem, echo, echoed
 
 FORMATS = ("raw", "ascii", "csv")
+# bytes of UTF-8 text decoded per step of the ascii reader: the step's code-point
+# lookup holds about 18 bytes per character
+TEXT_STEP = 1 << 15
 # what a *_from_document reader reports as a malformed document
 MALFORMED = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 # a decimal in Fraction's grammar with an exponent; group 1 is its magnitude
@@ -25,31 +29,34 @@ def read_sequence(path, fmt: str, alphabet: collectives.LabelAlphabet | None = N
                   ) -> collectives.TrialSequence:
     """Load a trial sequence.
 
-    raw: each byte is 8 trials, most-significant bit first, alphabet 0/1.
-    ascii: one character per trial, newlines ignored.
+    raw: each byte is 8 trials, most-significant bit first, alphabet 0/1;
+    the file's bytes are the sequence's store.
+    ascii: one character per trial, newlines ignored; the text is read
+    TEXT_STEP bytes at a time, and only the store is held.
     csv: one label per row.
+    Each reader declares to check_mem the bytes it holds: the store's, and
+    the file's where it holds the whole file.
     """
-    import numpy as np
-
+    if fmt == "ascii":
+        try:
+            with open(path, "rb") as fh:
+                return _from_text(fh, path, alphabet)
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
     blob = _read_bytes(path)
     if fmt == "raw":
         if not blob:
             raise InputError(f"{path}: empty input")
-        check_mem(8 * len(blob), f"{path}: unpacking {len(blob)} raw bytes into trials")
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
-        return collectives.TrialSequence(collectives.BINARY, bits)
-    if fmt == "ascii":
-        codes = np.frombuffer(_decode_text(blob, path).encode("utf-32-le"), dtype="<u4")
-        codes = codes[(codes != ord("\n")) & (codes != ord("\r"))]
-        if not codes.size:
-            raise InputError(f"{path}: empty input")
-        return _from_code_points(codes, alphabet)
+        check_mem(len(blob), f"{path}: holding {len(blob)} raw bytes of trials")
+        return collectives.TrialSequence.from_packed(blob, 8 * len(blob))
     if fmt == "csv":
         rows = [r for r in csv_rows(_decode_text(blob, path).splitlines(), path) if r]
         if not rows:
             raise InputError(f"{path}: empty input")
         vals = [r[0].strip() for r in rows]
-        return collectives.TrialSequence.from_labels(alphabet or _inferred(vals), vals)
+        alphabet = alphabet or _inferred(vals)
+        _check_store(path, alphabet, len(vals), len(blob))
+        return collectives.TrialSequence.from_labels(alphabet, vals)
     raise InputError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -91,33 +98,69 @@ def read_json(path):
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _from_code_points(codes: np.ndarray, alphabet: collectives.LabelAlphabet | None
-                      ) -> collectives.TrialSequence:
-    """One trial per character code.  Without an alphabet it is the sorted
-    distinct characters; each code is looked up among the sorted codes of the
-    single-character labels, CHUNK codes at a time."""
+def _check_store(path, alphabet: collectives.LabelAlphabet, n: int, held: int = 0):
+    """check_mem of the store of n trials over the alphabet, beside `held`
+    bytes of the file."""
+    nbytes = held + collectives.store_bytes(alphabet.size, n)
+    check_mem(nbytes, f"{path}: holding {n} trials in {nbytes} bytes")
+
+
+def _text_steps(fh, path) -> Iterator[str]:
+    """The UTF-8 text of the file without its newlines and carriage returns,
+    read and decoded TEXT_STEP bytes at a time from its start; an invalid
+    byte is an InputError that names its offset, as _decode_text does."""
+    fh.seek(0)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # of the step in the file
+    while True:
+        step = fh.read(TEXT_STEP)
+        pending = len(decoder.getstate()[0])  # bytes of a character cut by the last step
+        try:
+            text = decoder.decode(step, final=not step)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                             f"{offset - pending + exc.start})") from exc
+        yield text.replace("\n", "").replace("\r", "")
+        if not step:
+            return
+        offset += len(step)
+
+
+def _from_text(fh, path, alphabet: collectives.LabelAlphabet | None
+               ) -> collectives.TrialSequence:
+    """One trial per character of the open file's text, in two passes over
+    it.  The first counts the trials and, without an alphabet, collects the
+    distinct characters, sorted into one.  The second looks each step's code
+    points up among the sorted codes of the single-character labels and
+    stores their indices as they come."""
     import numpy as np
 
-    if alphabet is None:
-        keys = np.unique(codes)
-        alphabet, index = _inferred(chr(c) for c in keys), range(len(keys))
-    else:
-        chars = sorted((ord(lab), j) for j, lab in enumerate(alphabet.labels)
-                       if isinstance(lab, str) and len(lab) == 1)
-        keys, index = [c for c, _ in chars], [j for _, j in chars]
+    n, seen = 0, set()
+    for text in _text_steps(fh, path):
+        n += len(text)
+        if alphabet is None:
+            seen.update(text)
+    if not n:
+        raise InputError(f"{path}: empty input")
+    alphabet = alphabet or _inferred(seen)
+    _check_store(path, alphabet, n)
+    chars = sorted((ord(lab), j) for j, lab in enumerate(alphabet.labels)
+                   if isinstance(lab, str) and len(lab) == 1)
     # a sentinel past every code point keeps each lookup in bounds
-    keys = np.array([*keys, 0x110000], dtype=np.uint32)
-    index = np.array([*index, 0], dtype=collectives.index_dtype(alphabet.size))
-    data = np.empty(codes.size, dtype=index.dtype)
-    chunk = collectives.CHUNK
-    for a in range(0, codes.size, chunk):
-        part = codes[a:a + chunk]
-        pos = np.searchsorted(keys, part)
-        miss = np.flatnonzero(keys[pos] != part)
+    keys = np.array([*(c for c, _ in chars), 0x110000], dtype=np.uint32)
+    index = np.array([*(j for _, j in chars), 0],
+                     dtype=collectives.index_dtype(alphabet.size))
+
+    def indices(text: str) -> np.ndarray:
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+        pos = np.searchsorted(keys, codes)
+        miss = np.flatnonzero(keys[pos] != codes)
         if miss.size:
-            alphabet.index(chr(part[miss[0]]))  # raises: label not in alphabet
-        data[a:a + chunk] = index[pos]
-    return collectives.TrialSequence(alphabet, data)
+            alphabet.index(chr(codes[miss[0]]))  # raises: label not in alphabet
+        return index[pos]
+
+    return collectives.TrialSequence.from_windows(
+        alphabet, n, (indices(text) for text in _text_steps(fh, path)))
 
 
 def _inferred(values) -> collectives.LabelAlphabet:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import erfc
 
-from collectiva.collectives import BINARY
+from collectiva.collectives import BINARY, TrialSequence, index_dtype
 
 
 # --- set-algebra closure by literal fixpoint ------------------------------------
@@ -314,6 +314,14 @@ def longest_runs_by_column(bits: np.ndarray, m: int) -> np.ndarray:
     return longest
 
 
+def block_frequency_chi2(bits: np.ndarray, block: int) -> float:
+    """The block-frequency statistic from the block means of the whole
+    unpacked word at once."""
+    nblocks = bits.size // block
+    pi = bits[: nblocks * block].reshape(nblocks, block).mean(axis=1)
+    return 4.0 * block * float(((pi - 0.5) ** 2).sum())
+
+
 def randomness_check_reference(x, family, epsilon, min_length):
     """collectives.randomness_check from subsequences built by the reference
     deciders and their frequencies at the full length."""
@@ -371,6 +379,35 @@ def digit_precision_by_search(epsilon, p: int) -> int:
 
 
 # --- trial sequences by full-length prefix sums ------------------------------------
+
+class UnpackedSequence(TrialSequence):
+    """A TrialSequence whose readers serve one index per trial from a plain
+    array (the store before binary sequences were packed one bit per trial),
+    so that every kernel can be run on both stores and compared."""
+
+    __slots__ = ("indices",)
+
+    def __init__(self, alphabet, data):
+        super().__init__(alphabet, data)
+        self.indices = np.array(data, dtype=index_dtype(alphabet.size))
+        self.indices.setflags(write=False)
+
+    def trials(self, start=0, stop=None):
+        return self.indices[start:stop]
+
+    def packed(self, stop=None):
+        return memoryview(np.packbits(self.indices[:stop]))
+
+    def label_at(self, i):
+        return self.alphabet.labels[int(self.indices[i])]
+
+    def labels(self):
+        return [self.alphabet.labels[j] for j in self.indices.tolist()]
+
+    def __eq__(self, other):
+        return (isinstance(other, TrialSequence) and self.alphabet == other.alphabet
+                and np.array_equal(self.indices, other.data))
+
 
 def cumsum_prefix_counts(data, value: int, checkpoints) -> list[int]:
     """Occurrences of `value` in data[:c] for each checkpoint c, read off one

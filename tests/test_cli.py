@@ -721,13 +721,24 @@ def test_large_ville_run_omits_the_sequence(tmp_path):
 
 def test_memory_budget_stops_raw_reads_and_ville_with_one_line(tmp_path, capsys, monkeypatch):
     f = tmp_path / "x.bin"
-    f.write_bytes(bytes(4096))
+    f.write_bytes(bytes(16384))  # held as it is read: 16384 bytes
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "10000")
     for argv in (["stabilize", str(f), "--format", "raw"], ["ville", "--n", "1000"]):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("capacity limit:") and "COLLECTIVA_MAX_MEM" in err
         assert len(err.splitlines()) == 1
+
+
+def test_a_raw_read_is_budgeted_at_one_bit_per_trial(tmp_path, monkeypatch):
+    """A raw file is held as it is read, so a budget of twice its size is
+    enough for a run over it."""
+    f = tmp_path / "x.bin"
+    f.write_bytes(np.random.default_rng(4).integers(0, 256, 4096, dtype=np.uint8).tobytes())
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(2 * 4096))
+    code, report = run(["stabilize", str(f), "--format", "raw"], tmp_path)
+    assert code == 0
+    assert report["payload"]["length"] == 8 * 4096
 
 
 # --- marginal feasibility at the float boundary ---------------------------------------

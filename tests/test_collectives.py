@@ -20,6 +20,7 @@ from collectiva.collectives import (
     LabelAlphabet,
     PlaceSelectionRule,
     RULE_CATALOGUE,
+    TrialPrefix,
     TrialSequence,
     after_pattern_rule,
     apply_selection,
@@ -47,6 +48,7 @@ from collectiva.padic import realized_trace
 from collectiva.seqio import read_sequence
 
 from _oracles import (
+    UnpackedSequence,
     check_mask_contract,
     cumsum_prefix_counts,
     randomness_check_reference,
@@ -119,6 +121,134 @@ def test_bad_indices_are_rejected_before_narrowing(bad):
         TrialSequence(BINARY, np.array(bad, dtype=np.int64))
 
 
+# --- the packed store -------------------------------------------------------------
+
+def split_at(data: np.ndarray, cuts) -> list[np.ndarray]:
+    bounds = sorted({0, len(data), *(c for c in cuts if 0 < c < len(data))})
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_packed_readers_match_the_unpacked_reference(data):
+    """trials, windows, labels, label_at, packed, ==, the past a rule is
+    handed and the window builder, on lengths that are mostly not a multiple
+    of 8 and windows that cross byte and CHUNK edges."""
+    size = data.draw(st.sampled_from([2, 2, 2, 3, 257]), label="labels")
+    alphabet = LabelAlphabet(tuple(f"s{i}" for i in range(size)))
+    n = data.draw(st.integers(0, 200), label="trials")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    idx = np.random.default_rng(seed).integers(0, size, n)
+    x, ref = TrialSequence(alphabet, idx), UnpackedSequence(alphabet, idx)
+    assert len(x) == len(ref) == n
+    assert x.labels() == ref.labels()
+    for i in range(-n - 2, n + 2):
+        if -n <= i < n:
+            assert x.label_at(i) == ref.label_at(i)
+        else:
+            with pytest.raises(IndexError):
+                x.label_at(i)
+    windows = data.draw(st.lists(st.tuples(st.integers(-n - 3, n + 3), st.integers(-n - 3, n + 3)),
+                                 max_size=12), label="windows")
+    for a, b in windows + [(0, n), (n, n), (7, 9), (8, 17)]:
+        got, want = x.trials(a, b), ref.trials(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (a, b)
+        m = max(0, min(abs(b), n))
+        past = TrialPrefix(x, m)
+        assert np.array_equal(past[a:b], ref.trials(0, m)[a:b]), (a, b, m)
+        assert np.array_equal(past[a:b:2], ref.trials(0, m)[a:b:2]), (a, b, m)
+        if -m <= a < m:
+            assert past[a] == ref.trials(0, m)[a]
+        else:
+            with pytest.raises(IndexError):
+                past[a]
+    assert np.array_equal(np.asarray(TrialPrefix(x, n)), ref.data)
+    chunk = data.draw(st.integers(1, 40), label="chunk")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "CHUNK", chunk)
+        got = [(a, w.tolist()) for a, w in x.windows()]
+        assert got == [(a, w.tolist()) for a, w in ref.windows()]
+        assert [a for a, _ in got] == list(range(0, n, chunk))
+    if size == 2:
+        for m in range(n + 1):
+            assert bytes(x.packed(m)) == bytes(ref.packed(m)), m
+    cuts = data.draw(st.lists(st.integers(0, n), max_size=8), label="cuts")
+    assert TrialSequence.from_windows(alphabet, n, split_at(idx, cuts)) == x
+    y_idx = idx.copy()
+    if n and data.draw(st.booleans(), label="differ"):
+        at = data.draw(st.integers(0, n - 1), label="at")
+        y_idx[at] = (y_idx[at] + 1) % size
+    for y_ref in (UnpackedSequence(alphabet, y_idx), UnpackedSequence(alphabet, y_idx[:-1])):
+        assert (x == TrialSequence(alphabet, y_ref.data)) == (ref == y_ref)
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
+def test_windows_that_miscount_their_trials_are_rejected(alphabet):
+    """A text read twice may change between the count and the store."""
+    with pytest.raises(InputError, match="expected 10 trials, got more"):
+        TrialSequence.from_windows(alphabet, 10, [np.zeros(6, np.uint8), np.ones(5, np.uint8)])
+    with pytest.raises(InputError, match="expected 10 trials, got 9"):
+        TrialSequence.from_windows(alphabet, 10, [np.zeros(9, np.uint8)])
+
+
+def test_padding_bits_of_a_packed_store_are_cleared():
+    x = TrialSequence.from_packed(bytes([0xFF, 0xFF]), 11)
+    assert x.labels() == ["1"] * 11
+    assert bytes(x.packed()) == bytes([0xFF, 0xE0])
+    assert x == TrialSequence.from_bits(np.ones(11, dtype=np.uint8))
+    assert bytes(x.packed(3)) == bytes([0xE0])
+    with pytest.raises(InputError, match="packed bytes"):
+        TrialSequence.from_packed(bytes(2), 17)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ternary=st.booleans(),
+    n=st.integers(1, 600).filter(lambda n: n % 8),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(8, 70),
+    coin_step=st.integers(1, 50),
+    members=st.sets(st.sampled_from("abc"), max_size=3),
+)
+def test_kernels_on_the_packed_store_equal_them_on_the_unpacked_reference(
+        ternary, n, seed, chunk, coin_step, members):
+    alphabet = TERNARY if ternary else BINARY
+    idx = np.random.default_rng(seed).integers(0, alphabet.size, n)
+    x, ref = TrialSequence(alphabet, idx), UnpackedSequence(alphabet, idx)
+    family = [rule_from_spec(s) for s in
+              ("identity", "odds", "primes", "after:" + ("ab" if ternary else "10"), "coin:3")]
+    family.append(majority_rule())
+    cps = sorted({1, n // 3 or 1, n // 2 or 1, n - 1 or 1, n})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "CHUNK", chunk)
+        mp.setattr(collectives, "COIN_STEP", coin_step)
+        assert frequencies(x, cps) == frequencies(ref, cps)
+        assert randomness_check(x, family, min_length=1) == \
+            randomness_check(ref, family, min_length=1)
+        for rule in family:
+            assert apply_selection(rule, x) == apply_selection(rule, ref), rule.describe()
+        labels = [lab for lab in alphabet.labels if not ternary or lab in members]
+        mixed = mix(x, labels)
+        assert mixed == mix(ref, labels)
+        member = np.isin(idx, [alphabet.index(lab) for lab in labels]).astype(np.uint8)
+        assert mixed == UnpackedSequence(BINARY, member)
+        for lab in alphabet.labels:
+            assert realized_trace(x, cps, label=lab) == realized_trace(ref, cps, label=lab)
+            assert np.array_equal(kamke_adversary(x, lab), kamke_adversary(ref, lab))
+    if not ternary:
+        assert seq_to_unit_interval(x) == seq_to_unit_interval(ref)
+
+
+def test_a_rule_reading_the_whole_past_gets_it_from_the_lazy_view():
+    """majority_rule takes np.cumsum of its past: a TrialPrefix is read whole
+    through np.asarray and gives the masks the index array gives."""
+    data = seeded_bits(3000, 41).data
+    x = TrialSequence(BINARY, data)
+    for start, stop in ((0, 1), (5, 6), (0, 3000), (1000, 2999)):
+        assert np.array_equal(collectives._window_mask(majority_rule(), BINARY, x, start, stop),
+                              collectives._window_mask(majority_rule(), BINARY, data, start, stop))
+
+
 # --- frequencies -------------------------------------------------------------------
 
 def test_alternating_frequencies_are_half_at_even_checkpoints():
@@ -173,7 +303,7 @@ def test_prefix_counts_match_the_running_sum_kernel(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(collectives, "CHUNK", chunk)
         for j in {0, k - 1, int(x.data[0])}:
-            assert prefix_counts(x.data, j, cps) == cumsum_prefix_counts(x.data, j, cps)
+            assert prefix_counts(x, j, cps) == cumsum_prefix_counts(x.data, j, cps)
     tr = frequencies(x, cps)
     j = int(x.data[-1])
     assert [v * c for v, c in zip(tr.values[j], cps)] == cumsum_prefix_counts(x.data, j, cps)
@@ -184,7 +314,7 @@ def test_prefix_counts_across_many_default_chunks():
     x = seeded_ternary(2 * CHUNK + 1000, 5)
     cps = [2 * CHUNK + 1000, 3, CHUNK + 1, 3, 1, 2 * CHUNK + 999]
     for j in range(3):
-        assert prefix_counts(x.data, j, cps) == cumsum_prefix_counts(x.data, j, cps)
+        assert prefix_counts(x, j, cps) == cumsum_prefix_counts(x.data, j, cps)
 
 
 def test_log_checkpoints_cover_both_ends():
@@ -599,6 +729,27 @@ def test_running_margins_stay_signed_on_byte_trials():
     assert margins.tolist() == [-1, -2, -1, 0, 1]
 
 
+@pytest.mark.parametrize("window", [61, collectives.VILLE_WINDOW])
+def test_ville_sequence_carries_the_margins_of_its_scan(window):
+    family = [rule_from_spec(s, default_seed=2) for s in ("identity", "primes", "after:10", "coin")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "VILLE_WINDOW", window)
+        x = ville_generator(family, 10_000)
+    margins = running_margins(x.data)
+    assert x.ones == int(x.data.sum())
+    assert x.min_margin == int(margins.min()) >= 0
+    assert x == TrialSequence(BINARY, x.data)
+
+
+def test_ville_scan_names_the_first_position_below_half_across_windows():
+    bits = np.ones(200, dtype=np.uint8)
+    bits[65:] = 0  # the margin 130 - n from trial 65 on: below 0 at trial 131
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "VILLE_WINDOW", 61)
+        failure, _, _ = collectives._ville_scan(bits, [], Fraction(1, 10), 1)
+    assert failure == "running mean below 1/2 at position 131"
+
+
 def test_generator_checks_the_memory_budget_first(monkeypatch):
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(1000 * collectives.VILLE_BYTES_PER_TRIAL))
     assert len(ville_generator([identity_rule()], 1000, Fraction(1, 10))) == 1000
@@ -835,6 +986,52 @@ def test_frequency_trace_of_8_mbit_peaks_under_32_mb(raw_8mbit):
         frequencies(x, log_checkpoints(len(x)))
 
     assert traced_peak_mb(trace) < 32
+
+
+@pytest.fixture(scope="module")
+def ternary_text(tmp_path_factory):
+    """10^6 seeded trials over a, b, c in lines of 100."""
+    chars = np.frombuffer(b"abc", dtype=np.uint8)[np.random.default_rng(3).integers(0, 3, 10**6)]
+    path = tmp_path_factory.mktemp("ascii") / "ternary.txt"
+    path.write_bytes(b"\n".join(chars[i:i + 100].tobytes() for i in range(0, 10**6, 100)))
+    return path
+
+
+BITSTREAM_COMMANDS = {
+    "stabilize": ["stabilize", "RAW", "--format", "raw"],
+    "randomness": ["randomness", "RAW", "--format", "raw",
+                   "--rules", "identity,primes,after:10,coin", "--seed", "1"],
+    "complexity": ["complexity", "RAW", "--format", "raw"],
+    "battery": ["battery", "RAW", "--format", "raw"],
+    "padic": ["padic", "RAW", "--format", "raw", "--label", "1"],
+    "mix": ["mix", "TEXT", "--labels", "a,c"],
+    "select": ["select", "TEXT", "--rules", "identity,evens,after:ab,coin", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", BITSTREAM_COMMANDS)
+def test_bitstream_commands_hold_one_bit_per_binary_trial(name, raw_8mbit, ternary_text,
+                                                          tmp_path):
+    """Each command of the benchmark's bitstream workload, run in-process on
+    its 8 Mbit raw input (n = 2^23 trials) or 10^6-trial text, allocates at
+    most n/8 bytes of packed trials plus 16 CHUNKs of window temporaries,
+    or 3 MB on the text: no byte per trial, so no command reads
+    TrialSequence.data of its input.  A first run on a small input loads the
+    modules outside the traced run."""
+    from collectiva.cli import main
+
+    small_raw, small_text = tmp_path / "small.raw", tmp_path / "small.txt"
+    small_raw.write_bytes(bytes(range(256)) * 4)
+    small_text.write_text("abc" * 400)
+    argv = BITSTREAM_COMMANDS[name]
+    warm = [{"RAW": str(small_raw), "TEXT": str(small_text)}.get(a, a) for a in argv]
+    assert main([*warm, "--out", str(tmp_path / "warm.json")]) == 0
+    full = [{"RAW": str(raw_8mbit), "TEXT": str(ternary_text)}.get(a, a) for a in argv]
+    code = []
+    peak = traced_peak_mb(lambda: code.append(main([*full, "--out", str(tmp_path / "r.json")])))
+    assert code == [0]
+    bound = 3.0 if "TEXT" in argv else ((1 << 23) // 8 + 16 * CHUNK) / 2**20
+    assert peak < bound, (name, peak)
 
 
 def test_min_count_below_one_is_rejected_by_name():

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collectiva import complexity
-from collectiva.collectives import CHUNK, LabelAlphabet, TrialSequence
+from collectiva import collectives
+from collectiva.collectives import BINARY, CHUNK, LabelAlphabet, TrialSequence
 from collectiva.complexity import (
     Codec,
     arith_codec,
@@ -38,7 +39,13 @@ from collectiva.complexity import (
 )
 from collectiva.errors import CodecIntegrityError, InputError
 
-from _oracles import alternating_runs_p, longest_runs_by_column, monobit_p
+from _oracles import (
+    UnpackedSequence,
+    alternating_runs_p,
+    block_frequency_chi2,
+    longest_runs_by_column,
+    monobit_p,
+)
 
 
 def random_bits(n: int, seed: int) -> np.ndarray:
@@ -328,6 +335,41 @@ def test_longest_run_counts_match_the_per_column_scan(n, kind):
                          minlength=hi - lo + 1)
     expected = nblocks * np.asarray(pis)
     assert r.statistic == float(((counts - expected) ** 2 / expected).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3000).filter(lambda n: n % 8),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0.02, 0.5, 0.97]),
+    chunk=st.integers(8, 300),
+)
+def test_curve_and_battery_on_the_packed_store_equal_them_on_the_unpacked_reference(
+        n, seed, p, chunk):
+    bits = (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
+    word, ref = TrialSequence(BINARY, bits), UnpackedSequence(BINARY, bits)
+    ns = sorted({k for k in (1, 2, 7, 9, n // 3, n - 1, n) if 1 <= k <= n})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "CHUNK", chunk)
+        mp.setattr(complexity, "CHUNK", chunk)
+        assert complexity_rate_curve(word, ns) == complexity_rate_curve(ref, ns)
+        assert complexity_rate_curve(word, [n]) == [estimate_K(bits)]
+        dips = [k for k in ns if k >= 2]
+        assert martin_lof_dip_scan(word, dips) == martin_lof_dip_scan(ref, dips)
+        for test in (monobit_test, runs_test, longest_run_test, block_frequency_test,
+                     lambda w: block_frequency_test(w, 7)):
+            assert test(word) == test(ref)
+        for block in (7, 128):
+            r = block_frequency_test(word, block)
+            assert r.skipped or r.statistic == block_frequency_chi2(bits, block)
+        assert run_battery(word) == run_battery(ref)
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 129])
+def test_block_frequency_windows_sum_as_the_whole_word(n):
+    bits = random_bits(n, n)
+    for block in (128, 100, 10**4):
+        assert block_frequency_test(bits, block).statistic == block_frequency_chi2(bits, block)
 
 
 def test_battery_on_one_hundred_seeded_uniform_megabit_words():

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collectiva.collectives import BINARY, LabelAlphabet
-from collectiva.complexity import as_bits, pack_bits
+from collectiva import seqio
+from collectiva.complexity import pack_bits
 from collectiva.errors import CapacityError, InputError
 from collectiva.report import (
     REPORT_SCHEMA,
@@ -49,22 +50,41 @@ def test_raw_round_trips_with_the_bit_packer(tmp_path):
     assert list(read_sequence(f, "raw").data) == list(bits)
 
 
-def test_raw_trials_are_bytes_shared_with_the_bit_view(tmp_path):
+def test_raw_trials_are_held_as_the_file_bytes(tmp_path):
     f = tmp_path / "x.bin"
     f.write_bytes(bytes([0x5A, 0xFF]))
     x = read_sequence(f, "raw")
-    assert x.data.dtype == np.uint8
-    assert np.shares_memory(as_bits(x), x.data)
+    assert x.trials(0, 3).dtype == np.uint8
+    assert bytes(x.packed()) == bytes([0x5A, 0xFF])
+    store = np.frombuffer(x.packed(), dtype=np.uint8)
+    assert np.shares_memory(store, np.frombuffer(x.packed(16), dtype=np.uint8))
+    assert not store.flags.writeable
 
 
-def test_raw_unpack_checks_the_memory_budget(tmp_path, monkeypatch):
+def test_raw_read_checks_the_memory_budget(tmp_path, monkeypatch):
     f = tmp_path / "x.bin"
     f.write_bytes(bytes(100))
-    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "800")
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "100")
     assert len(read_sequence(f, "raw")) == 800
-    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "799")
-    with pytest.raises(CapacityError, match="unpacking 100 raw bytes"):
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", "99")
+    with pytest.raises(CapacityError, match="holding 100 raw bytes"):
         read_sequence(f, "raw")
+
+
+@pytest.mark.parametrize("text, alphabet, nbytes", [
+    ("01\n" * 500, None, 125),  # binary: one bit per trial
+    ("abc" * 333 + "a", None, 1000),  # one byte per trial
+    ("01" * 500, LabelAlphabet(tuple("01") + tuple(range(300))), 8000),  # int64 indices
+])
+def test_text_reads_check_the_memory_budget_of_their_store(tmp_path, monkeypatch,
+                                                           text, alphabet, nbytes):
+    f = tmp_path / "x.txt"
+    f.write_text(text)
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(nbytes))
+    assert len(read_sequence(f, "ascii", alphabet)) == 1000
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(nbytes - 1))
+    with pytest.raises(CapacityError, match=f"holding 1000 trials in {nbytes} bytes"):
+        read_sequence(f, "ascii", alphabet)
 
 
 def test_raw_empty_file_is_rejected(tmp_path):
@@ -136,6 +156,39 @@ def test_ascii_parse_matches_the_per_character_parse(tmp_path_factory, data):
     x = read_sequence(f, "ascii", alphabet=None if labels is None else LabelAlphabet(labels))
     assert (x.alphabet.labels, x.data.tolist()) == want
     assert x.data.dtype == (np.uint8 if len(want[0]) <= 256 else np.int64)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_text_read_in_steps_that_cut_characters_matches_the_whole_decode(tmp_path_factory, data):
+    """Steps of 1 to 9 bytes cut 2- to 4-byte characters and invalid
+    sequences apart; the trials, and the offset an error names, are those
+    of the text decoded whole."""
+    text = data.draw(st.text(st.one_of(TEXT_CHARS, st.characters()), min_size=1, max_size=60),
+                     label="text")
+    blob = bytearray(text.encode("utf-8"))
+    if data.draw(st.booleans(), label="corrupt"):
+        at = data.draw(st.integers(0, len(blob)), label="at")
+        blob[at:at] = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80",
+                                                  b"\xf0\x9f\x98", b"\xed\xa0\x80"]),
+                                label="bad bytes")
+    f = tmp_path_factory.mktemp("steps") / "x.txt"
+    f.write_bytes(bytes(blob))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "TEXT_STEP", data.draw(st.integers(1, 9), label="step"))
+        try:
+            whole = bytes(blob).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            with pytest.raises(InputError) as err:
+                read_sequence(f, "ascii")
+            assert str(err.value) == f"{f}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            return
+        if not whole.replace("\n", "").replace("\r", ""):
+            with pytest.raises(InputError, match="empty input"):
+                read_sequence(f, "ascii")
+            return
+        x = read_sequence(f, "ascii")
+    assert (x.alphabet.labels, x.data.tolist()) == per_character_parse(whole)
 
 
 def test_ascii_over_256_distinct_characters_stores_int64(tmp_path):

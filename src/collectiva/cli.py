@@ -72,19 +72,6 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _rule_rows(reports) -> list[dict]:
-    return [
-        {
-            "rule": r.rule,
-            "selected": r.selected,
-            "frequencies": r.frequencies,
-            "max_deviation": r.max_deviation,
-            "status": r.status,
-        }
-        for r in reports
-    ]
-
-
 def _overall(reports) -> str:
     if any(r.status == "fail" for r in reports):
         return "fail"
@@ -132,13 +119,14 @@ def cmd_select(args) -> tuple[dict, list[str]]:
     x = seqio.read_sequence(args.input, args.format)
     family = _parse_rules(args.rules, _check_seed(args.seed))
     eps = _frac(args.eps)
-    base = collectives.frequencies(x, [len(x)]).final()
-    reports = collectives.randomness_check(x, family, epsilon=eps, min_length=1)
+    counts = collectives.label_counts(x, [len(x)], family)[0]
+    base, reports = collectives.rule_reports(x.alphabet, family, counts, epsilon=eps,
+                                             min_length=1)
     payload = {
         "length": len(x),
         "epsilon": eps,
         "base_frequencies": {str(k): v for k, v in base.items()},
-        "rules": _rule_rows(reports),
+        "rules": reports,
     }
     return payload, []
 
@@ -186,7 +174,7 @@ def cmd_randomness(args) -> tuple[dict, list[str]]:
         "length": len(x),
         "epsilon": eps,
         "min_count": args.min_count,
-        "rules": _rule_rows(reports),
+        "rules": reports,
         "overall": _overall(reports),
     }
     return payload, []
@@ -474,7 +462,7 @@ def cmd_ville(args) -> tuple[dict, list[str]]:
         "min_twice_ones_minus_n": x.min_margin,
         "final_mean": Fraction(x.ones, len(x)),
         "unit_interval_value": collectives.seq_to_unit_interval(x),
-        "rules": _rule_rows(reports),
+        "rules": reports,
     }
     warnings = []
     if len(x) <= 4096:

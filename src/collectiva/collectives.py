@@ -265,21 +265,14 @@ class FrequencyTrace:
         return {lab: vals[-1] for lab, vals in self.values.items()}
 
 
-def prefix_counts(x: TrialSequence, value: int, checkpoints: Sequence[int]) -> list[int]:
-    """Occurrences of `value` among the first c trials of x for each
-    checkpoint c, in the given order.  Counts each segment between sorted
-    distinct checkpoints at most CHUNK trials at a time, so no full-length
-    temporary is built."""
-    counts, total, lo = {}, 0, 0
-    for c in sorted(set(checkpoints)):
-        for a in range(lo, c, CHUNK):
-            total += int(np.count_nonzero(x.trials(a, min(a + CHUNK, c)) == value))
-        counts[c], lo = total, c
-    return [counts[c] for c in checkpoints]
-
-
-def frequencies(x: TrialSequence, checkpoints: Sequence[int]) -> FrequencyTrace:
-    """Exact rational frequency of every label at each checkpoint."""
+def label_counts(x: TrialSequence, checkpoints: Sequence[int],
+                 family: Sequence[PlaceSelectionRule] = ()) -> np.ndarray:
+    """Label counts among the first c trials of x for each checkpoint c, in
+    the given order: an int64 array of shape (checkpoints, 1 + rules,
+    labels) whose row 0 counts every trial and row i + 1 the trials that
+    family[i] retains.  One pass serves the base and every rule: it reads
+    the segments between sorted distinct checkpoints CHUNK trials at a time,
+    and takes, counts and drops each rule's window mask before the next."""
     cps = tuple(int(c) for c in checkpoints)
     if not cps:
         raise InputError("need at least one checkpoint")
@@ -287,10 +280,43 @@ def frequencies(x: TrialSequence, checkpoints: Sequence[int]) -> FrequencyTrace:
         raise InputError("checkpoints must be >= 1")
     if max(cps) > len(x):
         raise InputError(f"checkpoint {max(cps)} beyond data length {len(x)}")
-    values = {
-        lab: tuple(Fraction(k, c) for k, c in zip(prefix_counts(x, j, cps), cps))
-        for j, lab in enumerate(x.alphabet.labels)
-    }
+    total = np.zeros((1 + len(family), x.alphabet.size), dtype=np.int64)
+    at, lo = {}, 0
+    for c in sorted(set(cps)):
+        for a in range(lo, c, CHUNK):
+            b = min(a + CHUNK, c)
+            window = x.trials(a, b)
+            _add_counts(total[0], window)
+            for row, rule in zip(total[1:], family):
+                _add_counts(row, window, _window_mask(rule, x.alphabet, x, a, b))
+        at[c], lo = total.copy(), c
+    return np.stack([at[c] for c in cps])
+
+
+def _add_counts(row: np.ndarray, window: np.ndarray, mask: np.ndarray | None = None):
+    """Add to row the label counts of the window's trials, or of those the
+    mask keeps: up to 16 labels, one comparison per label but the last, which
+    takes the rest, so no selection is built; above 16, np.bincount of the
+    selection, which it reads as 8-byte indices, CHUNK / 8 at a time."""
+    size = len(row)
+    if size > 16:
+        trials, step = window if mask is None else window[mask], max(1, CHUNK >> 3)
+        for a in range(0, len(trials), step):
+            row += np.bincount(trials[a:a + step], minlength=size)
+        return
+    if mask is None:
+        part, total = [np.count_nonzero(window == j) for j in range(size - 1)], len(window)
+    else:
+        part = [np.count_nonzero(mask & (window == j)) for j in range(size - 1)]
+        total = np.count_nonzero(mask)
+    row += [*part, total - sum(part)]
+
+
+def frequencies(x: TrialSequence, checkpoints: Sequence[int]) -> FrequencyTrace:
+    """Exact rational frequency of every label at each checkpoint."""
+    cps = tuple(int(c) for c in checkpoints)
+    counts = label_counts(x, cps)[:, 0].T.tolist()
+    values = {lab: tuple(map(Fraction, row, cps)) for lab, row in zip(x.alphabet.labels, counts)}
     return FrequencyTrace(x.alphabet, cps, values)
 
 
@@ -551,36 +577,14 @@ def _window_mask(rule: PlaceSelectionRule, alphabet, data, start: int, stop: int
     return mask
 
 
-def _selections(rule: PlaceSelectionRule, x: TrialSequence):
-    """(window, mask) pairs covering x in order, one per CHUNK positions, the
-    mask marking the retained trials."""
-    for start, window in x.windows():
-        yield window, _window_mask(rule, x.alphabet, x, start, start + len(window))
-
-
 def apply_selection(rule: PlaceSelectionRule, x: TrialSequence) -> TrialSequence:
     """Subsequence of retained trials, in order.
 
     Each window's mask is handed only the trials before the window's last
     position, so no trial at or after it can be read.
     """
-    parts = (window[mask] for window, mask in _selections(rule, x))
+    parts = (w[_window_mask(rule, x.alphabet, x, a, a + len(w))] for a, w in x.windows())
     return TrialSequence(x.alphabet, np.concatenate([x.trials(0, 0), *parts]))
-
-
-def _selected_counts(rule: PlaceSelectionRule, x: TrialSequence) -> np.ndarray:
-    """Label counts of the trials the rule retains, from each window's mask: up to 16
-    labels, one masked comparison per label but the last, which takes the rest of the
-    mask's count, so no selection is built; above 16, np.bincount of the selection."""
-    size = x.alphabet.size
-    counts = np.zeros(size, dtype=np.int64)
-    for window, mask in _selections(rule, x):
-        if size > 16:
-            counts += np.bincount(window[mask], minlength=size)
-            continue
-        part = [np.count_nonzero(mask & (window == j)) for j in range(size - 1)]
-        counts += [*part, np.count_nonzero(mask) - sum(part)]
-    return counts
 
 
 @dataclass(frozen=True)
@@ -602,29 +606,36 @@ def randomness_check(
 
     A rule passes when every label frequency of the selected subsequence is
     within epsilon of the full-sequence frequency; subsequences shorter than
-    min_length are inconclusive rather than failed.  The selected label
-    counts are summed window by window; the subsequence is never built.
+    min_length are inconclusive rather than failed.  One label_counts pass
+    over x counts the base and every rule's selection; no subsequence is
+    built.
     """
+    counts = label_counts(x, [len(x)], family)[0]
+    return rule_reports(x.alphabet, family, counts, epsilon, min_length)[1]
+
+
+def rule_reports(alphabet: LabelAlphabet, family: Sequence[PlaceSelectionRule],
+                 counts: np.ndarray, epsilon=DEFAULT_EPSILON,
+                 min_length: int = 10**3) -> tuple[dict, list[RuleReport]]:
+    """(base frequencies, one RuleReport per rule) of randomness_check, from
+    the label_counts of the family at one checkpoint."""
     if not epsilon >= 0:
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
     _check_min_count(min_length)
-    base = frequencies(x, [len(x)]).final()
+    rows = counts.tolist()
+    n = sum(rows[0])
+    base = {lab: Fraction(c, n) for lab, c in zip(alphabet.labels, rows[0])}
     out = []
-    for rule in family:
-        counts = _selected_counts(rule, x)
-        selected = int(counts.sum())
+    for rule, row in zip(family, rows[1:]):
+        selected = sum(row)
         if selected < min_length:
             out.append(RuleReport(rule.describe(), selected, None, None, "inconclusive"))
             continue
-        fr = {lab: Fraction(int(c), selected) for lab, c in zip(x.alphabet.labels, counts)}
-        dev = max(abs(fr[lab] - base[lab]) for lab in x.alphabet.labels)
-        out.append(
-            RuleReport(
-                rule.describe(), selected, fr, dev,
-                "pass" if dev <= epsilon else "fail",
-            )
-        )
-    return out
+        fr = {lab: Fraction(c, selected) for lab, c in zip(alphabet.labels, row)}
+        dev = max(abs(fr[lab] - base[lab]) for lab in alphabet.labels)
+        out.append(RuleReport(rule.describe(), selected, fr, dev,
+                              "pass" if dev <= epsilon else "fail"))
+    return base, out
 
 
 def mix(x: TrialSequence, members: Iterable) -> TrialSequence:

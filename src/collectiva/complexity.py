@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .collectives import BINARY, CHUNK, TrialSequence, prefix_counts
+from .collectives import BINARY, CHUNK, TrialSequence, label_counts
 from .errors import CodecIntegrityError, InputError
 
 
@@ -420,7 +420,7 @@ def chi2_sf(chi2: float, dof: int) -> float:
 
 
 def _ones(word: TrialSequence) -> int:
-    return prefix_counts(word, 1, [len(word)])[0]
+    return int(label_counts(word, [len(word)])[0, 0, 1])
 
 
 def monobit_test(x) -> TestResult:

@@ -278,5 +278,5 @@ def realized_trace(x: collectives.TrialSequence, checkpoints: Sequence[int],
     for n in checkpoints:
         if not 1 <= n <= len(x):
             raise InputError(f"checkpoint {n} out of range")
-    counts = collectives.prefix_counts(x, j, checkpoints)
+    counts = collectives.label_counts(x, checkpoints)[:, 0, j].tolist()
     return [Fraction(k, n) for k, n in zip(counts, checkpoints)]

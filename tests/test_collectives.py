@@ -2,6 +2,7 @@
 mixing additivity, the adversarial selection, and the regular-sequence
 generator."""
 
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -32,10 +33,10 @@ from collectiva.collectives import (
     frequency_probability,
     identity_rule,
     kamke_adversary,
+    label_counts,
     log_checkpoints,
     mix,
     odds_rule,
-    prefix_counts,
     primes_rule,
     randomness_check,
     running_margins,
@@ -302,8 +303,9 @@ def test_prefix_counts_match_the_running_sum_kernel(data):
     cps = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=12), label="checkpoints")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(collectives, "CHUNK", chunk)
-        for j in {0, k - 1, int(x.data[0])}:
-            assert prefix_counts(x, j, cps) == cumsum_prefix_counts(x.data, j, cps)
+        counts = label_counts(x, cps)[:, 0]
+    for j in {0, k - 1, int(x.data[0])}:
+        assert counts[:, j].tolist() == cumsum_prefix_counts(x.data, j, cps)
     tr = frequencies(x, cps)
     j = int(x.data[-1])
     assert [v * c for v, c in zip(tr.values[j], cps)] == cumsum_prefix_counts(x.data, j, cps)
@@ -313,8 +315,46 @@ def test_prefix_counts_match_the_running_sum_kernel(data):
 def test_prefix_counts_across_many_default_chunks():
     x = seeded_ternary(2 * CHUNK + 1000, 5)
     cps = [2 * CHUNK + 1000, 3, CHUNK + 1, 3, 1, 2 * CHUNK + 999]
+    counts = label_counts(x, cps)[:, 0]
     for j in range(3):
-        assert prefix_counts(x, j, cps) == cumsum_prefix_counts(x.data, j, cps)
+        assert counts[:, j].tolist() == cumsum_prefix_counts(x.data, j, cps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.sampled_from([2, 3, 16, 17, 256]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(1, 64),
+    specs=st.lists(st.one_of(
+        st.sampled_from(["identity", "evens", "odds", "primes", "majority"]),
+        st.integers(0, 9).map(lambda k: f"coin:{k}"),
+        st.lists(st.integers(0, 255), min_size=1, max_size=3),  # an after: pattern
+    ), max_size=4),
+    cps=st.lists(st.integers(1, 300), min_size=1, max_size=10),
+)
+def test_label_counts_rows_equal_the_prefix_and_selection_oracles(size, n, seed, chunk,
+                                                                   specs, cps):
+    """Row 0 of each checkpoint is the running count of every label, row
+    i + 1 the bincount of family[i]'s selection from the checkpoint's prefix,
+    for unsorted and repeated checkpoints and CHUNKs of 1 to 64 trials."""
+    alphabet = LabelAlphabet(tuple(f"s{i}" for i in range(size)))
+    x = TrialSequence(alphabet, np.random.default_rng(seed).integers(0, size, n))
+    family = [majority_rule() if s == "majority" else rule_from_spec(s) if isinstance(s, str)
+              else after_pattern_rule(tuple(alphabet.labels[v % size] for v in s))
+              for s in specs]
+    cps = [min(c, n) for c in cps]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "CHUNK", chunk)
+        counts = label_counts(x, cps, family)
+    assert counts.dtype == np.int64 and counts.shape == (len(cps), 1 + len(family), size)
+    for j in range(size):
+        assert counts[:, 0, j].tolist() == cumsum_prefix_counts(x.data, j, cps)
+    for k, c in enumerate(cps):
+        prefix = TrialSequence(alphabet, x.data[:c])
+        for rule, row in zip(family, counts[k, 1:]):
+            want = np.bincount(apply_selection(rule, prefix).data, minlength=size)
+            assert np.array_equal(row, want), (rule.describe(), c)
 
 
 def test_log_checkpoints_cover_both_ends():
@@ -510,10 +550,12 @@ def test_window_counts_equal_the_bincount_of_the_selection(size, n, seed, coin, 
     alphabet = LabelAlphabet(tuple(f"s{i}" for i in range(size)))
     x = TrialSequence(alphabet, np.random.default_rng(seed).integers(0, size, n))
     after = after_pattern_rule(tuple(alphabet.labels[v % size] for v in pattern))
-    for rule in (identity_rule(), evens_rule(), odds_rule(), primes_rule(), after,
-                 aux_coin_rule(coin)):
+    family = (identity_rule(), evens_rule(), odds_rule(), primes_rule(), after,
+              aux_coin_rule(coin))
+    (counts,) = label_counts(x, [n], family)
+    for rule, row in zip(family, counts[1:]):
         want = np.bincount(apply_selection(rule, x).data, minlength=size)
-        assert np.array_equal(collectives._selected_counts(rule, x), want), rule.describe()
+        assert np.array_equal(row, want), rule.describe()
 
 
 def test_aux_coin_is_seed_deterministic():
@@ -605,6 +647,32 @@ def test_short_selection_is_inconclusive_not_failed():
     (report,) = randomness_check(x, [primes_rule()])  # 25 primes < 10^3
     assert report.status == "inconclusive"
     assert report.frequencies is None and report.max_deviation is None
+
+
+def failing_rule() -> PlaceSelectionRule:
+    def mask(alphabet, past, start, stop):
+        raise RuntimeError(f"mask of {start}..{stop} failed")
+
+    return PlaceSelectionRule("failing", mask)
+
+
+EDGE_FAMILIES = {"no rule": [], "one rule": [evens_rule()], "a failing rule": [failing_rule()]}
+
+
+@pytest.mark.parametrize("family", EDGE_FAMILIES.values(), ids=EDGE_FAMILIES)
+def test_randomness_of_an_empty_sequence_is_an_input_error(family):
+    """No rule's mask is asked before the empty length is rejected."""
+    with pytest.raises(InputError, match="checkpoints must be >= 1"):
+        randomness_check(TrialSequence(BINARY, np.zeros(0, dtype=np.uint8)), family)
+
+
+def test_randomness_of_no_rule_one_rule_and_a_failing_rule():
+    x = alternating(10)
+    assert randomness_check(x, [], min_length=1) == []
+    (row,) = randomness_check(x, [evens_rule()], min_length=1)
+    assert (row.selected, row.frequencies, row.status) == (5, {"0": 0, "1": 1}, "fail")
+    with pytest.raises(RuntimeError, match="mask of 0..10 failed"):
+        randomness_check(x, [evens_rule(), failing_rule()])
 
 
 # --- mixing -------------------------------------------------------------------------
@@ -1032,6 +1100,53 @@ def test_bitstream_commands_hold_one_bit_per_binary_trial(name, raw_8mbit, terna
     assert code == [0]
     bound = 3.0 if "TEXT" in argv else ((1 << 23) // 8 + 16 * CHUNK) / 2**20
     assert peak < bound, (name, peak)
+
+
+def test_randomness_over_256_labels_holds_a_few_chunks_of_temporaries():
+    """The base and three rules counted over 10^6 trials of 256 labels take
+    at most 4 CHUNK bytes of temporaries: np.bincount's 8-byte copy of its
+    input is made CHUNK / 8 trials at a time, not for a whole window."""
+    alphabet = LabelAlphabet(tuple(f"s{i}" for i in range(256)))
+    x = TrialSequence(alphabet, np.random.default_rng(4).integers(0, 256, 10**6))
+    family = [rule_from_spec(s) for s in ("identity", "primes", "coin:1")]
+    randomness_check(x, family)  # loads the rules' modules outside the traced run
+    assert traced_peak_mb(lambda: randomness_check(x, family)) * 2**20 < 4 * CHUNK
+
+
+READING_COMMANDS = {  # argv, and the trials read per input trial
+    "stabilize": (["stabilize", "RAW", "--format", "raw"], 1),
+    "padic": (["padic", "RAW", "--format", "raw", "--label", "1"], 1),
+    "randomness": (["randomness", "RAW", "--format", "raw", "--rules", "identity,primes,coin"], 1),
+    "select": (["select", "TEXT", "--rules", "identity,evens,coin"], 1),
+    "mix": (["mix", "TEXT", "--labels", "a,c"], 3),  # the input, the mixed sequence, the input
+}
+
+
+@pytest.mark.parametrize("name", READING_COMMANDS)
+def test_each_command_counts_a_sequence_in_one_pass(name, tmp_path, monkeypatch):
+    """The trials each command reads through TrialSequence.trials, leaving
+    out the past that rules read through TrialPrefix: one pass over each
+    sequence it counts, whatever its labels and rules."""
+    from collectiva.cli import main
+
+    raw, text = tmp_path / "in.raw", tmp_path / "in.txt"
+    raw.write_bytes(np.random.default_rng(7).integers(0, 256, 4096, dtype=np.uint8).tobytes())
+    text.write_bytes(np.frombuffer(b"abc", np.uint8)[np.random.default_rng(8).integers(0, 3, 3000)])
+    argv, passes = READING_COMMANDS[name]
+    n = 8 * 4096 if "RAW" in argv else 3000
+    trials, read = TrialSequence.trials, []
+    rule_reads = {TrialPrefix.__getitem__.__code__, TrialPrefix.__array__.__code__}
+
+    def counted(self, start=0, stop=None):
+        out = trials(self, start, stop)
+        if sys._getframe(1).f_code not in rule_reads:
+            read.append(len(out))
+        return out
+
+    monkeypatch.setattr(TrialSequence, "trials", counted)
+    full = [{"RAW": str(raw), "TEXT": str(text)}.get(a, a) for a in argv]
+    assert main([*full, "--out", str(tmp_path / "r.json")]) == 0
+    assert sum(read) == passes * n
 
 
 def test_min_count_below_one_is_rejected_by_name():

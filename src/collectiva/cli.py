@@ -227,10 +227,7 @@ def cmd_battery(args) -> tuple[dict, list[str]]:
 
 def _family_from_input(args) -> tuple[marginals.MarginalFamily, marginals.CorrelationTriple | None]:
     if args.format == "csv" or args.input.endswith(".csv"):
-        import io
-
-        text = io.StringIO(seqio.read_text(args.input), newline="")
-        rows = [r for r in seqio.csv_rows(text, args.input) if r and any(s.strip() for s in r)]
+        rows = [r for r in seqio.csv_rows(args.input) if any(s.strip() for s in r)]
         return marginals.family_from_csv_rows(rows), None
     doc = seqio.read_json(args.input)
     if not isinstance(doc, dict):

@@ -96,9 +96,13 @@ class Codec:
         return pos == len(data)
 
 
-def _deflate_compress(data: bytes) -> bytes:
-    co = zlib.compressobj(9, zlib.DEFLATED, -15)
-    return co.compress(data) + co.flush()
+def _deflate_compress(data: bytes) -> bytearray:
+    """The raw-DEFLATE stream of data, fed CHUNK bytes at a time into one buffer."""
+    co, view, out = zlib.compressobj(9, zlib.DEFLATED, -15), memoryview(data), bytearray()
+    for a in range(0, len(view), CHUNK):
+        out += co.compress(view[a:a + CHUNK])
+    out += co.flush()
+    return out
 
 
 def _deflate_decompress(blob: bytes) -> Iterator[bytes]:

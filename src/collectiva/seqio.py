@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import itertools
 import json
 import re
 import sys
@@ -15,8 +16,8 @@ from . import collectives
 from .errors import CapacityError, InputError, check_mem, echo, echoed
 
 FORMATS = ("raw", "ascii", "csv")
-# bytes of UTF-8 text decoded per step of the ascii reader: the step's code-point
-# lookup holds about 18 bytes per character
+# bytes of UTF-8 text decoded per step of the ascii reader, whose code-point
+# lookup holds about 18 bytes per character, and labels per step of the csv reader
 TEXT_STEP = 1 << 15
 # what a *_from_document reader reports as a malformed document
 MALFORMED = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
@@ -31,32 +32,25 @@ def read_sequence(path, fmt: str, alphabet: collectives.LabelAlphabet | None = N
 
     raw: each byte is 8 trials, most-significant bit first, alphabet 0/1;
     the file's bytes are the sequence's store.
-    ascii: one character per trial, newlines ignored; the text is read
-    TEXT_STEP bytes at a time, and only the store is held.
-    csv: one label per row.
-    Each reader declares to check_mem the bytes it holds: the store's, and
-    the file's where it holds the whole file.
+    ascii: one character per trial, newlines ignored, TEXT_STEP bytes a step.
+    csv: one label per non-empty row of csv_rows, its first field stripped,
+    TEXT_STEP labels a step.  Both are read in two passes by _from_steps,
+    which holds only the store.  Each reader declares its store to check_mem.
     """
     if fmt == "ascii":
         try:
             with open(path, "rb") as fh:
-                return _from_text(fh, path, alphabet)
+                return _from_steps(lambda: _text_steps(fh, path), path, alphabet)
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
-    blob = _read_bytes(path)
+    if fmt == "csv":
+        return _from_steps(lambda: _csv_steps(path), path, alphabet)
     if fmt == "raw":
+        blob = _read_bytes(path)
         if not blob:
             raise InputError(f"{path}: empty input")
         check_mem(len(blob), f"{path}: holding {len(blob)} raw bytes of trials")
         return collectives.TrialSequence.from_packed(blob, 8 * len(blob))
-    if fmt == "csv":
-        rows = [r for r in csv_rows(_decode_text(blob, path).splitlines(), path) if r]
-        if not rows:
-            raise InputError(f"{path}: empty input")
-        vals = [r[0].strip() for r in rows]
-        alphabet = alphabet or _inferred(vals)
-        _check_store(path, alphabet, len(vals), len(blob))
-        return collectives.TrialSequence.from_labels(alphabet, vals)
     raise InputError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -67,23 +61,28 @@ def _read_bytes(path) -> bytes:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _decode_text(blob: bytes, path) -> str:
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; unreadable or undecodable input is an
+    InputError."""
     try:
-        return blob.decode("utf-8")
+        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
-def read_text(path) -> str:
-    """The whole file as UTF-8 text; unreadable or undecodable input is an
+def csv_rows(path) -> Iterator[list[str]]:
+    """The csv rows of the file's UTF-8 text, streamed as they are read; a
+    row ends only at a \\n, \\r or \\r\\n outside quotes.  Unreadable or
+    undecodable input, or a field past csv.field_size_limit(), is an
     InputError."""
-    return _decode_text(_read_bytes(path), path)
-
-
-def csv_rows(lines, path) -> Iterator[list[str]]:
-    """The csv rows of the lines; a field past csv.field_size_limit() is an InputError."""
     try:
-        yield from csv.reader(lines)
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from csv.reader(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        read_text(path)  # raises the error that names the byte's offset in the file
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:
         raise InputError(f"{path}: invalid csv: {exc}") from exc
 
@@ -98,17 +97,10 @@ def read_json(path):
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _check_store(path, alphabet: collectives.LabelAlphabet, n: int, held: int = 0):
-    """check_mem of the store of n trials over the alphabet, beside `held`
-    bytes of the file."""
-    nbytes = held + collectives.store_bytes(alphabet.size, n)
-    check_mem(nbytes, f"{path}: holding {n} trials in {nbytes} bytes")
-
-
 def _text_steps(fh, path) -> Iterator[str]:
     """The UTF-8 text of the file without its newlines and carriage returns,
     read and decoded TEXT_STEP bytes at a time from its start; an invalid
-    byte is an InputError that names its offset, as _decode_text does."""
+    byte is an InputError that names its offset, as read_text does."""
     fh.seek(0)
     decoder = codecs.getincrementaldecoder("utf-8")()
     offset = 0  # of the step in the file
@@ -126,52 +118,60 @@ def _text_steps(fh, path) -> Iterator[str]:
         offset += len(step)
 
 
-def _from_text(fh, path, alphabet: collectives.LabelAlphabet | None
-               ) -> collectives.TrialSequence:
-    """One trial per character of the open file's text, in two passes over
-    it.  The first counts the trials and, without an alphabet, collects the
-    distinct characters, sorted into one.  The second looks each step's code
-    points up among the sorted codes of the single-character labels and
-    stores their indices as they come."""
+def _csv_steps(path) -> Iterator[list[str]]:
+    """The stripped first fields of the file's non-empty csv rows, TEXT_STEP
+    at a time."""
+    labels = (row[0].strip() for row in csv_rows(path) if row)
+    while step := list(itertools.islice(labels, TEXT_STEP)):
+        yield step
+
+
+def _from_steps(steps, path, alphabet: collectives.LabelAlphabet | None
+                ) -> collectives.TrialSequence:
+    """One trial per label of the steps that each call of steps() yields: a
+    str of one-character labels, or a list of labels.  The first pass counts
+    the trials and, without an alphabet, collects the distinct labels,
+    sorted into one.  The second maps each step to label indices and stores
+    them as they come: a str by looking its code points up among the sorted
+    codes of the single-character labels, a list label by label."""
     import numpy as np
 
     n, seen = 0, set()
-    for text in _text_steps(fh, path):
-        n += len(text)
+    for step in steps():
+        n += len(step)
         if alphabet is None:
-            seen.update(text)
+            seen.update(step)
     if not n:
         raise InputError(f"{path}: empty input")
     alphabet = alphabet or _inferred(seen)
-    _check_store(path, alphabet, n)
+    nbytes = collectives.store_bytes(alphabet.size, n)
+    check_mem(nbytes, f"{path}: holding {n} trials in {nbytes} bytes")
     chars = sorted((ord(lab), j) for j, lab in enumerate(alphabet.labels)
                    if isinstance(lab, str) and len(lab) == 1)
     # a sentinel past every code point keeps each lookup in bounds
     keys = np.array([*(c for c, _ in chars), 0x110000], dtype=np.uint32)
-    index = np.array([*(j for _, j in chars), 0],
-                     dtype=collectives.index_dtype(alphabet.size))
+    index = np.array([*(j for _, j in chars), 0], dtype=collectives.index_dtype(alphabet.size))
 
-    def indices(text: str) -> np.ndarray:
-        codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    def indices(step) -> np.ndarray:
+        if not isinstance(step, str):
+            return np.fromiter(map(alphabet.index, step), dtype=index.dtype, count=len(step))
+        codes = np.frombuffer(step.encode("utf-32-le"), dtype="<u4")
         pos = np.searchsorted(keys, codes)
         miss = np.flatnonzero(keys[pos] != codes)
         if miss.size:
             alphabet.index(chr(codes[miss[0]]))  # raises: label not in alphabet
         return index[pos]
 
-    return collectives.TrialSequence.from_windows(
-        alphabet, n, (indices(text) for text in _text_steps(fh, path)))
+    return collectives.TrialSequence.from_windows(alphabet, n, map(indices, steps()))
 
 
 def _inferred(values) -> collectives.LabelAlphabet:
+    """The sorted distinct values; a constant input still needs a 2-letter
+    alphabet, so its one value is padded with a sentinel."""
     uniq = tuple(sorted(set(values)))
-    return collectives.LabelAlphabet(uniq) if len(uniq) >= 2 else _padded(uniq)
-
-
-def _padded(labels: tuple) -> collectives.LabelAlphabet:
-    """A constant input still needs a 2-letter alphabet; pad with a sentinel."""
-    pad = "\x00" if "\x00" not in labels else "\x01"
-    return collectives.LabelAlphabet(tuple(labels) + (pad,))
+    if len(uniq) == 1:
+        uniq += ("\x00" if "\x00" not in uniq else "\x01",)
+    return collectives.LabelAlphabet(uniq)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -197,10 +197,8 @@ def parse_rational(text: str) -> Fraction:
 def read_rationals(path) -> list[Fraction]:
     """One rational per row: "n/d", integer, or decimal."""
     out = []
-    for i, row in enumerate(csv_rows(read_text(path).splitlines(), path)):
-        if not row:
-            continue
-        s = row[0].strip()
+    for i, row in enumerate(csv_rows(path)):
+        s = row[0].strip() if row else ""
         if not s:
             continue
         try:

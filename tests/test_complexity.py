@@ -3,6 +3,7 @@ finite randomness-test battery, and the measured codec constants."""
 
 import math
 import tracemalloc
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,40 @@ def test_codec_round_trip_on_arbitrary_bytes(data):
     for make in (deflate_codec, arith_codec):
         codec = make()
         assert codec.decompress(codec.compress(data)) == data
+
+
+def one_shot_deflate(data: bytes) -> bytes:
+    co = zlib.compressobj(9, zlib.DEFLATED, -15)
+    return co.compress(data) + co.flush()
+
+
+@pytest.mark.parametrize("name", ["random", "all-zero run", "1 bit per byte", "10% ones packed"])
+def test_deflate_in_chunks_equals_the_one_shot_stream(monkeypatch, name):
+    """Fed in steps of a small CHUNK, over three of them and a remainder."""
+    monkeypatch.setattr(complexity, "CHUNK", 4096)
+    rng = np.random.default_rng(52)
+    n = 3 * 4096 + 1234
+    data = {
+        "random": lambda: rng.integers(0, 256, n, dtype=np.uint8).tobytes(),
+        "all-zero run": lambda: bytes(n),
+        "1 bit per byte": lambda: rng.integers(0, 2, n, dtype=np.uint8).tobytes(),
+        "10% ones packed": lambda: pack_bits(rng.random(8 * n) < 0.1),
+    }[name]()
+    assert complexity._deflate_compress(data) == one_shot_deflate(data)
+
+
+def test_deflate_holds_its_output_once():
+    """The compressed word and a few CHUNKs of compressor state and pieces;
+    the one-shot stream held it twice over (2.6 MB here)."""
+    data = np.random.default_rng(53).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+    tracemalloc.start()
+    try:
+        out = complexity._deflate_compress(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(out) + 4 * CHUNK
+    assert out == one_shot_deflate(data)
 
 
 def test_codecs_are_deterministic():

@@ -333,7 +333,7 @@ def _metric_dict(v) -> dict | None:
 
 
 def cmd_padic(args) -> tuple[dict, list[str]]:
-    ctx = padic.PAdicContext(args.prime, args.precision)
+    ctx = padic.PAdicContext(args.prime)
     eps_real = _frac(args.eps)
     eps_padic = _frac(args.padic_eps)
     if args.format == "csv":
@@ -350,7 +350,6 @@ def cmd_padic(args) -> tuple[dict, list[str]]:
     )
     payload = {
         "prime": ctx.p,
-        "precision": ctx.precision,
         "source": source,
         "count": len(vals),
         "final_value": vals[-1],
@@ -545,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: first alphabet label)")
     p_padic.add_argument("--padic-eps", default=f"1/{2**20}", metavar="X",
                          help="p-adic stabilization tolerance (default 1/2^20)")
-    p_padic.add_argument("--precision", type=int, default=64, metavar="D",
-                         help="expansion digits to carry (default 64)")
     p_signed = add("signed", cmd_signed,
                    "diagnostics and weak-law table of a signed weight system")
     p_signed.add_argument("--n", type=int, default=256, metavar="N",

@@ -15,7 +15,7 @@ selections must be excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -40,13 +40,15 @@ VILLE_WINDOW = 1 << 12
 @dataclass(frozen=True)
 class LabelAlphabet:
     labels: tuple
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         if len(labels) < 2:
             raise InputError("alphabet needs at least two labels")
-        if len(set(labels)) != len(labels):
+        object.__setattr__(self, "_positions", {v: i for i, v in enumerate(labels)})
+        if len(self._positions) != len(labels):
             raise InputError("alphabet labels must be distinct")
 
     @property
@@ -55,8 +57,8 @@ class LabelAlphabet:
 
     def index(self, label) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InputError(f"label {label!r} not in alphabet {self.labels!r}") from None
 
 

@@ -18,9 +18,12 @@ column generation (Dantzig & Wolfe 1960; Gilmore & Gomory 1961): it starts on
 as many atoms as the LP has rows and adds, warm by the primal simplex, the
 atoms its row duals price positive, a round at a time, so it holds the whole
 support only when it must.  Float families take its answer ("lp-highs"); exact ones get
-it certified in `Fraction` ("lp-certified"): a witness, or a Farkas vector y
+it certified exactly ("lp-certified"): a witness, or a Farkas vector y
 with A^T y <= 0 < b.y on every atom, a Boole/Bell-type inequality the marginals
-violate.  Disagreeing overlaps: "marginal-consistency".
+violate.  HiGHS's rationalized duals are that y when they pass the check; otherwise
+one exact simplex decides from HiGHS's final basis (Applegate, Cook, Dash & Espinoza
+2007), its tableau in integers over one common denominator (Edmonds 1967).
+Disagreeing overlaps: "marginal-consistency".
 
 HiGHS is called through the pybind11 bindings SciPy ships as
 scipy/optimize/_highspy/_core, loaded from their file: `import scipy.optimize`
@@ -87,6 +90,8 @@ class JointPMF:
         for t, m in mass.items():
             if t not in support:
                 raise InputError(f"mass assigned to out-of-range tuple {t!r}")
+            if isinstance(m, bool) or not isinstance(m, numbers.Real):
+                raise InputError(f"mass {echo(repr(m))} at {t!r} is not a number")
             if m < 0 and (is_exact(m) or m < -FLOAT_TOL):
                 raise InputError(f"negative mass {m} at {t!r}")
         total = sum(mass.values())
@@ -197,29 +202,32 @@ class FeasibilityVerdict:
     method: str = ""
 
 
-def _pivot(T: list[list], r: int, c: int):
-    """Scale row r so T[r][c] == 1 and clear column c from every other row."""
-    piv = Fraction(T[r][c])
-    T[r] = [v / piv if v else v for v in T[r]]
-    nz = [(j, v) for j, v in enumerate(T[r]) if v]
+def _pivot(T: list[list[int]], r: int, c: int, d: int) -> int:
+    """Integer-preserving Gauss-Jordan pivot on T[r][c] (Edmonds 1967), in place: T holds d
+    times a tableau and afterwards p = T[r][c] times that tableau pivoted; returns p.  Row r
+    stays, every division is exact (Sylvester's identity)."""
+    p, pr = T[r][c], T[r]
     for i, row in enumerate(T):
         f = row[c]
         if i != r and f:
-            for j, v in nz:
-                row[j] -= f * v
+            T[i] = [(p * u - f * v) // d for u, v in zip(row, pr)]
+        elif i != r and p != d:
+            T[i] = [p * u // d for u in row]
+    return p
 
 
-def _row_reduce(T: list[list], ncols: int) -> list[int]:
-    """Gauss-Jordan on the first ncols columns of T, in place; returns the
-    pivot column of each leading row (the rows below are zero there)."""
-    pivots: list[int] = []
+def _row_reduce(T: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Integer-preserving Gauss-Jordan on the first ncols columns of T, in place; returns
+    the pivot column of each leading row (the rows below are zero there) and d, the value
+    of every pivot entry: T / d is the reduced matrix."""
+    pivots, d = [], 1
     for c in range(ncols):
         pr = next((i for i in range(len(pivots), len(T)) if T[i][c] != 0), None)
         if pr is not None:
             T[len(pivots)], T[pr] = T[pr], T[len(pivots)]
-            _pivot(T, len(pivots), c)
+            d = _pivot(T, len(pivots), c, d)
             pivots.append(c)
-    return pivots
+    return pivots, d
 
 
 def _check_cells(cells: int, what: str, cap: float = math.inf):
@@ -241,44 +249,48 @@ def _price(R: np.ndarray, y: list) -> np.ndarray:
         [v.numerator * (scale // v.denominator) for v in y] + [0], dtype=object))
 
 
-def _support_solve(R: np.ndarray, b: list[Fraction], atoms) -> dict | None:
-    """The exact solution of A_S x = b on the atoms S, free columns at 0, if it is >= 0."""
-    _check_cells(len(b) * (len(atoms) + 1), "exact support solve", SUPPORT_CAP)
-    T = [[0] * len(atoms) + [v] for v in b]
-    for k, j in enumerate(atoms):
-        for r in R[:, j][R[:, j] >= 0]:
-            T[r][k] = 1
-    pivots = _row_reduce(T, len(atoms))
-    if any(row[-1] for row in T[len(pivots):]) or any(row[-1] < 0 for row in T):
-        return None
-    return {atoms[c]: T[i][-1] for i, c in enumerate(pivots) if T[i][-1]}
-
-
-def _repair_simplex(R: np.ndarray, b: list[Fraction], atoms) -> tuple:
-    """Exact phase-1 simplex (Bland's rule), min 1.a s.t. A_S x + a = b, on the atoms S; atoms
-    its dual y prices positive join, at most m a round, until it decides: (witness, None) or
-    (None, b.y).  Rows [b_i | B^-1 | atoms], the last [-objective | -y | reduced costs]."""
-    m = len(b)
-    basis, cols, new, T = list(range(1, m + 1)), [], list(atoms), None
+def _repair_simplex(R: np.ndarray, b: list[Fraction], basic: np.ndarray) -> tuple:
+    """Exact phase-1 simplex (Bland's rule), min 1.a s.t. A_S x + a = b, from the basis
+    `basic` (a mask over (x, a)) on its atoms S; atoms its dual y prices positive join, at
+    most m a round, until it decides: (witness, None) or (None, b.y).  The tableau holds
+    d [L b | B^-1 | atoms] in integers, L the lcm of b's denominators, its last row
+    d [-L objective | -y | reduced costs].  Each atom of `basic` enters as it joins, in the
+    first row that still holds its artificial, one `basic` leaves nonbasic, and where the
+    atom's entry is nonzero; a start that is not exactly primal feasible is made again from
+    the artificials (every one in `basic`), on the same atoms."""
+    m, n = len(b), R.shape[1]
+    L = math.lcm(*(v.denominator for v in b))
+    basis, cols, new, T, d = list(range(1, m + 1)), [], np.flatnonzero(basic[:n]), None, 1
     while True:
         _check_cells((m + 1) * (1 + m + len(cols) + len(new)), "exact repair tableau", SUPPORT_CAP)
-        if T is None:  # built only once the first round's cells pass the check
-            T = [[v] + [int(i == r) for i in range(m)] for r, v in enumerate(b)]
-            T.append([-sum(b)] + [-1] * m)
+        if start := T is None:  # built only once the first round's cells pass the check
+            T = [[v.numerator * (L // v.denominator)] + [int(i == r) for i in range(m)]
+                 for r, v in enumerate(b)]
+            T.append([-sum(row[0] for row in T)] + [-1] * m)
         for j in new:
             rows = [1 + r for r in R[:, j] if r >= 0]
             for row in T:
                 row.append(sum(row[r] for r in rows))
+            if start:  # entering as it joins, no pivot updates a column that joins later
+                c = len(T[-1]) - 1
+                r = next((i for i in range(m) if basis[i] <= m and not basic[n + i] and T[i][c]),
+                         None)
+                if r is not None:
+                    d, basis[r] = _pivot(T, r, c, d), c
         cols.extend(new)
+        if d < 0:
+            T, d = [[-v for v in row] for row in T], -d
+        if start and any(row[0] < 0 for row in T[:m]):
+            return _repair_simplex(R, b, np.r_[basic[:n], np.ones(m, bool)])
         while (c := next((c for c in range(1 + m, len(T[-1])) if T[-1][c] < 0), None)):
-            r = min((T[i][0] / T[i][c], basis[i], i) for i in range(m) if T[i][c] > 0)[2]
-            _pivot(T, r, c)
-            basis[r] = c
+            r = min((Fraction(T[i][0], T[i][c]), basis[i], i) for i in range(m) if T[i][c] > 0)[2]
+            d, basis[r] = _pivot(T, r, c, d), c
         if T[-1][0] == 0:
-            return {cols[c - 1 - m]: T[i][0] for i, c in enumerate(basis) if c > m and T[i][0]}, None
+            return {cols[c - 1 - m]: Fraction(T[i][0], d * L)
+                    for i, c in enumerate(basis) if c > m and T[i][0]}, None
         new = np.flatnonzero(_price(R, [-v for v in T[-1][1:m + 1]]) > 0)[:m]
         if not len(new):
-            return None, -T[-1][0]
+            return None, Fraction(-T[-1][0], d * L)
 
 
 def _load_highs(directory):
@@ -366,13 +378,13 @@ def _phase1_lp(highs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xa, duals
 
 
-def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The optimal (x, a) and row duals of the phase-1 LP on every atom of R, by delayed
-    column generation: HiGHS solves on the m = len(b) atoms with the largest sum of log
-    masses of their rows (on all of them when there are at most m), then, warm, on those and at
-    most m a round of the atoms its duals price above its dual tolerance, most positive
-    first, until none is.  The last optimum is one of the full LP, its duals feasible
-    for every atom."""
+def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The optimal (x, a), row duals and final basis (a mask over (x, a)) of the phase-1 LP
+    on every atom of R, by delayed column generation: HiGHS solves on the m = len(b) atoms
+    with the largest sum of log masses of their rows (on all of them when there are at most
+    m), then, warm, on those and at most m a round of the atoms its duals price above its
+    dual tolerance, most positive first, until none is.  The last optimum is one of the
+    full LP, its duals feasible for every atom."""
     m, n = len(b), R.shape[1]
     logs = np.r_[np.log(b, out=np.full(m, -np.inf), where=b > 0), 0.0]
     order = np.sort(np.argsort(-_row_sums(R, logs), kind="stable")[:m])
@@ -391,9 +403,13 @@ def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # solve re-optimize by the primal simplex (Desrosiers & Luebbecke 2005)
         _set_option(highs, "simplex_strategy",
                     int(_highs().simplex_constants.SimplexStrategy.kSimplexStrategyPrimal))
-    x = np.zeros(n + m)
-    x[order], x[n:] = np.r_[xa[:first], xa[first + m:]], xa[first:first + m]
-    return x, duals
+    # basic columns (a basic row reads -1 - row); any mask is a start the simplex repairs
+    basic, cols = np.zeros(len(xa), bool), highs.getBasicVariables()[1]
+    basic[cols[cols >= 0]] = True
+    x, mask = np.zeros(n + m), np.zeros(n + m, bool)
+    for out, v in ((x, xa), (mask, basic)):
+        out[order], out[n:] = np.concatenate((v[:first], v[first + m:])), v[first:first + m]
+    return x, duals, mask
 
 
 def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
@@ -405,8 +421,8 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     in no earlier pmf's index set, plus the total-mass row.  Overlaps that agree make every
     dropped cell's equation a signed sum of kept ones, right-hand sides included, so the
     LP has as many rows as the cells' rank.  Float families take its answer; exact ones
-    its dual y if A^T y <= 0 < b.y holds exactly on every atom, else an exact solve on its
-    support, else the repair simplex.  A witness is checked on every cell of every pmf."""
+    its dual y if A^T y <= 0 < b.y holds exactly on every atom, else the repair simplex
+    from its final basis.  A witness is checked on every cell of every pmf."""
     ok, violations = family.no_signaling
     if not ok:
         worst = max(violations, key=lambda v: v[3])
@@ -416,11 +432,8 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     names = family.observables()
     ranges = {o: family.range_of(o) for o in names}
     dims = [len(ranges[o]) for o in names]
-    support = 1
-    for d in dims:
-        support *= d
-        if support > SUPPORT_CAP:
-            raise CapacityError(f"joint support exceeds {SUPPORT_CAP} atoms")
+    if (support := math.prod(dims)) > SUPPORT_CAP:
+        raise CapacityError(f"joint support exceeds {SUPPORT_CAP} atoms")
     _check_cells((len(family.pmfs) + 1) * support, "feasibility LP")
 
     # R[k, j]: atom j's row among pmf k's kept cells, -1 for a dropped one; the last block
@@ -442,12 +455,12 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
     R[-1] = len(rhs)
     rhs.append(Fraction(1) if family.exact else 1.0)
 
-    xa, duals = _priced_phase1(R, np.array([float(v) for v in rhs]))
-    x, method = xa[:support], "lp-certified" if family.exact else "lp-highs"
+    xa, duals, basic = _priced_phase1(R, np.array([float(v) for v in rhs]))
+    method = "lp-certified" if family.exact else "lp-highs"
     if not family.exact:
         if xa[support:].max() > FLOAT_SLACK:  # per cell, as _verify_witness checks
             return FeasibilityVerdict(False, violated=("linear-system", None), method=method)
-        mass = {j: float(x[j]) for j in np.flatnonzero(x > 1e-15)}
+        mass = {j: float(xa[j]) for j in np.flatnonzero(xa[:support] > 1e-15)}
         total = sum(mass.values())
         mass = {j: v / total for j, v in mass.items()}
     else:
@@ -455,9 +468,7 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
         y = [Fraction(v).limit_denominator() for v in duals]
         by, mass = sum(u * v for u, v in zip(b, y)), None
         if not (by > 0 and (_price(R, y) <= 0).all()):
-            mass = _support_solve(R, b, np.flatnonzero(x > 0))
-            if mass is None:
-                mass, by = _repair_simplex(R, b, np.flatnonzero(x > 0))
+            mass, by = _repair_simplex(R, b, basic)
         if mass is None:
             return FeasibilityVerdict(False, violated=("farkas", by), method=method)
     digits = np.unravel_index(list(mass), dims or [1])  # no pmfs: one empty atom
@@ -504,20 +515,17 @@ class CorrelationTriple:
         return (self.e12, self.e23, self.e13)
 
 
-def _rational_nullspace_vector(rows: list[list[Fraction]]):
-    """One nonzero nullspace vector of a (d x d+1) rational matrix, or None
-    if the nullspace is not one-dimensional."""
-    m = [row[:] for row in rows]
-    ncols = len(m[0])
-    pivots = _row_reduce(m, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+def _nullspace_vector(m: list[list[int]]):
+    """One nonzero nullspace vector of a (d x d+1) integer matrix, in integers, or None
+    if the nullspace is not one-dimensional; m is row-reduced in place."""
+    pivots, d = _row_reduce(m, len(m[0]))
+    free = [c for c in range(len(m[0])) if c not in pivots]
     if len(free) != 1:
         return None
-    fc = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[fc] = Fraction(1)
+    vec = [0] * len(m[0])
+    vec[free[0]] = d
     for i, pc in enumerate(pivots):
-        vec[pc] = -m[i][fc]
+        vec[pc] = -m[i][free[0]]
     return vec
 
 
@@ -532,33 +540,24 @@ def correlation_facets(n_obs: int) -> tuple[tuple[tuple[Fraction, ...], Fraction
         raise InputError("need at least two observables")
     pairs = list(itertools.combinations(range(n_obs), 2))
     d = len(pairs)
-    verts = sorted(
-        {
-            tuple(Fraction(a[i] * a[j]) for i, j in pairs)
-            for a in itertools.product((1, -1), repeat=n_obs)
-        }
-    )
+    verts = sorted({tuple(a[i] * a[j] for i, j in pairs)
+                    for a in itertools.product((1, -1), repeat=n_obs)})
     facets = set()
     for sub in itertools.combinations(verts, d):
-        rows = [list(v) + [Fraction(1)] for v in sub]
-        vec = _rational_nullspace_vector(rows)
+        vec = _nullspace_vector([list(v) + [1] for v in sub])
         if vec is None:
             continue
-        c, negb = vec[:d], vec[d]
-        bound = -negb
+        c, bound = vec[:d], -vec[d]
         vals = [sum(ci * vi for ci, vi in zip(c, v)) for v in verts]
-        if all(v <= bound for v in vals):
-            pass
-        elif all(v >= bound for v in vals):
-            c, bound = [-ci for ci in c], -bound
-        else:
+        if all(v >= bound for v in vals):
+            c, bound, vals = [-ci for ci in c], -bound, [-v for v in vals]
+        elif not all(v <= bound for v in vals):
             continue
-        if all(v == bound for v in (sum(ci * vi for ci, vi in zip(c, v)) for v in verts)):
+        if all(v == bound for v in vals):
             continue  # degenerate: not a proper face
         if bound <= 0:
             continue  # origin (uniform joint) is interior, so every facet has bound > 0
-        scale = bound
-        facets.add((tuple(ci / scale for ci in c), Fraction(1)))
+        facets.add((tuple(Fraction(ci, bound) for ci in c), Fraction(1)))
     return tuple(sorted(facets))
 
 

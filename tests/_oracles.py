@@ -162,6 +162,39 @@ def simplex_feasible(family) -> bool:
     return _phase1_simplex(rows, rhs) is not None
 
 
+def fraction_row_reduce(T: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan on the first ncols columns of T in Fractions, in place, each pivot row
+    scaled to 1 at its pivot; returns the pivot column of each leading row."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        pr = next((i for i in range(len(pivots), len(T)) if T[i][c] != 0), None)
+        if pr is None:
+            continue
+        k = len(pivots)
+        T[k], T[pr] = T[pr], T[k]
+        T[k] = [Fraction(v) / T[k][c] for v in T[k]]
+        for i, row in enumerate(T):
+            f = row[c]
+            if i != k and f:
+                T[i] = [u - f * v for u, v in zip(row, T[k])]
+        pivots.append(c)
+    return pivots
+
+
+def support_solve(R: np.ndarray, b: list, atoms) -> dict | None:
+    """The exact solution of A_S x = b on the atoms S, free columns at 0, if it is >= 0, by
+    Fraction Gauss-Jordan.  When the columns of S are independent it is the one point of
+    the LP on them, so a witness it returns unchanged is a vertex."""
+    T = [[0] * len(atoms) + [v] for v in b]
+    for k, j in enumerate(atoms):
+        for r in R[:, j][R[:, j] >= 0]:
+            T[r][k] = 1
+    pivots = fraction_row_reduce(T, len(atoms))
+    if any(row[-1] for row in T[len(pivots):]) or any(row[-1] < 0 for row in T):
+        return None
+    return {atoms[c]: T[i][-1] for i, c in enumerate(pivots) if T[i][-1]}
+
+
 def all_cell_rows(family) -> tuple[np.ndarray, list]:
     """The feasibility LP with a row for every cell of every pmf, over the pmf's own ranges,
     and the total-mass row, as (R, b) in `marginals.joint_exists`'s layout: R[k, j] is atom

@@ -199,6 +199,17 @@ def test_signed_document_with_boolean_weights_exits_two(tmp_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["marginal", "consistency"])
+def test_a_boolean_mass_in_a_marginal_document_exits_two(tmp_path, capsys, command):
+    doc = tmp_path / "family.json"
+    doc.write_text(json.dumps({"pmfs": [{
+        "observables": ["a", "b"], "ranges": {"a": [0, 1], "b": [0, 1]},
+        "mass": {"0|0": True, "0|1": 0, "1|0": 0, "1|1": 0}}]}))
+    assert main([command, str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "not a number" in err and "(0, 0)" in err and len(err.strip().splitlines()) == 1
+
+
 BIG_INT = "1" * 5000  # past the 4300-digit limit of int("...")
 HOSTILE_DOCUMENTS = {
     "huge-int": '{"weights": {"a": %s}, "pmfs": [], "e12": %s, "e23": 0, "e13": 0}'
@@ -779,7 +790,7 @@ def test_marginal_checks_no_signaling_once(tmp_path, monkeypatch):
 PAYLOAD_DIGESTS = {
     "stabilize": "f072f77c20de8b02",
     "randomness": "3a7ac72cddc38e72",
-    "padic": "1c3e99bc15b75fd4",
+    "padic": "228ab1ac85a80c2c",
     "mix": "40ab8a9c9a1d8a02",
     "select": "184fc5754946a9b6",
     "ville": "4327353bec7e075c",
@@ -1079,14 +1090,14 @@ def test_declared_shared_flag_is_parsed(command, flag):
     assert str(getattr(args, flag[2:])) == SHARED_VALUES[flag]
 
 
-def test_commands_declare_45_options():
+def test_commands_declare_44_options():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     count = sum(
         1 for p in sub.choices.values() for a in p._actions
         if a.option_strings and "-h" not in a.option_strings
     )
-    assert count == 45
+    assert count == 44
 
 
 def test_ignored_options_are_rejected_not_echoed(capsys):

@@ -34,8 +34,7 @@ COMMANDS = {
     "battery": (("--format", "--significance"), True),
     "marginal": (("--format",), True),
     "consistency": (("--format",), True),
-    "padic": (("--format", "--window", "--eps", "--prime", "--label", "--padic-eps",
-               "--precision"), True),
+    "padic": (("--format", "--window", "--eps", "--prime", "--label", "--padic-eps"), True),
     "signed": (("--n",), True),
     "ville": (("--rules", "--seed", "--eps", "--n", "--min-count"), False),
 }
@@ -60,7 +59,6 @@ OPTION_VALUES = {
     "--min-count": integers(),
     "--n": integers(),
     "--prime": integers(),
-    "--precision": integers(256),
     "--eps": st.sampled_from(TOLERANCES),
     "--padic-eps": st.sampled_from(TOLERANCES),
     "--significance": st.sampled_from(TOLERANCES),

@@ -96,6 +96,33 @@ def test_alphabet_validation():
         BINARY.index("2")
 
 
+class CountedLabel:
+    """A label that counts the equality tests made against labels of its kind."""
+
+    compared = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __eq__(self, other):
+        CountedLabel.compared += 1
+        return isinstance(other, CountedLabel) and self.name == other.name
+
+
+def test_a_label_is_found_without_scanning_the_alphabet():
+    """The readers map every trial through index, so a lookup may not compare the label
+    with each label before it, as a linear search does (500 500 comparisons here)."""
+    alphabet = LabelAlphabet(tuple(CountedLabel(i) for i in range(1000)))
+    CountedLabel.compared = 0
+    assert [alphabet.index(CountedLabel(i)) for i in range(1000)] == list(range(1000))
+    assert CountedLabel.compared <= 2000
+    with pytest.raises(InputError, match="not in alphabet"):
+        alphabet.index([0])
+
+
 def test_trial_sequence_ingestion():
     x = TrialSequence.from_labels(TERNARY, ["a", "c", "c"])
     assert x.labels() == ["a", "c", "c"]

@@ -4,6 +4,7 @@ consistency conditions."""
 
 import contextlib
 import itertools
+import os
 import random
 import time
 import tracemalloc
@@ -36,11 +37,13 @@ from collectiva.marginals import (
 from _oracles import (
     all_cell_rows,
     correlations_of_joint,
+    fraction_row_reduce,
     linprog_phase1,
     pair_feasible_interval,
     rank_mod_p,
     row_matrix,
     simplex_feasible,
+    support_solve,
     tetrahedron_facets,
     triangle_facets_4,
 )
@@ -401,25 +404,39 @@ def assert_certified(verdict, family):
         assert name == "farkas" and value > 0
 
 
+SPOILED_BASES = ("no atom", "first m atoms", "every atom")
+
+
 @contextlib.contextmanager
-def spoil_the_proposal(monkeypatch, value: float):
+def spoil_the_proposal(monkeypatch, value: float, basis: str | None = None):
     """HiGHS still solves, but every entry of its primal and dual comes back
-    as `value`: 0 leaves the repair simplex no atoms to start from, and 1
-    proposes every atom and a dual that no Farkas check may accept.  The
-    block must reach the spoiled solve at least once.  It yields the list of
-    the LP's row counts, one per solve."""
-    real, calls = marginals._phase1_lp, []
+    as `value`: 1 proposes a dual that no Farkas check may accept.  With a
+    `basis` of SPOILED_BASES, the final basis handed to the repair simplex is
+    that many atoms and no artificial, instead of HiGHS's.  The block must
+    reach the spoiled solve at least once.  It yields the list of the LP's row
+    counts, one per solve."""
+    real, priced, calls = marginals._phase1_lp, marginals._priced_phase1, []
 
     def spoiled(R, b):
         xa, duals = real(R, b)
         calls.append(len(b))
         return np.full_like(xa, value), np.full_like(duals, value)
 
+    def spoiled_basis(R, b):
+        xa, duals, _ = priced(R, b)
+        n, m = R.shape[1], len(b)
+        atoms = {"no atom": 0, "first m atoms": m, "every atom": n}[basis]
+        return xa, duals, np.r_[np.arange(n) < atoms, np.zeros(m, bool)]
+
     monkeypatch.setattr(marginals, "_phase1_lp", spoiled)
+    if basis is not None:
+        monkeypatch.setattr(marginals, "_priced_phase1", spoiled_basis)
     yield calls
     assert calls, "the spoiled HiGHS solve never ran"
 
 
+# COLLECTIVA_FUZZ_EXAMPLES=500 runs the exact-path property test with the CLI fuzz gate
+EXACT_PATH_EXAMPLES = int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "60"))
 SHIFTS = (Fraction(0), Fraction(1, 10**12), Fraction(-1, 10**12),
           Fraction(1, 10**30), Fraction(-1, 10**30))
 
@@ -450,6 +467,30 @@ def test_bad_proposals_still_get_exact_verdicts_on_the_triple_grid(monkeypatch, 
             verdict = joint_exists(fam)
             assert verdict.feasible == pair_feasible_interval(*e), e
             assert_certified(verdict, fam)
+
+
+@pytest.mark.parametrize("basis", SPOILED_BASES)
+def test_spoiled_bases_still_get_exact_verdicts_on_the_triple_grid(monkeypatch, basis):
+    """A start that is not exactly primal feasible is made again from the artificials: the
+    simplex runs a second time, on the same atoms.  With no atom it starts there already."""
+    grid = [Fraction(k, 2) for k in range(-2, 3)]
+    real, starts, restarts = marginals._repair_simplex, [], 0
+
+    def counted(R, b, basic):
+        starts.append(basic[R.shape[1]:].all())  # every artificial basic
+        return real(R, b, basic)
+
+    with spoil_the_proposal(monkeypatch, 1.0, basis):
+        monkeypatch.setattr(marginals, "_repair_simplex", counted)
+        for e in itertools.product(grid, repeat=3):
+            fam = triple_to_family(CorrelationTriple(*e))
+            starts.clear()
+            verdict = joint_exists(fam)
+            assert verdict.feasible == pair_feasible_interval(*e), e
+            assert_certified(verdict, fam)
+            assert starts[1:] in ([], [True]) and not starts[0]
+            restarts += len(starts) - 1
+    assert (restarts > 0) == (basis != "no atom"), restarts
 
 
 def test_repair_tableau_past_the_memory_budget_is_a_capacity_error(monkeypatch):
@@ -563,7 +604,7 @@ def test_the_priced_optimum_is_the_full_lp_optimum(family):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(marginals, "_priced_phase1", spy)
         verdict = joint_exists(family)
-    ((R, b, (xa, duals)),) = seen
+    ((R, b, (xa, duals, _)),) = seen
     n, m = R.shape[1], len(b)
     assert n > m
     full_xa, _ = linprog_phase1(R, b)
@@ -647,6 +688,42 @@ def test_verdicts_on_the_kept_rows_match_the_dense_simplex_oracle(family):
     verdict = joint_exists(family)
     assert verdict.feasible == simplex_feasible(family)
     assert_certified(verdict, family)
+
+
+@given(st.one_of(basis_families(), priced_families().filter(lambda f: f.exact)))
+@settings(max_examples=EXACT_PATH_EXAMPLES, deadline=None)
+def test_an_exact_witness_is_the_support_solve_on_its_own_atoms(family):
+    """The Fraction solve on the witness's atoms gives the witness back, so those atoms
+    are independent columns and the witness is a vertex of the LP."""
+    real, seen = marginals._repair_simplex, []
+
+    def spy(R, b, basic):
+        seen.append((R, b, real(R, b, basic)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(marginals, "_repair_simplex", spy)
+        verdict = joint_exists(family)
+    assert_certified(verdict, family)
+    if verdict.feasible:
+        R, b, (mass, _) = seen[-1]
+        assert support_solve(R, b, sorted(mass)) == mass
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_row_reduction_is_the_fraction_reduction_times_d(data):
+    rows = data.draw(st.integers(1, 5), label="rows")
+    cols = data.draw(st.integers(1, 6), label="columns")
+    A = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows), label="matrix")
+    ncols = data.draw(st.integers(0, cols), label="reduced columns")
+    T, reference = [row[:] for row in A], [[Fraction(v) for v in row] for row in A]
+    pivots, d = marginals._row_reduce(T, ncols)
+    assert pivots == fraction_row_reduce(reference, ncols)
+    assert all(type(v) is int for row in T for v in row)
+    assert all(T[i][c] == d for i, c in enumerate(pivots))
+    assert [[Fraction(v, d) for v in row] for row in T] == reference
 
 
 @given(basis_families(exact=False), st.data())
@@ -752,19 +829,19 @@ def uniform_pmf_of_8000_cells() -> MarginalFamily:
     return MarginalFamily((JointPMF(("a", "b", "c"), {o: vals for o in "abc"}, mass),))
 
 
-def test_one_exact_pmf_of_8000_cells_is_refused_before_the_support_solve():
-    """Its own joint, but the exact support solve would hold 8001 x 8001 cells."""
+def test_one_exact_pmf_of_8000_cells_is_refused_before_the_exact_tableau():
+    """Its own joint, but the exact tableau on HiGHS's 8000 basic atoms would hold
+    8001 x 16001 cells."""
     fam = uniform_pmf_of_8000_cells()
     start = time.monotonic()
-    with pytest.raises(CapacityError, match="exact support solve exceeds"):
+    with pytest.raises(CapacityError, match="exact repair tableau exceeds"):
         joint_exists(fam)
     assert time.monotonic() - start < 5
 
 
 def test_one_exact_pmf_of_8000_cells_is_refused_before_the_repair_tableau(monkeypatch):
-    """A proposal of no atoms passes the support solve (one column) and reaches the
-    repair simplex, whose first tableau would hold 8002 x 8002 cells: it is refused
-    before any of them is built."""
+    """A spoiled proposal reaches the repair simplex, whose first tableau would hold
+    8001 x 16001 cells: it is refused before any of them is built."""
     fam = uniform_pmf_of_8000_cells()
     start = time.monotonic()
     tracemalloc.start()

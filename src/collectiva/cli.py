@@ -305,7 +305,7 @@ def cmd_consistency(args) -> tuple[dict, list[str]]:
             "consistent": ko_ok,
             "violations": [list(v) for v in ko_viol],
         },
-        "consistent": bool(ns_ok and ko_ok),
+        "consistent": ns_ok,
     }
     return payload, []
 

@@ -168,29 +168,31 @@ class MarginalFamily:
 
 
 def check_no_signaling(family: MarginalFamily) -> tuple[bool, list]:
-    """Do overlapping pmfs agree on their common marginals?
+    """Do overlapping pmfs agree on their common marginals?  One pass over the pairs, each
+    pmf marginalized once per common set; a deviation is the max over every cell.
 
     Returns (ok, violations); each violation is
     (observables_a, observables_b, common, max_deviation).
     """
     violations = []
-    for pa, pb in itertools.combinations(family.pmfs, 2):
+    marginal = lru_cache(maxsize=None)(lambda k, common: marginalize(family.pmfs[k], common))
+    for (i, pa), (j, pb) in itertools.combinations(enumerate(family.pmfs), 2):
         common = tuple(sorted(set(pa.observables) & set(pb.observables)))
         if not common:
             continue
-        dev, bad = _max_deviation(marginalize(pa, common), marginalize(pb, common))
+        dev, bad = _max_deviation(marginal(i, common), marginal(j, common))
         if bad:
             violations.append((pa.observables, pb.observables, common, dev))
     return not violations, violations
 
 
-def _max_deviation(p: JointPMF, q: JointPMF, perm=None) -> tuple:
-    """max |p(t) - q(t')| over p's support, t' being t reordered by `perm`,
-    and whether it exceeds the slack (none when both pmfs are exact)."""
+def _max_deviation(p: JointPMF, q: JointPMF) -> tuple:
+    """max |p(t) - q(t)| over the cells either pmf gives mass (both are 0 elsewhere), and
+    whether it exceeds the slack (none when both pmfs are exact)."""
     exact = p.exact and q.exact
     dev = Fraction(0) if exact else 0.0
-    for t in p.support():
-        dev = max(dev, abs(p.prob(t) - q.prob(t if perm is None else tuple(t[i] for i in perm))))
+    for t in itertools.chain(p.mass, q.mass):
+        dev = max(dev, abs(p.prob(t) - q.prob(t)))
     return dev, dev > (0 if exact else FLOAT_SLACK)
 
 
@@ -479,8 +481,9 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
 
 
 def _verify_witness(witness: JointPMF, family: MarginalFamily):
-    """An exact witness that misses a marginal is a bug; a float one sits at the
-    limit of float precision, where the family must be given exactly."""
+    """Each pmf against the witness's marginal, over every cell either gives mass (a value
+    outside the pmf's own range too).  An exact witness that misses one is a bug; a float
+    one sits at the limit of float precision, where the family must be given exactly."""
     for p in family.pmfs:
         dev, bad = _max_deviation(p, marginalize(witness, p.observables))
         if bad and family.exact:
@@ -598,24 +601,21 @@ def triple_to_family(triple: CorrelationTriple) -> MarginalFamily:
 
 
 def kolmogorov_consistency(family: MarginalFamily) -> tuple[bool, list]:
-    """Permutation symmetry + projection compatibility over the family.
+    """Permutation symmetry + projection compatibility over the family: the no-signaling
+    violations of pairs on one index set, and of pairs where one index set holds the other.
 
-    Violations are ("permutation"|"projection", obs_a, obs_b, max_deviation).
+    Violations are ("permutation"|"projection", obs_a, obs_b, max_deviation), a projection
+    naming the larger pmf first: permutations in pair order, then projections by their
+    (larger, smaller) places.
     """
-    violations = []
-    for pa, pb in itertools.combinations(family.pmfs, 2):
-        sa, sb = set(pa.observables), set(pb.observables)
-        if sa == sb and pa.observables != pb.observables:
-            perm = [pa.observables.index(o) for o in pb.observables]
-            dev, bad = _max_deviation(pa, pb, perm)
-            if bad:
-                violations.append(("permutation", pa.observables, pb.observables, dev))
-    for pa, pb in itertools.permutations(family.pmfs, 2):
-        sa, sb = set(pa.observables), set(pb.observables)
-        if sb < sa:
-            dev, bad = _max_deviation(pb, marginalize(pa, pb.observables))
-            if bad:
-                violations.append(("projection", pa.observables, pb.observables, dev))
+    place = {p.observables: k for k, p in enumerate(family.pmfs)}
+    perms, projs = [], []
+    for a, b, common, dev in family.no_signaling[1]:
+        if len(a) == len(b) == len(common):
+            perms.append(("permutation", a, b, dev))
+        elif len(common) in (len(a), len(b)):
+            projs.append(("projection", *sorted((a, b), key=len, reverse=True), dev))
+    violations = perms + sorted(projs, key=lambda v: (place[v[1]], place[v[2]]))
     return not violations, violations
 
 
@@ -653,7 +653,10 @@ def family_from_csv_rows(rows: Sequence[Sequence[str]]) -> MarginalFamily:
         vals = tuple(_parse_label(s) for s in row[1].split("|"))
         if len(vals) != len(obs):
             raise InputError(f"tuple arity mismatch in row {row!r}")
-        groups.setdefault(obs, {})[vals] = _parse_value(row[2])
+        mass = groups.setdefault(obs, {})
+        if vals in mass:
+            raise InputError(f"pmf {obs!r} repeats cell {vals!r}")
+        mass[vals] = _parse_value(row[2])
     pmfs = []
     for obs, mass in groups.items():
         ranges = {o: tuple(sorted({t[i] for t in mass}, key=repr)) for i, o in enumerate(obs)}
@@ -665,11 +668,15 @@ def family_from_document(doc) -> MarginalFamily:
     try:
         pmfs = []
         for entry in doc["pmfs"]:
+            if not isinstance(entry["observables"], list):
+                raise InputError("a pmf's 'observables' must be a list of names")
             obs = tuple(entry["observables"])
             ranges = {o: tuple(entry["ranges"][o]) for o in obs}
             mass = {}
             for key, v in entry["mass"].items():
                 vals = tuple(_parse_label(s) for s in str(key).split("|"))
+                if vals in mass:
+                    raise InputError(f"pmf {obs!r} repeats cell {vals!r}")
                 mass[vals] = _parse_value(v)
             pmfs.append(JointPMF(obs, ranges, mass))
         return MarginalFamily(tuple(pmfs))

@@ -89,12 +89,23 @@ def csv_rows(path) -> Iterator[list[str]]:
 
 def read_json(path):
     """The file's JSON document; invalid JSON, an integer past the digit limit
-    (ValueError) or nesting past the recursion limit is an InputError."""
+    (ValueError), nesting past the recursion limit or a key repeated in one
+    object is an InputError."""
     text = read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key it repeats is an InputError, where json keeps the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"JSON object repeats the key {echo(key)}")
+        out[key] = value
+    return out
 
 
 def _text_steps(fh, path) -> Iterator[str]:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import erfc
 
 from collectiva.collectives import BINARY, TrialSequence, index_dtype
+from collectiva.marginals import FLOAT_SLACK, marginalize
 
 
 # --- set-algebra closure by literal fixpoint ------------------------------------
@@ -160,6 +161,48 @@ def simplex_feasible(family) -> bool:
     rows.append([1] * len(tuples))
     rhs.append(Fraction(1))
     return _phase1_simplex(rows, rhs) is not None
+
+
+def max_deviation_on_own_support(p, q, perm=None) -> tuple:
+    """max |p(t) - q(t')| over p's own range product, t' being t reordered by `perm`, and
+    whether it exceeds the slack: the pairwise walk the overlap pass replaced, which misses
+    a cell only q's range holds."""
+    exact = p.exact and q.exact
+    dev = Fraction(0) if exact else 0.0
+    for t in p.support():
+        dev = max(dev, abs(p.prob(t) - q.prob(t if perm is None else tuple(t[i] for i in perm))))
+    return dev, dev > (0 if exact else FLOAT_SLACK)
+
+
+def pairwise_no_signaling(family) -> tuple[bool, list]:
+    """check_no_signaling by marginalizing both pmfs of every overlapping pair afresh."""
+    violations = []
+    for pa, pb in itertools.combinations(family.pmfs, 2):
+        common = tuple(sorted(set(pa.observables) & set(pb.observables)))
+        if not common:
+            continue
+        dev, bad = max_deviation_on_own_support(marginalize(pa, common), marginalize(pb, common))
+        if bad:
+            violations.append((pa.observables, pb.observables, common, dev))
+    return not violations, violations
+
+
+def walked_kolmogorov(family) -> tuple[bool, list]:
+    """kolmogorov_consistency by its own walk: pairs on one index set compared through the
+    permutation, then every ordered pair whose second index set lies in the first's."""
+    violations = []
+    for pa, pb in itertools.combinations(family.pmfs, 2):
+        if set(pa.observables) == set(pb.observables):
+            perm = [pa.observables.index(o) for o in pb.observables]
+            dev, bad = max_deviation_on_own_support(pa, pb, perm)
+            if bad:
+                violations.append(("permutation", pa.observables, pb.observables, dev))
+    for pa, pb in itertools.permutations(family.pmfs, 2):
+        if set(pb.observables) < set(pa.observables):
+            dev, bad = max_deviation_on_own_support(pb, marginalize(pa, pb.observables))
+            if bad:
+                violations.append(("projection", pa.observables, pb.observables, dev))
+    return not violations, violations
 
 
 def fraction_row_reduce(T: list[list], ncols: int) -> list[int]:

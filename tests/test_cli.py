@@ -3,6 +3,7 @@ payload smoke test per command."""
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -479,6 +480,87 @@ def test_consistency_accepts_a_projectively_consistent_csv(tmp_path):
     code, report = run(["consistency", str(f), "--format", "csv"], tmp_path)
     assert code == 0
     assert report["payload"]["consistent"] is True
+
+
+# a over {0, 1} against (a, b) over a in {0, 1, 2}: the largest deviation, 2/5, is at a = 2
+RANGE_GAP_PMFS = [
+    {"observables": ["a"], "ranges": {"a": [0, 1]}, "mass": {"0": "4/5", "1": "1/5"}},
+    {"observables": ["a", "b"], "ranges": {"a": [0, 1, 2], "b": [0]},
+     "mass": {"0|0": "3/5", "2|0": "2/5"}},
+]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_deviation_outside_one_pmfs_range_reads_the_same_in_either_order(tmp_path, order):
+    doc = tmp_path / "fam.json"
+    pmfs = RANGE_GAP_PMFS[::order]
+    doc.write_text(json.dumps({"pmfs": pmfs}))
+    code, report = run(["marginal", str(doc)], tmp_path)
+    assert code == 0
+    assert report["payload"]["feasibility"]["violated_facet"] == {
+        "facet": "no-signaling", "value": "2/5"}
+    code, report = run(["consistency", str(doc)], tmp_path)
+    assert code == 0
+    pl = report["payload"]
+    ((a, b, common, ns_dev),) = pl["no_signaling"]["violations"]
+    assert ns_dev == "2/5" and common == ["a"] and [a, b] == [p["observables"] for p in pmfs]
+    assert pl["projective"]["violations"] == [["projection", ["a", "b"], ["a"], "2/5"]]
+    assert pl["consistent"] is False
+
+
+@pytest.mark.parametrize("command", ["marginal", "consistency"])
+def test_each_pmf_is_marginalized_once_per_common_set(tmp_path, monkeypatch, command):
+    """All pairs and singles of four observables, the marginals of one joint: the overlap
+    pass, the labelled consistency check and the witness check share each marginal."""
+    joint = marginals.JointPMF(("a", "b", "c", "d"), {o: (0, 1) for o in "abcd"}, {
+        t: Fraction(1 + sum(t), 48) for t in itertools.product((0, 1), repeat=4)})
+    pmfs = [marginals.marginalize(joint, s)
+            for r in (1, 2) for s in itertools.combinations(joint.observables, r)]
+    doc = tmp_path / "fam.json"
+    doc.write_text(json.dumps({"pmfs": [{
+        "observables": list(p.observables), "ranges": {o: [0, 1] for o in p.observables},
+        "mass": {"|".join(map(str, t)): str(m) for t, m in p.mass.items()}} for p in pmfs]}))
+    seen, real = [], marginals.marginalize
+    monkeypatch.setattr(marginals, "marginalize",
+                        lambda p, subset: seen.append((p, tuple(subset))) or real(p, subset))
+    code, report = run([command, str(doc)], tmp_path)
+    assert code == 0 and report["payload"]["no_signaling"]["consistent"] is True
+    keys = [(id(p), subset) for p, subset in seen]
+    assert len(keys) == len(set(keys)) > 0
+
+
+REPEATED_ONE_PMF = ('{"pmfs": [{"observables": ["a"], "ranges": {"a": [0, 1]}, '
+                    '"mass": {%s}}]}')
+REPEATS = {  # name -> (input file, its text)
+    "json-key": ("doc.json", REPEATED_ONE_PMF % '"0": "1/2", "1": "1/4", "1": "1/2"'),
+    "cell": ("doc.json", REPEATED_ONE_PMF % '"0": "1/2", " 0": "1/2", "1": "1/2"'),
+    "csv-row": ("doc.csv", "a,0,1/2\na,0,0\na,1,1/2\n"),
+    "signed-key": ("doc.json", '{"weights": {"a": "-1/2", "b": "3/4", "b": "3/2"}}'),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    *((c, r) for c in ("marginal", "consistency") for r in ("json-key", "cell", "csv-row")),
+    ("signed", "signed-key"),
+])
+def test_a_repeated_key_or_cell_exits_two(tmp_path, capsys, command, case):
+    name, text = REPEATS[case]
+    doc = tmp_path / name
+    doc.write_text(text)
+    assert main([command, str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "repeats" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["marginal", "consistency"])
+def test_observables_given_as_a_string_exit_two(tmp_path, capsys, command):
+    doc = tmp_path / "fam.json"
+    doc.write_text(json.dumps({"pmfs": [{
+        "observables": "ab", "ranges": {"a": [0, 1], "b": [0, 1]},
+        "mass": {"0|0": "1/2", "1|1": "1/2"}}]}))
+    assert main([command, str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "observables" in err and len(err.strip().splitlines()) == 1
 
 
 def test_padic_detects_the_two_metric_split(tmp_path):

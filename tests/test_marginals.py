@@ -40,12 +40,14 @@ from _oracles import (
     fraction_row_reduce,
     linprog_phase1,
     pair_feasible_interval,
+    pairwise_no_signaling,
     rank_mod_p,
     row_matrix,
     simplex_feasible,
     support_solve,
     tetrahedron_facets,
     triangle_facets_4,
+    walked_kolmogorov,
 )
 
 SIGNS = (1, -1)
@@ -959,6 +961,70 @@ def test_consistent_reordered_pair_passes_the_permutation_check():
     swapped = marginalize(joint, ("a2", "a1"))
     ok, violations = kolmogorov_consistency(MarginalFamily((joint, swapped)))
     assert ok and violations == []
+
+
+@st.composite
+def overlap_families(draw):
+    """Families of 1-3-observable pmfs over four observables with 2-3 values, exact or
+    float: some the marginals of one joint, the rest random, so overlaps both agree and
+    disagree; some index sets again in another order, some pmfs on part of a range."""
+    exact = draw(st.booleans(), label="exact")
+    names = ("a", "b", "c", "d")
+    ranges = {o: tuple(range(draw(st.integers(2, 3)))) for o in names}
+
+    def weights(cells):
+        ws = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells))
+                  .filter(any))
+        return {t: Fraction(w, sum(ws)) if exact else w / sum(ws)
+                for t, w in zip(cells, ws) if w}
+
+    joint = JointPMF(names, ranges, weights(list(itertools.product(*ranges.values()))))
+    subsets = draw(st.lists(st.sampled_from([
+        c for r in (1, 2, 3) for c in itertools.permutations(names, r)]),
+        min_size=1, max_size=6, unique=True), label="index sets")
+    pmfs = []
+    for obs in subsets:
+        if draw(st.booleans(), label="from the joint"):
+            pmfs.append(marginalize(joint, obs))
+            continue
+        own = {o: ranges[o][:draw(st.integers(1, len(ranges[o])))] for o in obs}
+        pmfs.append(JointPMF(obs, own, weights(list(itertools.product(*own.values())))))
+    return MarginalFamily(tuple(pmfs))
+
+
+def shared_ranges(family) -> bool:
+    """Do overlapping pmfs hold the same values of every observable they share?"""
+    return all(set(p.ranges[o]) == set(q.ranges[o])
+               for p, q in itertools.combinations(family.pmfs, 2)
+               for o in set(p.observables) & set(q.observables))
+
+
+# COLLECTIVA_FUZZ_EXAMPLES=500 runs the overlap-pass property test with the CLI fuzz gate
+OVERLAP_EXAMPLES = int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "150"))
+
+
+@given(overlap_families())
+@settings(max_examples=OVERLAP_EXAMPLES, deadline=None)
+def test_the_overlap_pass_matches_the_pairwise_walks(family):
+    """Against the walks over each pmf's own range: the same lists, floats bit for bit, where
+    overlapping pmfs share ranges; elsewhere the same pairs, each deviation at least the
+    walk's and the max over the family's ranges.  Either pmf order gives each pair's."""
+    ns, ko = check_no_signaling(family), kolmogorov_consistency(family)
+    ns_walk, ko_walk = pairwise_no_signaling(family), walked_kolmogorov(family)
+    if shared_ranges(family):
+        assert ns == ns_walk and ko == ko_walk
+    assert [v[:3] for v in ns[1]] == [v[:3] for v in ns_walk[1]]
+    assert [v[:3] for v in ko[1]] == [v[:3] for v in ko_walk[1]]
+    for got, walk in zip(ns[1] + ko[1], ns_walk[1] + ko_walk[1]):
+        assert got[3] >= walk[3]
+    for a, b, common, dev in ns[1]:
+        pa, pb = (marginalize(next(p for p in family.pmfs if p.observables == o), common)
+                  for o in (a, b))
+        cells = itertools.product(*(family.range_of(o) for o in common))
+        assert dev == max(abs(pa.prob(t) - pb.prob(t)) for t in cells)
+    by_pair = {frozenset(v[:2]): v[3] for v in ns[1]}
+    reversed_ns = check_no_signaling(MarginalFamily(family.pmfs[::-1]))
+    assert {frozenset(v[:2]): v[3] for v in reversed_ns[1]} == by_pair
 
 
 # --- file formats -------------------------------------------------------------------

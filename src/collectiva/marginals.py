@@ -86,9 +86,10 @@ class JointPMF:
         object.__setattr__(self, "ranges", ranges)
         mass = dict(self.mass)
         object.__setattr__(self, "mass", mass)
-        support = set(itertools.product(*(ranges[o] for o in obs)))
+        values = [set(ranges[o]) for o in obs]
         for t, m in mass.items():
-            if t not in support:
+            if not (isinstance(t, tuple) and len(t) == len(obs)
+                    and all(v in r for v, r in zip(t, values))):
                 raise InputError(f"mass assigned to out-of-range tuple {t!r}")
             if isinstance(m, bool) or not isinstance(m, numbers.Real):
                 raise InputError(f"mass {echo(repr(m))} at {t!r} is not a number")
@@ -239,19 +240,26 @@ def _check_cells(cells: int, what: str, cap: float = math.inf):
     check_mem(64 * cells, what)
 
 
-def _row_sums(R: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_k v[R[k, j]] for every atom j, one row of R at a time (v[-1] stands for no row)."""
-    return sum(v[row] for row in R)
+def _row_sums(R: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """sum_k v[R[k][j]] for every atom j, flat, one table of R at a time (v[-1]: no row)."""
+    return np.reshape(sum(v[t] for t in R), -1)
 
 
-def _price(R: np.ndarray, y: list) -> np.ndarray:
+def _rows(R: list[np.ndarray], atoms) -> np.ndarray:
+    """Each table's rows at the atoms, flat indices of the grid: [k, i] is R[k] at atoms[i]."""
+    digits = np.unravel_index(atoms, np.broadcast_shapes(*(t.shape for t in R)))
+    # clipped, a digit reads a table's one cell on each axis the table does not span
+    return np.array([t.take(np.ravel_multi_index(digits, t.shape, mode="clip")) for t in R])
+
+
+def _price(R: list[np.ndarray], y: list) -> np.ndarray:
     """(A^T y)_j of every atom j, times the lcm of y's denominators to sum ints."""
     scale = math.lcm(*(v.denominator for v in y))
     return _row_sums(R, np.array(
         [v.numerator * (scale // v.denominator) for v in y] + [0], dtype=object))
 
 
-def _repair_simplex(R: np.ndarray, b: list[Fraction], basic: np.ndarray) -> tuple:
+def _repair_simplex(R: list[np.ndarray], b: list[Fraction], basic: np.ndarray) -> tuple:
     """Exact phase-1 simplex (Bland's rule), min 1.a s.t. A_S x + a = b, from the basis
     `basic` (a mask over (x, a)) on its atoms S; atoms its dual y prices positive join, at
     most m a round, until it decides: (witness, None) or (None, b.y).  The tableau holds
@@ -260,7 +268,7 @@ def _repair_simplex(R: np.ndarray, b: list[Fraction], basic: np.ndarray) -> tupl
     first row that still holds its artificial, one `basic` leaves nonbasic, and where the
     atom's entry is nonzero; a start that is not exactly primal feasible is made again from
     the artificials (every one in `basic`), on the same atoms."""
-    m, n = len(b), R.shape[1]
+    m, n = len(b), len(basic) - len(b)
     L = math.lcm(*(v.denominator for v in b))
     basis, cols, new, T, d = list(range(1, m + 1)), [], np.flatnonzero(basic[:n]), None, 1
     while True:
@@ -269,8 +277,8 @@ def _repair_simplex(R: np.ndarray, b: list[Fraction], basic: np.ndarray) -> tupl
             T = [[v.numerator * (L // v.denominator)] + [int(i == r) for i in range(m)]
                  for r, v in enumerate(b)]
             T.append([-sum(row[0] for row in T)] + [-1] * m)
-        for j in new:
-            rows = [1 + r for r in R[:, j] if r >= 0]
+        for col in _rows(R, new).T:
+            rows = [1 + r for r in col if r >= 0]
             for row in T:
                 row.append(sum(row[r] for r in rows))
             if start:  # entering as it joins, no pivot updates a column that joins later
@@ -325,18 +333,10 @@ def _phase1_model(R: np.ndarray, b: np.ndarray):
     """HiGHS holding min 1.a s.t. A x + a = b, x, a >= 0, where atom j has a 1 in each row
     R[:, j] >= 0, as [A | I] column by column, with the options linprog(method="highs",
     options=HIGHS_OPTIONS) sets."""
-    h, (m, n) = _highs(), (len(b), R.shape[1])
-    keep = R.T >= 0  # each column's rows ascending
+    h, m = _highs(), len(b)
     lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n + m
     lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.col_cost_ = np.r_[np.zeros(n), np.ones(m)]
-    lp.col_lower_, lp.col_upper_ = np.zeros(n + m), np.full(n + m, np.inf)
     lp.row_lower_ = lp.row_upper_ = b
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.r_[0, np.cumsum(np.r_[keep.sum(axis=1), np.ones(m, int)])]
-    lp.a_matrix_.index_ = np.r_[R.T[keep], np.arange(m)]
-    lp.a_matrix_.value_ = np.ones(keep.sum() + m)
     highs = h._Highs()
     options = {"output_flag": False, "log_to_console": False, "presolve": "on",
                "simplex_strategy": int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
@@ -344,6 +344,8 @@ def _phase1_model(R: np.ndarray, b: np.ndarray):
     for name, value in options.items():
         _set_option(highs, name, value)
     highs.passModel(lp)
+    _add_atoms(highs, R)
+    _add_atoms(highs, np.arange(m)[None], 1.0)  # the artificials
     return highs
 
 
@@ -353,10 +355,10 @@ def _set_option(highs, name: str, value):
         raise ValueError(f"HiGHS rejects the option {name}={value!r}")
 
 
-def _add_atoms(highs, R: np.ndarray):
-    """Append R's atoms to the model as cost-0 columns after its last one."""
-    keep, n = R.T >= 0, R.shape[1]
-    highs.addCols(n, np.zeros(n), np.zeros(n), np.full(n, np.inf), int(keep.sum()),
+def _add_atoms(highs, R: np.ndarray, cost: float = 0.0):
+    """Append R's atoms to the model as columns of cost `cost` after its last one."""
+    keep, n = R.T >= 0, R.shape[1]  # each column's rows ascending
+    highs.addCols(n, np.full(n, cost), np.zeros(n), np.full(n, np.inf), int(keep.sum()),
                   np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]].astype(np.int32),
                   R.T[keep], np.ones(keep.sum()))
 
@@ -380,17 +382,17 @@ def _phase1_lp(highs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xa, duals
 
 
-def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _priced_phase1(R: list[np.ndarray], b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The optimal (x, a), row duals and final basis (a mask over (x, a)) of the phase-1 LP
-    on every atom of R, by delayed column generation: HiGHS solves on the m = len(b) atoms
-    with the largest sum of log masses of their rows (on all of them when there are at most
-    m), then, warm, on those and at most m a round of the atoms its duals price above its
-    dual tolerance, most positive first, until none is.  The last optimum is one of the
-    full LP, its duals feasible for every atom."""
-    m, n = len(b), R.shape[1]
-    logs = np.r_[np.log(b, out=np.full(m, -np.inf), where=b > 0), 0.0]
-    order = np.sort(np.argsort(-_row_sums(R, logs), kind="stable")[:m])
-    first, highs = len(order), _phase1_model(R[:, order], b)
+    on every atom of the row tables R, by delayed column generation: HiGHS solves on the
+    m = len(b) atoms with the largest sum of log masses of their rows (on all of them when
+    there are at most m), then, warm, on those and at most m a round of the atoms its duals
+    price above its dual tolerance, most positive first, until none is.  The last optimum is
+    one of the full LP, its duals feasible for every atom."""
+    m = len(b)
+    logs = _row_sums(R, np.r_[np.log(b, out=np.full(m, -np.inf), where=b > 0), 0.0])
+    order, n = np.sort(np.argsort(-logs, kind="stable")[:m]), len(logs)
+    first, highs = len(order), _phase1_model(_rows(R, order), b)
     while True:  # the model's columns: atoms order[:first], a, atoms order[first:]
         xa, duals = _phase1_lp(highs, b)
         price = _row_sums(R, np.r_[duals, 0.0])
@@ -399,7 +401,7 @@ def _priced_phase1(R: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         if not len(new):
             break
         new = np.sort(new[np.argsort(-price[new], kind="stable")[:m]])
-        _add_atoms(highs, R[:, new])
+        _add_atoms(highs, _rows(R, new))
         order = np.r_[order, new]
         # added columns leave the last basis primal feasible, so the rounds after the first
         # solve re-optimize by the primal simplex (Desrosiers & Luebbecke 2005)
@@ -433,18 +435,16 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
         )
     names = family.observables()
     ranges = {o: family.range_of(o) for o in names}
-    dims = [len(ranges[o]) for o in names]
-    if (support := math.prod(dims)) > SUPPORT_CAP:
-        raise CapacityError(f"joint support exceeds {SUPPORT_CAP} atoms")
-    _check_cells((len(family.pmfs) + 1) * support, "feasibility LP")
+    dims = [len(ranges[o]) for o in names] or [1]  # no pmfs: one empty atom
+    _check_cells(support := math.prod(dims), "joint support", SUPPORT_CAP)
 
-    # R[k, j]: atom j's row among pmf k's kept cells, -1 for a dropped one; the last block
-    # is the total-mass row.  Each pmf is read over the family's ranges (a tuple outside
-    # its own has mass 0); it keeps cell t when the set U(t) of observables that t holds
-    # off their last value is nonempty and no earlier pmf holds all of U(t)
-    R, rhs, held = np.empty((len(family.pmfs) + 1, support), np.int32), [], []
+    # R[k][d]: the row of atom d of the grid among pmf k's kept cells, -1 for a dropped one;
+    # the last table, one cell, is the total-mass row.  Each pmf is read over the family's
+    # ranges (a tuple outside its own has mass 0); it keeps cell t when the set U(t) of
+    # observables t holds off their last value is nonempty and no earlier pmf holds all of U(t)
+    R, rhs, held = [], [], []
     grid = np.indices(dims, sparse=True)
-    for k, p in enumerate(family.pmfs):
+    for p in family.pmfs:
         axes = [names.index(o) for o in p.observables]
         row = np.full([dims[i] for i in axes], -1, np.int32)
         for d in np.ndindex(row.shape):
@@ -453,8 +453,8 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
                 row[d] = len(rhs)
                 rhs.append(p.prob(tuple(ranges[o][v] for o, v in zip(p.observables, d))))
         held.append(set(p.observables))
-        R[k].reshape(dims)[...] = row[tuple(grid[i] for i in axes)]
-    R[-1] = len(rhs)
+        R.append(row[tuple(grid[i] for i in axes)])
+    R.append(np.full([1] * len(dims), len(rhs), np.int32))
     rhs.append(Fraction(1) if family.exact else 1.0)
 
     xa, duals, basic = _priced_phase1(R, np.array([float(v) for v in rhs]))
@@ -473,7 +473,7 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
             mass, by = _repair_simplex(R, b, basic)
         if mass is None:
             return FeasibilityVerdict(False, violated=("farkas", by), method=method)
-    digits = np.unravel_index(list(mass), dims or [1])  # no pmfs: one empty atom
+    digits = np.unravel_index(list(mass), dims)
     witness = JointPMF(names, ranges, {
         tuple(ranges[o][d[k]] for o, d in zip(names, digits)): v for k, v in enumerate(mass.values())})
     _verify_witness(witness, family)
@@ -668,11 +668,10 @@ def family_from_document(doc) -> MarginalFamily:
     try:
         pmfs = []
         for entry in doc["pmfs"]:
-            if not isinstance(entry["observables"], list):
-                raise InputError("a pmf's 'observables' must be a list of names")
-            obs = tuple(entry["observables"])
-            ranges = {o: tuple(entry["ranges"][o]) for o in obs}
-            mass = {}
+            obs, ranges = entry["observables"], entry["ranges"]
+            if not isinstance(obs, list) or not all(isinstance(ranges[o], list) for o in obs):
+                raise InputError("a pmf's 'observables' and each of its ranges must be a JSON list")
+            obs, mass = tuple(obs), {}
             for key, v in entry["mass"].items():
                 vals = tuple(_parse_label(s) for s in str(key).split("|"))
                 if vals in mass:

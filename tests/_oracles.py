@@ -259,6 +259,16 @@ def all_cell_rows(family) -> tuple[np.ndarray, list]:
     return R, rhs
 
 
+def dense_rows(tables) -> np.ndarray:
+    """The (pmfs + 1) x support int32 array R of `marginals.joint_exists`'s row tables, one
+    line a table written out over the grid of atoms: R[k, j] is atom j's row in table k."""
+    shape = np.broadcast_shapes(*(t.shape for t in tables))
+    R = np.empty((len(tables), math.prod(shape)), np.int32)
+    for k, t in enumerate(tables):
+        R[k].reshape(shape)[...] = t
+    return R
+
+
 def row_matrix(R: np.ndarray, m: int) -> np.ndarray:
     """The dense 0/1 matrix A of m rows with A[R[k, j], j] = 1 wherever R[k, j] >= 0."""
     A = np.zeros((m, R.shape[1]), dtype=np.int64)

@@ -563,6 +563,42 @@ def test_observables_given_as_a_string_exit_two(tmp_path, capsys, command):
     assert "observables" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["marginal", "consistency"])
+@pytest.mark.parametrize("values", ["ab", {"a": 0, "b": 1}], ids=["string", "object"])
+def test_a_range_that_is_not_a_list_exits_two(tmp_path, capsys, command, values):
+    """Read as its characters or its keys, it ran `marginal` to a witness on a and b."""
+    doc = tmp_path / "fam.json"
+    doc.write_text(json.dumps({"pmfs": [{
+        "observables": ["x"], "ranges": {"x": values}, "mass": {"a": "1/2", "b": "1/2"}}]}))
+    assert main([command, str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "ranges" in err and len(err.strip().splitlines()) == 1
+
+
+def one_pmf_over_thirty_binary_observables() -> dict:
+    names = [f"x{i:02d}" for i in range(30)]
+    return {"pmfs": [{"observables": names, "ranges": {o: [0, 1] for o in names},
+                      "mass": {"|".join("0" * 30): "1"}}]}
+
+
+def twenty_binary_singletons() -> dict:
+    return {"pmfs": [{"observables": [o], "ranges": {o: [0, 1]}, "mass": {"0": "1/2", "1": "1/2"}}
+                     for o in (f"s{i:02d}" for i in range(20))]}
+
+
+@pytest.mark.parametrize("document", [one_pmf_over_thirty_binary_observables,
+                                      twenty_binary_singletons])
+def test_a_joint_support_past_the_cap_exits_three_at_once(tmp_path, capsys, document):
+    """Neither the pmf's 2^30 tuples nor the family's 2^20 atoms are ever built."""
+    doc = tmp_path / "fam.json"
+    doc.write_text(json.dumps(document()))
+    start = time.monotonic()
+    assert main(["marginal", str(doc)]) == 3
+    assert time.monotonic() - start < 2
+    err = capsys.readouterr().err
+    assert "joint support exceeds" in err and len(err.strip().splitlines()) == 1
+
+
 def test_padic_detects_the_two_metric_split(tmp_path):
     f = tmp_path / "sums.csv"
     f.write_text("\n".join(str(2 ** (k + 1) - 1) for k in range(61)) + "\n")

@@ -37,6 +37,7 @@ from collectiva.marginals import (
 from _oracles import (
     all_cell_rows,
     correlations_of_joint,
+    dense_rows,
     fraction_row_reduce,
     linprog_phase1,
     pair_feasible_interval,
@@ -99,6 +100,24 @@ def test_a_range_that_repeats_a_value_is_rejected():
     with pytest.raises(InputError, match="duplicate value"):
         family_from_document({"pmfs": [
             {"observables": ["a"], "ranges": {"a": [0, 0]}, "mass": {"0": "1"}}]})
+
+
+def test_a_pmf_checks_each_key_in_place():
+    """A key is a tuple of the pmf's arity with each value in its observable's range; the
+    pmf's support is never built (its 2^20 tuples took 232 MB)."""
+    ranges = {"a": SIGNS}
+    for key in ((1, 1), (), 1, "1"):
+        with pytest.raises(InputError, match="out-of-range"):
+            JointPMF(("a",), ranges, {key: Fraction(1)})
+    assert JointPMF(("a",), ranges, {(1.0,): Fraction(1)}).prob((1,)) == 1
+    names = tuple(f"x{i:02d}" for i in range(20))
+    tracemalloc.start()
+    try:
+        JointPMF(names, {o: (0, 1) for o in names}, {(0,) * 20: Fraction(1)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_family_rejects_exact_duplicates_but_allows_reorderings():
@@ -377,6 +396,43 @@ def test_memory_budget_capacity_error(monkeypatch):
         joint_exists(triple_to_family(CorrelationTriple(0, 0, 0)))
 
 
+def twenty_binary_singletons() -> MarginalFamily:
+    half = Fraction(1, 2)
+    return MarginalFamily(tuple(JointPMF((o,), {o: (0, 1)}, {(0,): half, (1,): half})
+                                for o in (f"s{i:02d}" for i in range(20))))
+
+
+def test_a_support_past_the_cap_is_refused_before_any_support_sized_array():
+    fam = twenty_binary_singletons()
+    assert fam.no_signaling[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="joint support exceeds 1000000"):
+            joint_exists(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # one byte an atom of its 2^20 would be 1 MB
+
+
+@pytest.mark.parametrize("budget, refused", [(64 * 8, False), (64 * 8 - 1, True)])
+def test_the_lp_is_budgeted_at_64_bytes_an_atom(monkeypatch, budget, refused):
+    """Three float pairs on 8 atoms: the LP holds no array of pmfs x atoms."""
+    monkeypatch.setenv("COLLECTIVA_MAX_MEM", str(budget))
+    fam = triple_to_family(CorrelationTriple(0.0, 0.0, 0.0))
+    if refused:
+        with pytest.raises(CapacityError, match="joint support exceeds COLLECTIVA_MAX_MEM"):
+            joint_exists(fam)
+    else:
+        assert joint_exists(fam).feasible
+
+
+def test_the_empty_family_has_the_one_empty_atom():
+    verdict = joint_exists(MarginalFamily(()))
+    assert verdict.feasible and verdict.method == "lp-certified"
+    assert verdict.witness.observables == () and verdict.witness.mass == {(): Fraction(1)}
+
+
 def test_memory_budget_must_be_an_integer(monkeypatch):
     monkeypatch.setenv("COLLECTIVA_MAX_MEM", "lots")
     with pytest.raises(InputError, match="COLLECTIVA_MAX_MEM"):
@@ -426,7 +482,7 @@ def spoil_the_proposal(monkeypatch, value: float, basis: str | None = None):
 
     def spoiled_basis(R, b):
         xa, duals, _ = priced(R, b)
-        n, m = R.shape[1], len(b)
+        n, m = dense_rows(R).shape[1], len(b)
         atoms = {"no atom": 0, "first m atoms": m, "every atom": n}[basis]
         return xa, duals, np.r_[np.arange(n) < atoms, np.zeros(m, bool)]
 
@@ -479,7 +535,7 @@ def test_spoiled_bases_still_get_exact_verdicts_on_the_triple_grid(monkeypatch, 
     real, starts, restarts = marginals._repair_simplex, [], 0
 
     def counted(R, b, basic):
-        starts.append(basic[R.shape[1]:].all())  # every artificial basic
+        starts.append(basic[dense_rows(R).shape[1]:].all())  # every artificial basic
         return real(R, b, basic)
 
     with spoil_the_proposal(monkeypatch, 1.0, basis):
@@ -565,12 +621,13 @@ def test_direct_highs_solve_matches_linprog_bit_for_bit(family):
     atoms, solves = [], []
 
     def model_spy(R, b):
-        atoms[:] = [R]
+        atoms.clear()
         return model(R, b)
 
-    def add_spy(highs, R):
-        atoms.append(R)
-        add(highs, R)
+    def add_spy(highs, R, cost=0.0):
+        if not cost:  # the artificials are the model's own, not atoms
+            atoms.append(R)
+        add(highs, R, cost)
 
     def lp_spy(highs, b):
         solves.append((np.hstack(atoms), atoms[0].shape[1], len(atoms) > 1, b, lp(highs, b)))
@@ -606,12 +663,13 @@ def test_the_priced_optimum_is_the_full_lp_optimum(family):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(marginals, "_priced_phase1", spy)
         verdict = joint_exists(family)
-    ((R, b, (xa, duals, _)),) = seen
+    ((tables, b, (xa, duals, _)),) = seen
+    R = dense_rows(tables)
     n, m = R.shape[1], len(b)
     assert n > m
     full_xa, _ = linprog_phase1(R, b)
     assert abs(xa[n:].sum() - full_xa[n:].sum()) <= LP_CHECK_TOL
-    price = marginals._row_sums(R, np.r_[duals, 0.0])
+    price = marginals._row_sums(tables, np.r_[duals, 0.0])
     assert (price <= HIGHS_OPTIONS["dual_feasibility_tolerance"]).all()
     assert verdict.feasible == (full_xa[n:].max() <= marginals.FLOAT_SLACK)
     if family.exact:
@@ -623,7 +681,7 @@ def test_the_priced_optimum_is_the_full_lp_optimum(family):
 # --- the row basis of the marginal cells ------------------------------------------------
 
 def lp_of(family):
-    """The verdict of joint_exists on the family, and the R and b its LP ran on."""
+    """The verdict of joint_exists on the family, and the row tables and b its LP ran on."""
     real, seen = marginals._priced_phase1, []
 
     def spy(R, b):
@@ -672,7 +730,8 @@ def whole_ranges(family) -> bool:
 @given(basis_families())
 @settings(max_examples=120, deadline=None)
 def test_the_kept_rows_are_a_basis_of_every_cell_row(family):
-    _, R, b = lp_of(family)
+    _, tables, b = lp_of(family)
+    R = dense_rows(tables)
     assert R.dtype == np.int32 and R.shape == (len(family.pmfs) + 1, R.shape[1])
     kept = row_matrix(R, len(b))
     assert rank_mod_p(kept) == len(b)  # independent
@@ -709,7 +768,7 @@ def test_an_exact_witness_is_the_support_solve_on_its_own_atoms(family):
     assert_certified(verdict, family)
     if verdict.feasible:
         R, b, (mass, _) = seen[-1]
-        assert support_solve(R, b, sorted(mass)) == mass
+        assert support_solve(dense_rows(R), b, sorted(mass)) == mass
 
 
 @given(st.data())
@@ -760,11 +819,64 @@ def test_a_float_family_perturbed_within_the_slack_gets_the_all_cells_verdict(fa
 def test_all_pairs_of_twelve_binary_observables_have_79_rows():
     """12 singles, 66 pairs and the total mass: the rank of the 265 cell rows."""
     fam = float_pairs_of_twelve(12)
-    verdict, R, b = lp_of(fam)
+    verdict, tables, b = lp_of(fam)
+    R = dense_rows(tables)
     assert verdict.feasible
     assert len(b) == 12 + 66 + 1 and R.dtype == np.int32 and R.shape == (67, 2**12)
     R_all, b_all = all_cell_rows(fam)
     assert len(b_all) == 66 * 4 + 1
+
+
+def row_tables_of(family) -> tuple[list, np.ndarray]:
+    """The row tables and b joint_exists hands its LP, which is not solved."""
+    seen = []
+
+    def capture(R, b):
+        seen.append((R, b))
+        raise CapacityError("captured")
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(CapacityError, match="captured"):
+        mp.setattr(marginals, "_priced_phase1", capture)
+        joint_exists(family)
+    return seen[0]
+
+
+@given(st.one_of(lp_families(), priced_families()), st.data())
+@settings(max_examples=EXACT_PATH_EXAMPLES, deadline=None)
+def test_the_row_tables_sum_and_place_atoms_as_the_dense_rows_do(family, data):
+    """_row_sums adds the tables in R's row order, so float sums are the gathers' bit for
+    bit; _rows reads the columns of R."""
+    tables, b = row_tables_of(family)
+    R, m = dense_rows(tables), len(b)
+    floats = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    logs = np.r_[np.log(b, out=np.full(m, -np.inf), where=b > 0), 0.0]
+    duals = np.r_[data.draw(st.lists(floats, min_size=m, max_size=m), label="duals"), 0.0]
+    for v in (logs, duals):
+        assert marginals._row_sums(tables, v).tobytes() == sum(v[row] for row in R).tobytes()
+    ints = np.array(data.draw(st.lists(st.integers(-2**70, 2**70), min_size=m, max_size=m),
+                              label="integer duals") + [0], dtype=object)
+    sums = marginals._row_sums(tables, ints)
+    assert sums.dtype == object and sums.tolist() == sum(ints[row] for row in R).tolist()
+    atoms = np.array(data.draw(st.lists(st.integers(0, R.shape[1] - 1), max_size=2 * m),
+                               label="atoms"), dtype=np.intp)
+    rows = marginals._rows(tables, atoms)
+    assert rows.dtype == np.int32 and np.array_equal(rows, R[:, atoms])
+
+
+def test_sixteen_float_observables_price_without_a_support_sized_row_array():
+    """All 120 pairs at correlation -1/30 + 1/100: R would be 121 x 2^16 int32 (30 MB)."""
+    names, e = [f"x{i:02d}" for i in range(16)], -1 / 30 + 1 / 100
+    fam = MarginalFamily(tuple(JointPMF((a, c), {a: SIGNS, c: SIGNS}, {
+        (s, t): (1 + s * t * e) / 4 for s, t in itertools.product(SIGNS, repeat=2)})
+        for a, c in itertools.combinations(names, 2)))
+    assert fam.no_signaling[0]
+    tracemalloc.start()
+    try:
+        assert joint_exists(fam).feasible
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
 
 
 def float_pairs_of_twelve(seed: int) -> MarginalFamily:

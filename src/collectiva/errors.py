@@ -2,9 +2,26 @@
 
 The CLI maps these onto its exit-code contract: InputError -> 2,
 CapacityError -> 3; everything that completes analysis exits 0.
+It also holds the exactness helpers every module that checks identities uses:
+FLOAT_TOL, is_exact and values_equal.
 """
 
 import os
+
+FLOAT_TOL = 1e-12
+
+
+def is_exact(*values) -> bool:
+    """True when no float is involved, i.e. comparisons may demand equality."""
+    return not any(isinstance(v, float) for v in values)
+
+
+def values_equal(a, b, exact: bool | None = None) -> bool:
+    if exact is None:
+        exact = is_exact(a, b)
+    if exact:
+        return a == b
+    return abs(a - b) <= FLOAT_TOL
 
 
 class CollectivaError(Exception):

@@ -19,25 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapacityError, InputError, NotMeasurableError, NullConditioningError
+from .errors import (FLOAT_TOL, CapacityError, InputError, NotMeasurableError,
+                     NullConditioningError, is_exact, values_equal)
 
-FLOAT_TOL = 1e-12
 ALGEBRA_CAP = 1 << 20
 
 Value = Fraction | int | float
-
-
-def is_exact(*values) -> bool:
-    """True when no float is involved, i.e. comparisons may demand equality."""
-    return not any(isinstance(v, float) for v in values)
-
-
-def values_equal(a, b, exact: bool | None = None) -> bool:
-    if exact is None:
-        exact = is_exact(a, b)
-    if exact:
-        return a == b
-    return abs(a - b) <= FLOAT_TOL
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ HiGHS is called through the pybind11 bindings SciPy ships as
 scipy/optimize/_highspy/_core, loaded from their file: `import scipy.optimize`
 would spend about 0.55 s and 43 MB on its __init__ for a solver reached through it.
 The options and result checks are those of linprog(method="highs").
+Each function that builds arrays imports numpy itself, and joint_exists only past its
+no-signaling return, so the overlap checks (and `consistency`) load neither numpy nor HiGHS.
 
 The inequality catalogue is *generated*, not transcribed: the facets of
 the correlation polytope (convex hull of the pair-correlation vectors of
@@ -50,10 +52,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .errors import CapacityError, InputError, check_mem, echo, echoed
-from .finite_prob import FLOAT_TOL, is_exact, values_equal
+from .errors import (FLOAT_TOL, CapacityError, InputError, check_mem, echo, echoed, is_exact,
+                     values_equal)
 from .seqio import MALFORMED, parse_rational
 
 FLOAT_SLACK = 1e-9  # constraint slack in float mode
@@ -242,11 +242,15 @@ def _check_cells(cells: int, what: str, cap: float = math.inf):
 
 def _row_sums(R: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     """sum_k v[R[k][j]] for every atom j, flat, one table of R at a time (v[-1]: no row)."""
+    import numpy as np
+
     return np.reshape(sum(v[t] for t in R), -1)
 
 
 def _rows(R: list[np.ndarray], atoms) -> np.ndarray:
     """Each table's rows at the atoms, flat indices of the grid: [k, i] is R[k] at atoms[i]."""
+    import numpy as np
+
     digits = np.unravel_index(atoms, np.broadcast_shapes(*(t.shape for t in R)))
     # clipped, a digit reads a table's one cell on each axis the table does not span
     return np.array([t.take(np.ravel_multi_index(digits, t.shape, mode="clip")) for t in R])
@@ -254,6 +258,8 @@ def _rows(R: list[np.ndarray], atoms) -> np.ndarray:
 
 def _price(R: list[np.ndarray], y: list) -> np.ndarray:
     """(A^T y)_j of every atom j, times the lcm of y's denominators to sum ints."""
+    import numpy as np
+
     scale = math.lcm(*(v.denominator for v in y))
     return _row_sums(R, np.array(
         [v.numerator * (scale // v.denominator) for v in y] + [0], dtype=object))
@@ -268,6 +274,8 @@ def _repair_simplex(R: list[np.ndarray], b: list[Fraction], basic: np.ndarray) -
     first row that still holds its artificial, one `basic` leaves nonbasic, and where the
     atom's entry is nonzero; a start that is not exactly primal feasible is made again from
     the artificials (every one in `basic`), on the same atoms."""
+    import numpy as np
+
     m, n = len(b), len(basic) - len(b)
     L = math.lcm(*(v.denominator for v in b))
     basis, cols, new, T, d = list(range(1, m + 1)), [], np.flatnonzero(basic[:n]), None, 1
@@ -333,6 +341,8 @@ def _phase1_model(R: np.ndarray, b: np.ndarray):
     """HiGHS holding min 1.a s.t. A x + a = b, x, a >= 0, where atom j has a 1 in each row
     R[:, j] >= 0, as [A | I] column by column, with the options linprog(method="highs",
     options=HIGHS_OPTIONS) sets."""
+    import numpy as np
+
     h, m = _highs(), len(b)
     lp = h.HighsLp()
     lp.num_row_ = lp.a_matrix_.num_row_ = m
@@ -357,6 +367,8 @@ def _set_option(highs, name: str, value):
 
 def _add_atoms(highs, R: np.ndarray, cost: float = 0.0):
     """Append R's atoms to the model as columns of cost `cost` after its last one."""
+    import numpy as np
+
     keep, n = R.T >= 0, R.shape[1]  # each column's rows ascending
     highs.addCols(n, np.full(n, cost), np.zeros(n), np.full(n, np.inf), int(keep.sum()),
                   np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]].astype(np.int32),
@@ -367,6 +379,8 @@ def _phase1_lp(highs, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """HiGHS's optimal column values and row duals of the model, warm from its last basis
     once it has one, checked as linprog checks them (else CapacityError).  On a fresh
     _phase1_model(R, b), what linprog returns on the same LP, bit for bit."""
+    import numpy as np
+
     h = _highs()
     highs.run()
     status = highs.getModelStatus()
@@ -389,6 +403,8 @@ def _priced_phase1(R: list[np.ndarray], b: np.ndarray) -> tuple[np.ndarray, np.n
     there are at most m), then, warm, on those and at most m a round of the atoms its duals
     price above its dual tolerance, most positive first, until none is.  The last optimum is
     one of the full LP, its duals feasible for every atom."""
+    import numpy as np
+
     m = len(b)
     logs = _row_sums(R, np.r_[np.log(b, out=np.full(m, -np.inf), where=b > 0), 0.0])
     order, n = np.sort(np.argsort(-logs, kind="stable")[:m]), len(logs)
@@ -433,6 +449,8 @@ def joint_exists(family: MarginalFamily) -> FeasibilityVerdict:
         return FeasibilityVerdict(
             False, violated=("no-signaling", worst[3]), method="marginal-consistency"
         )
+    import numpy as np  # past the early return: a signalling family loads neither it nor HiGHS
+
     names = family.observables()
     ranges = {o: family.range_of(o) for o in names}
     dims = [len(ranges[o]) for o in names] or [1]  # no pmfs: one empty atom

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import CapacityError, InputError, NullConditioningError, check_mem, max_mem_bytes
-from .finite_prob import is_exact, values_equal
+from .errors import (CapacityError, InputError, NullConditioningError, check_mem, is_exact,
+                     max_mem_bytes, values_equal)
 from .seqio import MALFORMED, parse_rational, read_json
 
 # per subset sum of the negativity count (tracemalloc: 13-31 bytes at 12-24 atoms)

@@ -1003,28 +1003,91 @@ def rationals_file(tmp_path) -> str:
                        "path.csv")
 
 
+def family_document(tmp_path, signalling: bool = False) -> str:
+    """pmfs on (a, b) and (b, c) whose b-marginals agree, or with `signalling` do not."""
+    bc = {"0|0": "1/4", "1|1": "3/4"} if signalling else {"0|0": "1/2", "1|1": "1/2"}
+    doc = {"pmfs": [
+        {"observables": ["a", "b"], "ranges": {"a": [0, 1], "b": [0, 1]},
+         "mass": {"0|0": "1/2", "1|1": "1/2"}},
+        {"observables": ["b", "c"], "ranges": {"b": [0, 1], "c": [0, 1]}, "mass": bc},
+    ]}
+    return write_ascii(tmp_path, json.dumps(doc), "family.json")
+
+
+def finite_prob_document(tmp_path) -> str:
+    doc = {"spaces": [{"weights": ["1/2", "1/4", "1/4"], "partition": [[0], [1, 2]],
+                       "target": [0, 1]}],
+           "coarse": [{"weights": ["1/3", "1/3", "1/3"], "generators": [[0, 1]]}]}
+    return write_ascii(tmp_path, json.dumps(doc), "spaces.json")
+
+
+def case_code(tmp_path, case: str) -> str:
+    """Python that runs one case: an import, the clibench finite_prob script, or a
+    command whose FILE (SIGNALLING: a family whose overlaps disagree) is written here."""
+    if case.startswith("import"):
+        return case
+    argv = case.split()
+    files = {"signed": signed_document, "padic": rationals_file, "marginal": family_document,
+             "consistency": family_document, "fp_script.py": finite_prob_document}
+    writers = {"FILE": files.get(argv[0], lambda d: write_ascii(d, "01" * 100)),
+               "SIGNALLING": lambda d: family_document(d, signalling=True)}
+    argv = [writers[a](tmp_path) if a in writers else a for a in argv]
+    if argv[0] == "fp_script.py":
+        return (f"import runpy; sys.argv = {argv + ['r.json']!r}\n"
+                f"runpy.run_path({str(CLIBENCH / argv[0])!r}, run_name='__main__')")
+    return f"from collectiva.cli import main; assert main({argv + ['--out', 'r.json']!r}) == 0"
+
+
 @pytest.mark.parametrize("case", [
     "import collectiva",
     "import collectiva.cli",
     "signed three-atom",
     "signed FILE",
     "padic FILE --format csv",
+    "consistency FILE",
+    "marginal SIGNALLING",
     "stabilize FILE",
+    "marginal FILE",
 ])
 def test_numpy_is_loaded_only_by_commands_that_build_arrays(tmp_path, case):
-    """A command's cold start pays for the modules it runs.  `signed` and a
-    rational `padic` path build no array, so neither they nor the imports
-    load numpy; `stabilize`, which reads trials, shows the probe sees it."""
-    files = {"signed": signed_document, "padic": rationals_file,
-             "stabilize": lambda d: write_ascii(d, "01" * 100)}
-    if case.startswith("import"):
-        code = case
-    else:
-        argv = case.split()
-        argv = [files[argv[0]](tmp_path) if a == "FILE" else a for a in argv]
-        code = f"from collectiva.cli import main; assert main({argv + ['--out', 'r.json']!r}) == 0"
-    out = run_python(tmp_path, f"import sys\n{code}\nprint('numpy' in sys.modules)")
-    assert out == str(case.startswith("stabilize"))
+    """A command's cold start pays for the modules it runs.  `signed`, a
+    rational `padic` path, `consistency` and `marginal` on a family that fails
+    no-signaling build no array, so neither they nor the imports load numpy
+    or SciPy; `stabilize`, which reads trials, and `marginal` on a family
+    that reaches the LP show the probe sees them."""
+    out = run_python(tmp_path, f"import sys\n{case_code(tmp_path, case)}\n"
+                               "print('numpy' in sys.modules,\n"
+                               "      any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert out == f"{case in ('stabilize FILE', 'marginal FILE')} {case == 'marginal FILE'}"
+
+
+TRIAL_MODULES = ["cli", "collectives", "errors", "report", "seqio", "stability"]
+FAMILY_MODULES = ["cli", "errors", "marginals", "report", "seqio"]
+SIGNED_MODULES = ["cli", "errors", "report", "seqio", "signed_prob"]
+EXECUTED = {  # case -> the collectiva modules it runs
+    **dict.fromkeys(["stabilize FILE", "select FILE", "mix FILE --labels 0", "randomness FILE",
+                     "ville --n 100"], TRIAL_MODULES),
+    **dict.fromkeys(["complexity FILE", "battery FILE"], sorted(TRIAL_MODULES + ["complexity"])),
+    "padic FILE --format csv": ["cli", "errors", "padic", "report", "seqio", "stability"],
+    **dict.fromkeys(["marginal FILE", "marginal SIGNALLING", "consistency FILE"], FAMILY_MODULES),
+    **dict.fromkeys(["signed three-atom", "signed FILE"], SIGNED_MODULES),
+    "fp_script.py FILE": ["errors", "finite_prob"],
+}
+
+
+@pytest.mark.parametrize("case", list(EXECUTED))
+def test_each_command_executes_only_the_modules_it_runs(tmp_path, case):
+    """The package registers every module lazily; a module runs its body on first
+    use.  `marginal`, `consistency` and `signed` take the exactness helpers from
+    `errors`, so none of them runs `finite_prob`, and the finite_prob script runs
+    nothing else of the package."""
+    script = (
+        f"import importlib.util, sys\n{case_code(tmp_path, case)}\n"
+        "lazy = importlib.util._LazyModule\n"
+        "print(sorted(n.split('.', 1)[1] for n, m in sys.modules.items()\n"
+        "             if n.startswith('collectiva.') and type(m) is not lazy))"
+    )
+    assert run_python(tmp_path, script) == str(EXECUTED[case])
 
 
 @pytest.mark.parametrize("command", ["battery", "complexity", "randomness", "select", "ville"])

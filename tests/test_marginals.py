@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collectiva import marginals
+from collectiva import errors, marginals
 from collectiva.errors import CapacityError, InputError
 from collectiva.marginals import (
     HIGHS_OPTIONS,
@@ -200,6 +200,45 @@ def test_disjoint_family_is_vacuously_consistent():
     fam = MarginalFamily((uniform_joint(("a1",)), uniform_joint(("a2",))))
     ok, violations = check_no_signaling(fam)
     assert ok and violations == []
+
+
+# --- exactness and the float tolerance ----------------------------------------------
+
+def test_the_exactness_helpers_from_errors_decide_every_marginal_check():
+    """marginals takes FLOAT_TOL, is_exact and values_equal from errors: a float pmf may
+    miss a total of 1 by FLOAT_TOL and a mass of 0 by as much below, an exact one by
+    nothing; an exact overlap that differs at all signals, while a float one within
+    FLOAT_SLACK does not and gets HiGHS's verdict."""
+    assert (marginals.FLOAT_TOL, marginals.is_exact, marginals.values_equal) == (
+        errors.FLOAT_TOL, errors.is_exact, errors.values_equal)
+    tol, tiny = errors.FLOAT_TOL, Fraction(1, 10**30)
+
+    def coin(heads, tails):
+        return JointPMF(("a",), {"a": (0, 1)}, {(0,): heads, (1,): tails})
+
+    coin(0.5, 0.5 + tol / 2)
+    coin(-tol / 2, 1 + tol / 2)
+    for heads, tails, reason in ((0.5, 0.5 + 2 * tol, "sum to"),
+                                 (-2 * tol, 1 + 2 * tol, "negative"),
+                                 (Fraction(1, 2), Fraction(1, 2) + tiny, "sum to"),
+                                 (-tiny, 1 + tiny, "negative")):
+        with pytest.raises(InputError, match=reason):
+            coin(heads, tails)
+
+    for half, shift in ((Fraction(1, 2), tiny), (0.5, 1e-15)):
+        pair = JointPMF(("a", "b"), {"a": (0, 1), "b": (0, 1)},
+                        {(0, 0): half + shift, (1, 1): half - shift})
+        fam = MarginalFamily((coin(half, half), pair))
+        ok, violations = check_no_signaling(fam)
+        verdict = joint_exists(fam)
+        if fam.exact:
+            assert violations == [(("a",), ("a", "b"), ("a",), tiny)]
+            assert kolmogorov_consistency(fam) == (
+                False, [("projection", ("a", "b"), ("a",), tiny)])
+            assert (verdict.feasible, verdict.violated) == (False, ("no-signaling", tiny))
+        else:
+            assert ok and kolmogorov_consistency(fam) == (True, [])
+            assert (verdict.feasible, verdict.method) == (True, "lp-highs")
 
 
 # --- generated facet catalogue vs independent oracle -------------------------------
@@ -442,9 +481,11 @@ def test_memory_budget_must_be_an_integer(monkeypatch):
 # --- certified verdicts ------------------------------------------------------------
 
 def correlation_pair(a: str, b: str, e) -> JointPMF:
-    """Two +-1 observables with zero means and correlation e."""
+    """Two +-1 observables with zero means and correlation e: a float pmf when e is a
+    float, else an exact one."""
+    e = e if isinstance(e, float) else Fraction(e)
     return JointPMF((a, b), {a: SIGNS, b: SIGNS}, {
-        (s, t): (1 + s * t * Fraction(e)) / 4 for s, t in itertools.product(SIGNS, repeat=2)
+        (s, t): (1 + s * t * e) / 4 for s, t in itertools.product(SIGNS, repeat=2)
     })
 
 
@@ -612,8 +653,12 @@ def priced_families(draw):
     return MarginalFamily(tuple(marginalize(joint, p) for p in pairs))
 
 
+# COLLECTIVA_FUZZ_EXAMPLES=500 runs the HiGHS-against-linprog test with the CLI fuzz gate
+HIGHS_SOLVE_EXAMPLES = int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "80"))
+
+
 @given(st.one_of(lp_families(), priced_families()))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=HIGHS_SOLVE_EXAMPLES, deadline=None)
 def test_direct_highs_solve_matches_linprog_bit_for_bit(family):
     """Every solve is checked against linprog on the atoms the model holds: the first
     of a model bit for bit, a warm one after atoms were added to the same objective."""

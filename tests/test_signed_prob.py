@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collectiva import errors, signed_prob
 from collectiva.cli import _negativity_scan
 from collectiva.errors import CapacityError, InputError, NullConditioningError
 from collectiva.signed_prob import (
@@ -105,6 +106,23 @@ def test_every_bundled_space_validates():
     for name, space in BUNDLED_SPACES.items():
         d = validate(space)
         assert d.total == 1, name
+
+
+def test_the_exactness_helpers_from_errors_decide_the_signed_checks():
+    """signed_prob takes is_exact and values_equal from errors: a float space may miss a
+    total of 1, or an independence product, by FLOAT_TOL; an exact one by nothing."""
+    assert (signed_prob.is_exact, signed_prob.values_equal) == (
+        errors.is_exact, errors.values_equal)
+    tol, tiny = errors.FLOAT_TOL, Fraction(1, 10**30)
+    near = SignedProbabilitySpace(("a", "b"), {"a": -0.5, "b": 1.5 + tol / 2})
+    assert validate(near).negative_atoms == ("a",)
+    assert complement_excess(near, {"a"}) == (-0.5, 1.5 + tol / 2)
+    for a, b in ((-0.5, 1.5 + 2 * tol), (Fraction(-1, 2), Fraction(3, 2) + tiny)):
+        with pytest.raises(InputError, match="sum to"):
+            validate(SignedProbabilitySpace(("a", "b"), {"a": a, "b": b}))
+    for w in (tol / 2, tiny):  # P(A & A) = P(A) against P(A)^2
+        space = SignedProbabilitySpace(("a", "b"), {"a": w, "b": 1 - w})
+        assert independent_signed(space, {"a"}, {"a"}) == (not space.exact)
 
 
 # --- Jordan decomposition --------------------------------------------------------------

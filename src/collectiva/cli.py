@@ -8,7 +8,6 @@ schema-validated JSON report (stdout or --out).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from fractions import Fraction
@@ -44,6 +43,8 @@ def _input_echo(path: str):
     reports the same bytes from any directory; a bundled space name as given."""
     if not os.path.isfile(path):
         return path
+    import hashlib  # past the check: it loads OpenSSL, which a bundled space name never needs
+
     digest, size = hashlib.sha256(), 0
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 16):
@@ -448,7 +449,7 @@ def cmd_ville(args) -> tuple[dict, list[str]]:
             "detail": str(exc),
         }
         return payload, ["construction failed; no sequence emitted"]
-    reports = collectives.randomness_check(x, family, epsilon=eps, min_length=1)
+    _, reports = collectives.rule_reports(x.alphabet, family, x.counts, epsilon=eps, min_length=1)
     payload = {
         "constructed": True,
         "n": len(x),
@@ -571,6 +572,10 @@ def main(argv=None) -> int:
         return 2
     except CapacityError as exc:
         print(f"capacity limit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an allocation refused, with or without COLLECTIVA_MAX_MEM
+        detail = f": {exc}" if str(exc) else ""
+        print(f"capacity limit: out of memory{detail}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,9 +27,9 @@ from .stability import window_stability
 DEFAULT_EPSILON = Fraction(1, 100)
 CHUNK = 1 << 18  # elements per step of the chunked kernels, bounding their temporaries
 COIN_STEP = CHUNK >> 3  # doubles the coin rule draws per step: 8 bytes each
-# the attempt's bits (1 byte) and the packed sequence (1/8): 2.4 bytes per trial at
-# n = 100 000 on identity, primes, after:10 and coin, beside about 130 kB of window
-# temporaries, which 16 bytes a trial cover from n = 10 000 on
+# the attempt's bits (1 byte), the packed sequence (1/8) and the window temporaries of
+# the masks and of label_counts: 6.1 bytes per trial at n = 100 000 on identity,
+# primes, after:10 and coin, and under 16 from n = 10 000 on
 VILLE_BYTES_PER_TRIAL = 16
 # positions per window of ville's packed selection masks: small, so that a window's
 # temporaries (8 bytes a position for coin's draws) reuse freed heap blocks
@@ -698,10 +698,10 @@ def kamke_adversary(x: TrialSequence, target) -> np.ndarray:
 
 
 class VilleSequence(TrialSequence):
-    """ville_generator's sequence, with its count of ones and the least
-    running margin 2 * ones - n over its prefixes, both from its scan."""
+    """ville_generator's sequence with what its scan read: its count of ones,
+    the least running margin 2 * ones - n and the family's label_counts row."""
 
-    __slots__ = ("ones", "min_margin")
+    __slots__ = ("ones", "min_margin", "counts")
 
 
 def ville_generator(
@@ -742,6 +742,7 @@ def ville_generator(
         if failure is None:
             x = VilleSequence(BINARY, bits)
             x.ones, x.min_margin = ones, low
+            x.counts = np.array([[n_trials - ones, ones], *([k - o, o] for k, o in counts)])
             return x
         if budget > 0 and last_free is not None:
             overrides = {p: b for p, b in overrides.items() if p < last_free}
@@ -803,7 +804,7 @@ def _ville_attempt(family, n_trials, overrides):
 
     Returns (bits, last_free, counts): last_free is the last position whose
     bit was free to take either value (None when none was), and counts[i]
-    is [selected, ones among selected] of family[i]."""
+    is [selected, ones among selected] of family[i], by label_counts."""
     blind, afters, scalars = [], [], []
     for i, rule in enumerate(family):
         if not rule.reads_trials and len(blind) < 8:
@@ -818,9 +819,9 @@ def _ville_attempt(family, n_trials, overrides):
     blind_rules = [family[i] for i in blind]
     # packed byte -> the blind rules it selects
     picks = [tuple(i for j, i in enumerate(blind) if v >> j & 1) for v in range(1 << len(blind))]
-    arr = np.zeros(n_trials, dtype=np.uint8)
+    buf = bytearray(n_trials)
+    arr = np.frombuffer(buf, dtype=np.uint8)  # the bits, as the masks read them
     ones = recent = 0  # recent: the last bits, the latest lowest, masked to the longest pattern
-    selected = [0] * len(family)
     surplus = [0] * len(family)  # 2 * ones - selected, over each rule's selections
     last_free = None
     for start in range(0, n_trials, VILLE_WINDOW):
@@ -852,15 +853,14 @@ def _ville_attempt(family, n_trials, overrides):
                     elif hi + lo < 0 and lo <= -4:
                         b = 1
                 last_free = n - 1
-            arr[n - 1] = b
+            buf[n - 1] = b
             ones += b
             recent = (recent << 1 | b) & recent_mask
             step = 2 * b - 1
             for i in names:
-                selected[i] += 1
                 surplus[i] += step
-    counts = [[k, (e + k) // 2] for k, e in zip(selected, surplus)]
-    return arr, last_free, counts
+    rows = label_counts(TrialSequence(BINARY, arr), [n_trials], family)[0, 1:].tolist()
+    return arr, last_free, [[z + o, o] for z, o in rows]
 
 
 def running_margins(bits: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import (CapacityError, InputError, NullConditioningError, check_mem, is_exact,
                      max_mem_bytes, values_equal)
-from .seqio import MALFORMED, parse_rational, read_json
+from . import seqio  # registered lazily: a bundled space runs neither it nor csv
 
 # per subset sum of the negativity count (tracemalloc: 13-31 bytes at 12-24 atoms)
 NEGATIVITY_BYTES_PER_SUM = 64
@@ -432,7 +432,7 @@ def _document_number(v):
     """A weight or variable value from a JSON document: a number, or a string
     in parse_rational's grammar, read exactly.  Booleans are not numbers here."""
     if isinstance(v, str):
-        return parse_rational(v)
+        return seqio.parse_rational(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"malformed signed-space document: {v!r} is not a number")
     return v
@@ -446,9 +446,9 @@ def space_from_document(doc: dict) -> tuple[SignedProbabilitySpace, Mapping | No
         if "variable" in doc:
             var = {a: _document_number(doc["variable"][a]) for a in weights}
         return space, var
-    except MALFORMED as exc:
+    except seqio.MALFORMED as exc:
         raise InputError(f"malformed signed-space document: {exc}") from exc
 
 
 def load_space(path) -> tuple[SignedProbabilitySpace, Mapping | None]:
-    return space_from_document(read_json(path))
+    return space_from_document(seqio.read_json(path))

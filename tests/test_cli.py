@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import collectiva
-from collectiva import marginals, signed_prob
+from collectiva import collectives, marginals, signed_prob
 from collectiva.cli import build_parser, main
 from collectiva.complexity import pack_bits
-from collectiva.report import validate_report
+from collectiva.report import jsonable, validate_report
 
 
 def run(argv, tmp_path, name="r.json"):
@@ -841,6 +841,38 @@ def test_ville_rejects_a_pattern_off_the_alphabet_before_any_trial(capsys, monke
     assert "label '2' not in alphabet" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["--rules", "identity,after:1", "--n", "20"], "rule #1 deviation 3/10 exceeds epsilon"),
+    (["--rules", "after:10,primes", "--n", "100"], "rule #0 deviation 19/34 exceeds epsilon"),
+])
+def test_ville_out_of_balance_gives_the_construction_failed_payload(tmp_path, argv, detail):
+    code, report = run(["ville", *argv, "--eps", "1/20", "--min-count", "10"], tmp_path)
+    assert code == 0
+    assert report["payload"] == {
+        "constructed": False, "verdict": "construction-failed", "n": int(argv[-1]),
+        "epsilon": "1/20", "detail": f"construction failed within the backtracking budget: {detail}",
+    }
+
+
+@pytest.mark.parametrize("rules", [
+    "after:1,after:01,after:110", "identity,primes,coin", "coin:3,after:0,odds",
+    ",".join(["identity", "evens", "odds", "primes", "coin:7"] * 2),
+])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ville_reports_randomness_check_of_its_sequence(tmp_path, rules, seed):
+    """The rules table comes from the counts the construction's scan checked;
+    it is what randomness_check finds on the emitted sequence."""
+    family = [collectives.rule_from_spec(s, default_seed=seed) for s in rules.split(",")]
+    for n in (300, 2048, 4096):
+        code, report = run(["ville", "--n", str(n), "--rules", rules, "--seed", str(seed)],
+                           tmp_path)
+        assert code == 0
+        pl = report["payload"]
+        x = collectives.TrialSequence.from_labels(collectives.BINARY, pl["sequence"])
+        checked = collectives.randomness_check(x, family, Fraction(1, 100), min_length=1)
+        assert pl["rules"] == jsonable(checked)
+
+
 def test_large_ville_run_omits_the_sequence(tmp_path):
     code, report = run(["ville", "--n", "8192"], tmp_path)
     assert code == 0
@@ -857,6 +889,20 @@ def test_memory_budget_stops_raw_reads_and_ville_with_one_line(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("capacity limit:") and "COLLECTIVA_MAX_MEM" in err
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 93.1 GiB for an array"),
+     "capacity limit: out of memory: Unable to allocate 93.1 GiB for an array"),
+    (MemoryError(), "capacity limit: out of memory"),
+])
+def test_running_out_of_memory_exits_three_with_one_line(capsys, monkeypatch, exc, line):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(collectives, "ville_generator", exhausted)
+    assert main(["ville", "--n", "100"]) == 3
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_a_raw_read_is_budgeted_at_one_bit_per_trial(tmp_path, monkeypatch):
@@ -1070,7 +1116,8 @@ EXECUTED = {  # case -> the collectiva modules it runs
     **dict.fromkeys(["complexity FILE", "battery FILE"], sorted(TRIAL_MODULES + ["complexity"])),
     "padic FILE --format csv": ["cli", "errors", "padic", "report", "seqio", "stability"],
     **dict.fromkeys(["marginal FILE", "marginal SIGNALLING", "consistency FILE"], FAMILY_MODULES),
-    **dict.fromkeys(["signed three-atom", "signed FILE"], SIGNED_MODULES),
+    "signed three-atom": ["cli", "errors", "report", "signed_prob"],
+    "signed FILE": SIGNED_MODULES,
     "fp_script.py FILE": ["errors", "finite_prob"],
 }
 
@@ -1079,8 +1126,8 @@ EXECUTED = {  # case -> the collectiva modules it runs
 def test_each_command_executes_only_the_modules_it_runs(tmp_path, case):
     """The package registers every module lazily; a module runs its body on first
     use.  `marginal`, `consistency` and `signed` take the exactness helpers from
-    `errors`, so none of them runs `finite_prob`, and the finite_prob script runs
-    nothing else of the package."""
+    `errors`, so none of them runs `finite_prob`; `signed` on a bundled space runs
+    no `seqio` either, and the finite_prob script runs nothing else of the package."""
     script = (
         f"import importlib.util, sys\n{case_code(tmp_path, case)}\n"
         "lazy = importlib.util._LazyModule\n"
@@ -1088,6 +1135,14 @@ def test_each_command_executes_only_the_modules_it_runs(tmp_path, case):
         "             if n.startswith('collectiva.') and type(m) is not lazy))"
     )
     assert run_python(tmp_path, script) == str(EXECUTED[case])
+
+
+@pytest.mark.parametrize("case, loaded", [("signed three-atom", False), ("signed FILE", True)])
+def test_only_an_input_file_loads_openssl(tmp_path, case, loaded):
+    """hashlib, whose import loads OpenSSL's libcrypto, is imported to hash an
+    input file; a bundled space name is echoed as given."""
+    script = f"import sys\n{case_code(tmp_path, case)}\nprint('_hashlib' in sys.modules)"
+    assert run_python(tmp_path, script) == str(loaded)
 
 
 @pytest.mark.parametrize("command", ["battery", "complexity", "randomness", "select", "ville"])

@@ -2,6 +2,7 @@
 mixing additivity, the adversarial selection, and the regular-sequence
 generator."""
 
+import os
 import sys
 import time
 import tracemalloc
@@ -873,7 +874,7 @@ def ville_outcome(family, n, eps, min_count):
         return str(exc)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "30")), deadline=None)
 @given(
     specs=st.lists(catalogue_rule_specs, min_size=1, max_size=5),
     n=st.integers(1, 3000),
@@ -892,7 +893,7 @@ def test_ville_matches_the_float_cost_reference(specs, n, tolerance):
         assert outcome == ville_outcome(family, n, eps, min_count)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "25")), deadline=None)
 @given(specs=st.lists(catalogue_rule_specs, min_size=1, max_size=5), data=st.data())
 def test_ville_windows_of_61_trials_match_the_reference(specs, data):
     """Window masks taken 61 positions at a time, so a run of more than 61
@@ -941,6 +942,16 @@ def test_ville_asks_the_rest_of_the_family_per_trial(name):
     assert bits.tobytes() == ref_bits.tobytes()
     assert (free, counts) == (ref_free, ref_counts)
     assert all(k > 0 for k, _ in counts)
+
+
+@pytest.mark.parametrize("name", [*PER_TRIAL_FAMILIES, "after patterns of length 1-3 and coin"])
+def test_ville_sequence_carries_the_label_counts_of_its_family(name):
+    """The counts the scan checked are one label_counts pass with the rules' own masks."""
+    family = PER_TRIAL_FAMILIES.get(name) or [
+        rule_from_spec(s) for s in ("after:1", "after:01", "after:110", "coin:4")]
+    x = ville_generator(family, 3000, epsilon=Fraction(1, 10))
+    assert x.counts.tolist() == label_counts(x, [len(x)], family)[0].tolist()
+    assert x.counts[0, 1] == x.ones
 
 
 def catalogue_rules() -> list[PlaceSelectionRule]:

@@ -183,8 +183,8 @@ def cmd_randomness(args) -> tuple[dict, list[str]]:
 
 def cmd_complexity(args) -> tuple[dict, list[str]]:
     word = complexity.as_word(seqio.read_sequence(args.input, args.format))
-    # each prefix is compressed once; the last is the whole word (unless the
-    # word is one bit), whose compression the curve round-trips
+    # one stream compresses the word once, each prefix a flushed copy; the last
+    # prefix is the whole word (unless it is one bit), round-tripped by the curve
     curve = complexity.complexity_rate_curve(word)
     est = curve[-1] if curve else complexity.estimate_K(word)
     cond = complexity.without_header(est)

@@ -26,9 +26,11 @@ not a canon.
 
 from __future__ import annotations
 
+import copy
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,12 +59,12 @@ def as_bits(x) -> np.ndarray:
     elif isinstance(x, str):
         bits = np.frombuffer(x.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
-        bits = np.asarray(x, dtype=np.uint8)
+        bits = np.asarray(x)
     if bits.ndim != 1 or bits.size == 0:
         raise InputError("binary word must be a nonempty 1-d bit vector")
-    if bits.max(initial=0) > 1:
+    if not (bits.max() <= 1 if bits.dtype == np.uint8 else ((bits == 0) | (bits == 1)).all()):
         raise InputError("binary word may contain only 0s and 1s")
-    return bits
+    return bits.astype(np.uint8, copy=False)
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
@@ -71,38 +73,42 @@ def pack_bits(bits: np.ndarray) -> bytes:
 
 @dataclass(frozen=True)
 class Codec:
-    """Deterministic lossless bytes->bytes compressor with inverse.  pieces,
-    when given, yields the inverse's output in consecutive pieces, so that a
+    """Deterministic lossless bytes->bytes compressor with inverse.  stream()
+    starts a compressor with compress, copy and flush (as zlib.compressobj);
+    pieces(blob) yields the inverse's output in consecutive pieces, so that a
     round trip is checked without a whole second copy of the data."""
 
     name: str
-    compress: Callable[[bytes], bytes]
-    decompress: Callable[[bytes], bytes]
-    pieces: Callable[[bytes], Iterable[bytes]] | None = None
+    stream: Callable[[], object]
+    pieces: Callable[[bytes], Iterable[bytes]]
 
-    def compressed(self, data: bytes, verify: bool = True) -> bytes:
-        """compress(data); with verify, checked to decompress back to data."""
-        blob = self.compress(data)
-        if verify and not self._restores(blob, data):
-            raise CodecIntegrityError(f"codec {self.name} failed round-trip")
-        return blob
+    def compress(self, data) -> bytearray:
+        """The stream fed data CHUNK bytes at a time, then flushed, into one buffer."""
+        co, out = self.stream(), bytearray()
+        _feed(co, memoryview(data), out)
+        out += co.flush()
+        return out
+
+    def decompress(self, blob) -> bytes:
+        return b"".join(self.pieces(blob))
 
     def _restores(self, blob: bytes, data: bytes) -> bool:
         pos = 0
-        for piece in self.pieces(blob) if self.pieces else (self.decompress(blob),):
+        for piece in self.pieces(blob):
             if piece != data[pos:pos + len(piece)]:
                 return False
             pos += len(piece)
         return pos == len(data)
 
 
-def _deflate_compress(data: bytes) -> bytearray:
-    """The raw-DEFLATE stream of data, fed CHUNK bytes at a time into one buffer."""
-    co, view, out = zlib.compressobj(9, zlib.DEFLATED, -15), memoryview(data), bytearray()
+def _feed(co, view: memoryview, out: bytearray) -> None:
     for a in range(0, len(view), CHUNK):
         out += co.compress(view[a:a + CHUNK])
-    out += co.flush()
-    return out
+
+
+def _deflate_compress():
+    """A raw-DEFLATE compressor at level 9."""
+    return zlib.compressobj(9, zlib.DEFLATED, -15)
 
 
 def _deflate_decompress(blob: bytes) -> Iterator[bytes]:
@@ -115,8 +121,7 @@ def _deflate_decompress(blob: bytes) -> Iterator[bytes]:
 
 
 def deflate_codec() -> Codec:
-    return Codec("deflate-raw-9", _deflate_compress,
-                 lambda blob: b"".join(_deflate_decompress(blob)), _deflate_decompress)
+    return Codec("deflate-raw-9", _deflate_compress, _deflate_decompress)
 
 
 # --- adaptive order-0 binary arithmetic coder --------------------------------
@@ -129,92 +134,77 @@ _AC_3QTR = 3 * _AC_QTR
 _AC_RESCALE = 1 << 16
 
 
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.nacc = 0
+class _ArithStream:
+    """The coder between pieces of input: range, pending bits, counts of 0s
+    and 1s, the bits so far and the input byte count.  flush writes it all:
+    the byte count as an 8-byte header, then the packed bits."""
 
-    def put(self, bit: int):
-        self.acc = (self.acc << 1) | bit
-        self.nacc += 1
-        if self.nacc == 8:
-            self.buf.append(self.acc)
-            self.acc = self.nacc = 0
+    def __init__(self):
+        self.low, self.high, self.pending, self.c0, self.c1 = 0, _AC_TOP, 0, 1, 1
+        self.bits, self.nbytes = bytearray(), 0
+
+    def copy(self) -> _ArithStream:
+        twin = copy.copy(self)
+        twin.bits = bytearray(self.bits)
+        return twin
+
+    def _emit(self, bit: int):
+        self.bits.append(bit)
+        self.bits += bytes((1 - bit,)) * self.pending
+        self.pending = 0
+
+    def compress(self, data) -> bytes:
+        low, high, c0, c1 = self.low, self.high, self.c0, self.c1
+        for b in np.unpackbits(np.frombuffer(data, dtype=np.uint8)):
+            total = c0 + c1
+            span = high - low + 1
+            split = low + span * c0 // total - 1
+            if b:
+                low = split + 1
+                c1 += 1
+            else:
+                high = split
+                c0 += 1
+            if c0 + c1 >= _AC_RESCALE:
+                c0, c1 = max(1, c0 >> 1), max(1, c1 >> 1)
+            while True:
+                if high < _AC_HALF:
+                    self._emit(0)
+                elif low >= _AC_HALF:
+                    self._emit(1)
+                    low -= _AC_HALF
+                    high -= _AC_HALF
+                elif low >= _AC_QTR and high < _AC_3QTR:
+                    self.pending += 1
+                    low -= _AC_QTR
+                    high -= _AC_QTR
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+        self.low, self.high, self.c0, self.c1 = low, high, c0, c1
+        self.nbytes += len(data)
+        return b""
 
     def flush(self) -> bytes:
-        if self.nacc:
-            self.buf.append(self.acc << (8 - self.nacc))
-        return bytes(self.buf)
+        self.pending += 1
+        self._emit(0 if self.low < _AC_QTR else 1)
+        return self.nbytes.to_bytes(8, "big") + np.packbits(self.bits).tobytes()
 
 
-class _BitReader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def get(self) -> int:
-        byte = self.blob[self.pos >> 3] if (self.pos >> 3) < len(self.blob) else 0
-        bit = (byte >> (7 - (self.pos & 7))) & 1
-        self.pos += 1
-        return bit
+def _arith_compress() -> _ArithStream:
+    return _ArithStream()
 
 
-def _arith_compress(data: bytes) -> bytes:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    out = _BitWriter()
-    low, high = 0, _AC_TOP
-    pending = 0
-    c0 = c1 = 1
-
-    def emit(bit):
-        nonlocal pending
-        out.put(bit)
-        while pending:
-            out.put(1 - bit)
-            pending -= 1
-
-    for b in bits:
-        total = c0 + c1
-        span = high - low + 1
-        split = low + span * c0 // total - 1
-        if b:
-            low = split + 1
-            c1 += 1
-        else:
-            high = split
-            c0 += 1
-        if c0 + c1 >= _AC_RESCALE:
-            c0, c1 = max(1, c0 >> 1), max(1, c1 >> 1)
-        while True:
-            if high < _AC_HALF:
-                emit(0)
-            elif low >= _AC_HALF:
-                emit(1)
-                low -= _AC_HALF
-                high -= _AC_HALF
-            elif low >= _AC_QTR and high < _AC_3QTR:
-                pending += 1
-                low -= _AC_QTR
-                high -= _AC_QTR
-            else:
-                break
-            low <<= 1
-            high = (high << 1) | 1
-    pending += 1
-    emit(0 if low < _AC_QTR else 1)
-    body = out.flush()
-    return len(data).to_bytes(8, "big") + body
-
-
-def _arith_decompress(blob: bytes) -> bytes:
+def _arith_decompress(blob: bytes) -> Iterator[bytes]:
     nbytes = int.from_bytes(blob[:8], "big")
     nbits = nbytes * 8
-    rd = _BitReader(blob[8:])
+    rd = chain((byte >> k & 1 for byte in memoryview(blob)[8:] for k in range(7, -1, -1)),
+               repeat(0))  # the body's bits, then 0s
     low, high = 0, _AC_TOP
     code = 0
     for _ in range(_AC_BITS):
-        code = (code << 1) | rd.get()
+        code = (code << 1) | next(rd)
     c0 = c1 = 1
     bits = np.empty(nbits, dtype=np.uint8)
     for i in range(nbits):
@@ -246,8 +236,8 @@ def _arith_decompress(blob: bytes) -> bytes:
                 break
             low <<= 1
             high = (high << 1) | 1
-            code = (code << 1) | rd.get()
-    return np.packbits(bits).tobytes()
+            code = (code << 1) | next(rd)
+    yield np.packbits(bits).tobytes()
 
 
 def arith_codec() -> Codec:
@@ -284,14 +274,7 @@ class ComplexityEstimate:
 def estimate_K(x, codec: Codec | None = None, verify: bool = True) -> ComplexityEstimate:
     """Compressed size in bits plus the length header (an upper-bound proxy)."""
     word = as_word(x)
-    return _prefix_estimate(word, len(word), codec or DEFAULT_CODEC(), verify)
-
-
-def _prefix_estimate(word: TrialSequence, n: int, codec: Codec,
-                     verify: bool) -> ComplexityEstimate:
-    """estimate_K of the word's first n bits, compressed from its packed store."""
-    body = 8 * len(codec.compressed(word.packed(n), verify))
-    return ComplexityEstimate(n, body + header_bits(n), codec.name)
+    return _curve(word, (len(word),), codec or DEFAULT_CODEC(), verify)[0]
 
 
 def estimate_K_conditional(x, n: int, codec: Codec | None = None,
@@ -325,13 +308,36 @@ def default_prefix_lengths(n: int, start: int = 64) -> tuple[int, ...]:
     return tuple(p for p in pts if p >= 2)
 
 
+def _curve(word: TrialSequence, ns: Sequence[int], codec: Codec,
+           verify: bool) -> list[ComplexityEstimate]:
+    """Estimates of the word's first n bits for n in ns (increasing, none past
+    the word) from one stream fed the packed word once.  A prefix inside the
+    word is a copy, fed its zero-padded last byte and flushed; the whole word
+    flushes the stream itself, and with verify its output is round-tripped."""
+    data, co, out, fed, curve = word.packed(), codec.stream(), bytearray(), 0, []
+    for n in ns:
+        _feed(co, data[fed:n >> 3], out)
+        fed = n >> 3
+        if n == len(word):
+            out += co.compress(data[fed:])
+            out += co.flush()
+            if verify and not codec._restores(out, data):
+                raise CodecIntegrityError(f"codec {codec.name} failed round-trip")
+            body = len(out)
+        else:
+            tail = co.copy()
+            last = bytes([data[fed] & (0xFF00 >> n % 8) & 0xFF]) if n % 8 else b""
+            body = len(out) + len(tail.compress(last)) + len(tail.flush())
+        curve.append(ComplexityEstimate(n, 8 * body + header_bits(n), codec.name))
+    return curve
+
+
 def complexity_rate_curve(x, prefix_lengths: Sequence[int] | None = None,
                           codec: Codec | None = None) -> list[ComplexityEstimate]:
     """Per-prefix estimates with one codec (rates plot the structure).  The
     compression of the whole word, when it is one of the prefixes, is checked
     to decompress back; the shorter prefixes' are not."""
     word = as_word(x)
-    codec = codec or DEFAULT_CODEC()
     ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(len(word))
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InputError("prefix lengths must be strictly increasing")
@@ -339,7 +345,7 @@ def complexity_rate_curve(x, prefix_lengths: Sequence[int] | None = None,
         raise InputError("prefix lengths must be >= 1")
     if ns and ns[-1] > len(word):
         raise InputError("prefix length beyond the word")
-    return [_prefix_estimate(word, n, codec, verify=n == len(word)) for n in ns]
+    return _curve(word, ns, codec or DEFAULT_CODEC(), verify=True)
 
 
 def martin_lof_dip_scan(x, prefix_lengths: Sequence[int] | None = None,
@@ -349,15 +355,10 @@ def martin_lof_dip_scan(x, prefix_lengths: Sequence[int] | None = None,
     K-hat is an upper bound, so every reported dip is genuine; an empty
     result is inconclusive, not evidence of randomness.
     """
-    word = as_word(x)
-    codec = codec or DEFAULT_CODEC()
-    ns = tuple(prefix_lengths) if prefix_lengths is not None else default_prefix_lengths(len(word))
-    if any(n < 2 for n in ns):
+    if prefix_lengths is not None and any(n < 2 for n in prefix_lengths):
         raise InputError("dip scan needs prefix lengths >= 2")
-    for n in ns:
-        if n > len(word):
-            raise InputError(f"declared length {n} != actual {len(word)}")
-    return [n for n in ns if is_dip(without_header(_prefix_estimate(word, n, codec, False)))]
+    return [e.n_bits for e in complexity_rate_curve(x, prefix_lengths, codec)
+            if is_dip(without_header(e))]
 
 
 # --- battery ------------------------------------------------------------------
@@ -571,12 +572,9 @@ def codec_invariance_constant(words, codec_a: Codec, codec_b: Codec) -> int:
 def subadditivity_constant(words, codec: Codec | None = None) -> int:
     """max over corpus pairs of K-hat(xy) - K-hat(x) - K-hat(y)."""
     codec = codec or DEFAULT_CODEC()
-    worst = -(10**9)
     words = [as_bits(w) for w in words]
-    for a in words:
-        for b in words:
-            joint = estimate_K(np.concatenate([a, b]), codec, verify=False).k_hat
-            worst = max(worst, joint
-                        - estimate_K(a, codec, verify=False).k_hat
-                        - estimate_K(b, codec, verify=False).k_hat)
-    return worst
+    if not words:
+        raise InputError("subadditivity needs a nonempty corpus")
+    ks = [estimate_K(w, codec, verify=False).k_hat for w in words]
+    return max(estimate_K(np.concatenate([a, b]), codec, verify=False).k_hat - ka - kb
+               for a, ka in zip(words, ks) for b, kb in zip(words, ks))

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import erfc
 
 from collectiva.collectives import BINARY, TrialSequence, index_dtype
+from collectiva.complexity import ComplexityEstimate, as_bits, header_bits
 from collectiva.marginals import FLOAT_SLACK, marginalize
 
 
@@ -369,6 +370,16 @@ def subset_scan(space) -> tuple:
     best = min(range(len(sums)), key=sums.__getitem__)
     argmin = [a for i, a in enumerate(atoms) if best >> i & 1]
     return sums[best], argmin, sum(1 for s in sums if s < 0)
+
+
+# --- complexity curve: every prefix compressed from scratch ------------------------
+
+def per_prefix_curve(word, ns, codec) -> list[ComplexityEstimate]:
+    """The complexity curve at the prefix lengths ns, each prefix packed on its
+    own by np.packbits and compressed by a fresh stream of the codec."""
+    bits = as_bits(word)
+    return [ComplexityEstimate(n, 8 * len(codec.compress(np.packbits(bits[:n]).tobytes()))
+                               + header_bits(n), codec.name) for n in ns]
 
 
 # --- battery closed forms ---------------------------------------------------------

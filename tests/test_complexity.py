@@ -2,6 +2,7 @@
 finite randomness-test battery, and the measured codec constants."""
 
 import math
+import os
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -46,6 +47,7 @@ from _oracles import (
     block_frequency_chi2,
     longest_runs_by_column,
     monobit_p,
+    per_prefix_curve,
 )
 
 
@@ -74,6 +76,8 @@ def test_as_bits_accepts_common_shapes():
     assert np.array_equal(as_bits([0, 1]), np.array([0, 1], dtype=np.uint8))
     x = TrialSequence.from_bits(np.array([1, 1, 0]))
     assert np.array_equal(as_bits(x), np.array([1, 1, 0], dtype=np.uint8))
+    assert np.array_equal(as_bits([0.0, 1.0, 1.0]), np.array([0, 1, 1], dtype=np.uint8))
+    assert np.array_equal(as_bits([True, False]), np.array([1, 0], dtype=np.uint8))
 
 
 def test_as_bits_rejects_bad_input():
@@ -81,8 +85,13 @@ def test_as_bits_rejects_bad_input():
         as_bits(TrialSequence(LabelAlphabet(("a", "b", "c")), np.array([0, 2])))
     with pytest.raises(InputError, match="nonempty"):
         as_bits([])
-    with pytest.raises(InputError, match="only 0s and 1s"):
-        as_bits([0, 2])
+    # none may be truncated or wrapped into a word the caller never gave
+    for word in ([0, 2], [0.5, 1.7, 0.2], [0, 1, 0.999], [-1, 0], [256, 1], [0, 1, 2**70],
+                 [0, float("nan")], [1, float("inf")], ["0", "1"], [None, 1], "01x"):
+        with pytest.raises(InputError, match="only 0s and 1s"):
+            as_bits(word)
+        with pytest.raises(InputError, match="only 0s and 1s"):
+            estimate_K(word)
 
 
 def test_pack_bits_is_msb_first():
@@ -126,7 +135,7 @@ def test_deflate_in_chunks_equals_the_one_shot_stream(monkeypatch, name):
         "1 bit per byte": lambda: rng.integers(0, 2, n, dtype=np.uint8).tobytes(),
         "10% ones packed": lambda: pack_bits(rng.random(8 * n) < 0.1),
     }[name]()
-    assert complexity._deflate_compress(data) == one_shot_deflate(data)
+    assert deflate_codec().compress(data) == one_shot_deflate(data)
 
 
 def test_deflate_holds_its_output_once():
@@ -135,7 +144,7 @@ def test_deflate_holds_its_output_once():
     data = np.random.default_rng(53).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
     tracemalloc.start()
     try:
-        out = complexity._deflate_compress(data)
+        out = deflate_codec().compress(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -151,9 +160,15 @@ def test_codecs_are_deterministic():
 
 
 def test_broken_codec_is_caught():
-    lossy = Codec("lossy", lambda d: d[:-1] if d else d, lambda d: d)
+    base = deflate_codec()
+    lossy = Codec("lossy", base.stream, lambda blob: [base.decompress(blob)[:-1]])
     with pytest.raises(CodecIntegrityError, match="round-trip"):
         estimate_K(random_bits(256, 0), lossy)
+    padded = Codec("padded", base.stream, lambda blob: [*base.pieces(blob), b"\0"])
+    with pytest.raises(CodecIntegrityError, match="round-trip"):
+        estimate_K(random_bits(256, 0), padded)
+    assert estimate_K(random_bits(256, 0), lossy, verify=False).k_hat == \
+        estimate_K(random_bits(256, 0)).k_hat
 
 
 # --- complexity estimates ----------------------------------------------------------
@@ -277,17 +292,62 @@ def test_the_curve_gives_the_dip_scan_and_the_conditional_estimates():
 def test_rate_curve_round_trips_only_the_whole_word():
     base = deflate_codec()
     decompressed = []
-    codec = Codec(base.name, base.compress, lambda blob: decompressed.append(blob) or
-                  base.decompress(blob))
+    codec = Codec(base.name, base.stream, lambda blob: decompressed.append(bytes(blob)) or
+                  base.pieces(blob))
     w = random_bits(5000, 8)
     assert complexity_rate_curve(w, codec=codec) == complexity_rate_curve(w)
-    assert len(decompressed) == 1
+    assert decompressed == [bytes(base.compress(pack_bits(w)))]
     assert complexity_rate_curve(w, [64, 128], codec)
     assert len(decompressed) == 1
-    lossy = Codec("lossy", base.compress, lambda blob: b"")
+    lossy = Codec("lossy", base.stream, lambda blob: [b""])
     assert complexity_rate_curve(w, [64, 128], lossy)
     with pytest.raises(CodecIntegrityError, match="round-trip"):
         complexity_rate_curve(w, codec=lossy)
+
+
+# COLLECTIVA_FUZZ_EXAMPLES=500 runs the curve-against-oracle test with the CLI fuzz gate
+CURVE_EXAMPLES = int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "30"))
+
+
+@st.composite
+def words_and_prefixes(draw):
+    """A biased, periodic or uniform word of 1 to 5000 bits and a strictly
+    increasing list of its prefix lengths, one of them not a whole byte."""
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["biased", "periodic", "uniform"]))
+    if kind == "biased":
+        bits = rng.random(n) < draw(st.sampled_from([0.01, 0.1, 0.9, 0.99]))
+    elif kind == "periodic":
+        bits = np.resize(rng.integers(0, 2, draw(st.integers(1, 40))), n)
+    else:
+        bits = rng.integers(0, 2, n)
+    ns = draw(st.sets(st.integers(1, n), max_size=8))
+    ns.add(draw(st.integers(1, n).filter(lambda k: k % 8)))
+    if draw(st.booleans()):
+        ns.add(n)
+    return bits.astype(np.uint8), sorted(ns)
+
+
+@settings(max_examples=CURVE_EXAMPLES, deadline=None)
+@given(case=words_and_prefixes(), chunk=st.integers(1, 64))
+def test_the_one_stream_curve_is_per_prefix_compression(case, chunk):
+    """Each prefix's flushed copy of the one stream gives the estimate that
+    compressing the prefix from scratch gives, and feeding and flushing a
+    copy leaves the stream's own later output unchanged."""
+    bits, ns = case
+    data = pack_bits(bits)
+    cut = ns[0] >> 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "CHUNK", chunk)
+        for codec in (deflate_codec(), arith_codec()):
+            assert complexity_rate_curve(bits, ns, codec) == per_prefix_curve(bits, ns, codec)
+            co = codec.stream()
+            out = co.compress(data[:cut])
+            twin = co.copy()
+            twin.compress(data[cut:cut + 1])
+            twin.flush()
+            assert out + co.compress(data[cut:]) + co.flush() == codec.compress(data)
 
 
 def test_dip_scan_validation():
@@ -439,23 +499,43 @@ def test_subadditivity_constant_is_measured_and_stable():
             assert joint <= estimate_K(a).k_hat + estimate_K(b).k_hat + c
 
 
+@pytest.mark.parametrize("make", [deflate_codec, arith_codec])
+@pytest.mark.parametrize("words", [corpus(), corpus()[:3], corpus()[4:5]])
+def test_subadditivity_constant_is_the_max_over_every_pair(words, make):
+    k = {id(w): estimate_K(w, make()).k_hat for w in words}
+    assert subadditivity_constant(words, make()) == max(
+        estimate_K(np.concatenate([a, b]), make()).k_hat - k[id(a)] - k[id(b)]
+        for a in words for b in words)
+
+
+def test_subadditivity_constant_rejects_an_empty_corpus():
+    with pytest.raises(InputError, match="nonempty corpus"):
+        subadditivity_constant([])
+
+
 def test_verified_estimates_compress_once():
+    """One stream and one round trip per verified estimate; the curve, and so
+    the dip scan, one stream for every prefix and one round trip of the word."""
     base = deflate_codec()
-    calls = {"compress": 0, "decompress": 0}
+    calls = {"stream": 0, "pieces": 0}
 
     def counted(name, fn):
-        def call(data):
+        def call(*args):
             calls[name] += 1
-            return fn(data)
+            return fn(*args)
         return call
 
-    codec = Codec(base.name, counted("compress", base.compress),
-                  counted("decompress", base.decompress))
+    codec = Codec(base.name, counted("stream", base.stream), counted("pieces", base.pieces))
     bits = random_bits(4096, 3)
     assert estimate_K(bits, codec) == estimate_K(bits, base, verify=False)
     assert estimate_K_conditional(bits, 4096, codec) == \
         estimate_K_conditional(bits, 4096, base, verify=False)
-    assert calls == {"compress": 2, "decompress": 2}
+    assert calls == {"stream": 2, "pieces": 2}
+    assert estimate_K(bits, codec, verify=False) == estimate_K(bits, base)
+    assert calls == {"stream": 3, "pieces": 2}
+    assert complexity_rate_curve(bits, codec=codec) == complexity_rate_curve(bits)
+    assert martin_lof_dip_scan(bits, codec=codec) == martin_lof_dip_scan(bits)
+    assert calls == {"stream": 5, "pieces": 4}
 
 
 # --- closed-form chi-square tails ------------------------------------------------------

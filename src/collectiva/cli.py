@@ -120,7 +120,7 @@ def cmd_select(args) -> tuple[dict, list[str]]:
     x = seqio.read_sequence(args.input, args.format)
     family = _parse_rules(args.rules, _check_seed(args.seed))
     eps = _frac(args.eps)
-    counts = collectives.label_counts(x, [len(x)], family)[0]
+    counts = collectives.label_count_rows(x, [len(x)], family)[0]
     base, reports = collectives.rule_reports(x.alphabet, family, counts, epsilon=eps,
                                              min_length=1)
     payload = {

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .errors import ConstructionError, InputError, check_mem
 from .stability import window_stability
 
@@ -63,35 +61,74 @@ class LabelAlphabet:
 
 
 BINARY = LabelAlphabet(("0", "1"))
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # index byte -> its ASCII digit
+_COMPLEMENT = bytes(range(255, -1, -1))  # packed byte -> its complement
 
 
-def index_dtype(size: int) -> np.dtype:
-    """Type of the trial indices over an alphabet of `size` labels, as
+def index_dtype(size: int):
+    """numpy type of the trial indices over an alphabet of `size` labels, as
     TrialSequence.trials returns them: one byte per trial when the indices
     fit in one."""
+    import numpy as np
+
     return np.dtype(np.uint8 if size <= 256 else np.int64)
 
 
 def store_bytes(size: int, n: int) -> int:
     """Bytes a TrialSequence of n trials over `size` labels stores: one bit
-    per trial of a binary alphabet, else one index of index_dtype(size)."""
-    return (n + 7) // 8 if size == 2 else n * index_dtype(size).itemsize
+    per trial of a binary alphabet, one byte up to 256 labels, else eight."""
+    return (n + 7) // 8 if size == 2 else n if size <= 256 else 8 * n
+
+
+def _pack_digits(n: int, windows: Iterable) -> bytearray:
+    """n trials given as consecutive windows of ASCII 0/1 digits, packed most-
+    significant bit first and zero-padded: each window's whole bytes by
+    int(digits, 2), which parses base 2 in linear time, its last len % 8
+    digits carried into the next."""
+    store, pos, carry = bytearray((n + 7) // 8), 0, b""
+    for w in windows:
+        w = carry + w
+        if pos + len(w) > n:  # the source changed since it was counted
+            raise InputError(f"expected {n} trials, got more")
+        cut = len(w) & ~7
+        if cut:
+            store[pos >> 3:(pos + cut) >> 3] = int(w[:cut], 2).to_bytes(cut >> 3, "big")
+        carry, pos = w[cut:], pos + cut
+    if carry:
+        store[pos >> 3] = int(carry, 2) << (8 - len(carry))
+        pos += len(carry)
+    if pos != n:
+        raise InputError(f"expected {n} trials, got {pos}")
+    return store
+
+
+def _as_index_bytes(window):
+    """A window of label indices below 256 as one byte each: bytes pass as
+    they are, an index array or list is narrowed."""
+    if isinstance(window, (bytes, bytearray)):
+        return window
+    import numpy as np
+
+    return np.asarray(window).astype(np.uint8).tobytes()
 
 
 class TrialSequence:
     """Immutable sequence of labels over an alphabet.
 
-    A binary sequence stores one bit per trial, most-significant bit first
-    and zero-padded to whole bytes, as the raw format lays them out; any
-    other alphabet stores one label index per trial, of
-    index_dtype(alphabet.size).  Kernels read the trials a window at a time
-    through trials(start, stop) or windows(); `data`, the whole index array,
-    is unpacked anew on each access of a binary sequence, for library
-    callers."""
+    The store is bytes-like.  A binary sequence stores one bit per trial, most-
+    significant bit first and zero-padded to whole bytes, as the raw format
+    lays them out; an alphabet of up to 256 labels stores one index byte per
+    trial, and a larger one an int64 array.  The counting kernels read the
+    bytes with the standard library, through packed() and index_bytes().
+    trials(start, stop), windows() and `data` give numpy index arrays, for
+    rule masks and library callers, and import numpy themselves; `data` is
+    unpacked anew on each access of a binary sequence."""
 
     __slots__ = ("alphabet", "_store", "_n")
 
-    def __init__(self, alphabet: LabelAlphabet, data: np.ndarray):
+    def __init__(self, alphabet: LabelAlphabet, data):
+        import numpy as np
+
         data = np.asarray(data)
         if data.dtype == bool:
             data = data.view(np.uint8)
@@ -103,84 +140,93 @@ class TrialSequence:
         if data.size and (data.min() < 0 or data.max() >= alphabet.size):
             raise InputError("trial index outside the alphabet")
         if alphabet.size == 2:
-            store = np.packbits(data)
+            store = np.packbits(data).tobytes()
+        elif alphabet.size <= 256:
+            store = data.astype(np.uint8).tobytes()
         else:
-            store = np.ascontiguousarray(data, dtype=index_dtype(alphabet.size))
-        self._hold(alphabet, store, data.size)
+            store = np.array(data, dtype=np.int64)
+            store.setflags(write=False)
+        self.alphabet, self._store, self._n = alphabet, store, int(data.size)
 
-    def _hold(self, alphabet: LabelAlphabet, store: np.ndarray, n: int):
-        store.setflags(write=False)
+    @classmethod
+    def _held(cls, alphabet: LabelAlphabet, store, n: int) -> "TrialSequence":
+        """The sequence whose store is `store`, held as it is and never written."""
+        self = cls.__new__(cls)
         self.alphabet, self._store, self._n = alphabet, store, int(n)
+        return self
 
     @classmethod
     def from_labels(cls, alphabet: LabelAlphabet, labels: Iterable) -> "TrialSequence":
+        import numpy as np
+
         idx = [alphabet.index(x) for x in labels]
         return cls(alphabet, np.array(idx, dtype=np.int64))
 
     @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "TrialSequence":
+    def from_bits(cls, bits) -> "TrialSequence":
         return cls(BINARY, bits)
 
     @classmethod
     def from_packed(cls, packed, n: int) -> "TrialSequence":
         """The binary sequence of n trials packed in the (n + 7) // 8 bytes of
-        a bytes-like object, most-significant bit first, held as they are; a
-        copy is made only to clear padding bits."""
-        store = np.frombuffer(packed, dtype=np.uint8)
-        if store.size != (n + 7) // 8:
-            raise InputError(f"{n} trials need {(n + 7) // 8} packed bytes, got {store.size}")
+        a bytes-like object, most-significant bit first, held as they are
+        through a read-only view; a copy is made only to clear padding bits."""
+        store = memoryview(packed).cast("B").toreadonly()
+        if len(store) != (n + 7) // 8:
+            raise InputError(f"{n} trials need {(n + 7) // 8} packed bytes, got {len(store)}")
         keep = -(1 << (8 - n % 8)) & 0xFF if n % 8 else 0xFF  # the last byte's trials
-        if store.size and int(store[-1]) & ~keep:
-            store = store.copy()
-            store[-1] &= keep
-        self = cls.__new__(cls)
-        self._hold(BINARY, store, n)
-        return self
+        if store and store[-1] & ~keep:
+            store = store[:-1].tobytes() + bytes((store[-1] & keep,))
+        return cls._held(BINARY, store, n)
 
     @classmethod
     def from_windows(cls, alphabet: LabelAlphabet, n: int, windows: Iterable) -> "TrialSequence":
-        """The sequence of n trials given as consecutive arrays of label
-        indices (trusted to lie in the alphabet), stored as they arrive; a
-        binary sequence packs each window's whole bytes and carries its last
-        n % 8 trials into the next."""
-        binary = alphabet.size == 2
-        store = np.zeros((n + 7) // 8 if binary else n,
-                         dtype=np.uint8 if binary else index_dtype(alphabet.size))
-        pos, carry = 0, np.zeros(0, dtype=np.uint8)
+        """The sequence of n trials given as consecutive windows of label
+        indices (trusted to lie in the alphabet), written into the store as
+        they arrive: index bytes or index arrays.  A binary sequence packs
+        each window's whole bytes and carries its last len % 8 trials into
+        the next."""
+        if alphabet.size == 2:
+            digits = (_as_index_bytes(w).translate(_DIGITS) for w in windows)
+            return cls._held(alphabet, _pack_digits(n, digits), n)
+        if alphabet.size <= 256:
+            store, windows = bytearray(n), map(_as_index_bytes, windows)
+        else:
+            import numpy as np
+
+            store = np.zeros(n, dtype=np.int64)
+        pos = 0
         for w in windows:
-            if pos + carry.size + len(w) > n:  # the source changed since it was counted
+            if pos + len(w) > n:  # the source changed since it was counted
                 raise InputError(f"expected {n} trials, got more")
-            if not binary:
-                store[pos:pos + len(w)] = w
-                pos += len(w)
-                continue
-            if carry.size:
-                w = np.concatenate([carry, w])
-            cut = len(w) & ~7
-            store[pos >> 3:(pos + cut) >> 3] = np.packbits(w[:cut])
-            carry, pos = w[cut:], pos + cut
-        if carry.size:
-            store[pos >> 3] = np.packbits(carry)[0]
-            pos += carry.size
+            store[pos:pos + len(w)] = w
+            pos += len(w)
         if pos != n:
             raise InputError(f"expected {n} trials, got {pos}")
-        self = cls.__new__(cls)
-        self._hold(alphabet, store, n)
-        return self
+        if alphabet.size > 256:
+            store.setflags(write=False)
+        return cls._held(alphabet, store, n)
 
     def __len__(self) -> int:
         return self._n
 
-    def trials(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Label indices of the positions start..stop-1 (slice semantics),
-        of index_dtype(alphabet.size); a binary sequence unpacks just the
-        bytes that hold them."""
+    def trials(self, start: int = 0, stop: int | None = None):
+        """Label indices of the positions start..stop-1 (slice semantics), a
+        read-only numpy array of index_dtype(alphabet.size); a binary
+        sequence unpacks just the bytes that hold them, into a new array."""
+        import numpy as np
+
         start, stop, _ = slice(start, stop).indices(self._n)
         stop = max(start, stop)
-        if self.alphabet.size != 2:
+        if self.alphabet.size > 256:
             return self._store[start:stop]
+        store = np.frombuffer(self._store, dtype=np.uint8)
+        if self.alphabet.size != 2:
+            out = store[start:stop]
+            out.setflags(write=False)
+            return out
         a = start >> 3
-        return np.unpackbits(self._store[a:(stop + 7) >> 3], count=stop - 8 * a)[start - 8 * a:]
+        return np.unpackbits(store[a:(stop + 7) >> 3], count=stop - 8 * a)[start - 8 * a:]
 
     def windows(self):
         """(a, trials(a, a + CHUNK)) over the consecutive windows of CHUNK
@@ -188,41 +234,53 @@ class TrialSequence:
         for a in range(0, self._n, CHUNK):
             yield a, self.trials(a, a + CHUNK)
 
+    def index_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
+        """The label indices of the positions start..stop-1 (slice semantics)
+        of a sequence over 3 to 256 labels, one byte each: a copy of that
+        part of the store."""
+        if not 2 < self.alphabet.size <= 256:
+            raise InputError("only a sequence over 3 to 256 labels stores one byte per trial")
+        return bytes(memoryview(self._store)[start:stop])
+
     def packed(self, stop: int | None = None) -> memoryview:
         """The first `stop` trials of a binary sequence as bytes, most-
-        significant bit first and zero-padded: a view of the store, copied
-        only to clear the trials past stop in the last byte."""
+        significant bit first and zero-padded: a read-only view of the store,
+        copied only to clear the trials past stop in the last byte."""
         if self.alphabet.size != 2:
             raise InputError("only a binary sequence packs one bit per trial")
         stop = self._n if stop is None else stop
-        head = self._store[:(stop + 7) >> 3]
+        head = memoryview(self._store)[:(stop + 7) >> 3].toreadonly()
         if stop % 8 and stop < self._n:
-            head = head.copy()
-            head[-1] &= -(1 << (8 - stop % 8)) & 0xFF
-        return memoryview(head)
+            last = head[-1] & -(1 << (8 - stop % 8)) & 0xFF
+            head = memoryview(head[:-1].tobytes() + bytes((last,)))
+        return head
 
     @property
-    def data(self) -> np.ndarray:
-        """All the label indices, read-only; O(n) for a binary sequence."""
+    def data(self):
+        """All the label indices as a read-only numpy array; O(n) for a
+        binary sequence."""
         out = self.trials()
         out.setflags(write=False)
         return out
 
     def label_at(self, i: int):
         i = range(self._n)[i]  # IndexError past either end
-        return self.alphabet.labels[int(self.trials(i, i + 1)[0])]
+        j = self._store[i >> 3] >> (7 - i % 8) & 1 if self.alphabet.size == 2 else self._store[i]
+        return self.alphabet.labels[int(j)]
 
     def labels(self) -> list:
         labels = self.alphabet.labels
         return [labels[j] for _, w in self.windows() for j in w.tolist()]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TrialSequence)
-            and self.alphabet == other.alphabet
-            and self._n == other._n
-            and np.array_equal(self._store, other._store)
-        )
+        if not (isinstance(other, TrialSequence) and self.alphabet == other.alphabet
+                and self._n == other._n):
+            return False
+        if self.alphabet.size <= 256:
+            return self._store == other._store
+        import numpy as np
+
+        return np.array_equal(self._store, other._store)
 
 
 class TrialPrefix:
@@ -243,7 +301,7 @@ class TrialPrefix:
             start, stop, step = key.indices(self.stop)
             if step == 1:
                 return self.seq.trials(start, stop)
-            return np.asarray(self)[key]
+            return self.seq.trials(0, self.stop)[key]
         i = range(self.stop)[key]  # IndexError past either end
         return self.seq.trials(i, i + 1)[0]
 
@@ -268,13 +326,25 @@ class FrequencyTrace:
 
 
 def label_counts(x: TrialSequence, checkpoints: Sequence[int],
-                 family: Sequence[PlaceSelectionRule] = ()) -> np.ndarray:
+                 family: Sequence[PlaceSelectionRule] = ()):
     """Label counts among the first c trials of x for each checkpoint c, in
-    the given order: an int64 array of shape (checkpoints, 1 + rules,
+    the given order: an int64 numpy array of shape (checkpoints, 1 + rules,
     labels) whose row 0 counts every trial and row i + 1 the trials that
-    family[i] retains.  One pass serves the base and every rule: it reads
-    the segments between sorted distinct checkpoints CHUNK trials at a time,
-    and takes, counts and drops each rule's window mask before the next."""
+    family[i] retains.  It holds the nested lists of label_count_rows."""
+    import numpy as np
+
+    rows = label_count_rows(x, checkpoints, family)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 1 + len(family), x.alphabet.size)
+
+
+def label_count_rows(x: TrialSequence, checkpoints: Sequence[int],
+                     family: Sequence[PlaceSelectionRule] = ()) -> list:
+    """label_counts as nested lists, [checkpoint][row][label].  One pass
+    serves the base and every rule: it reads the segments between sorted
+    distinct checkpoints CHUNK trials at a time.  Without rules, the base
+    row is counted on the store's bytes (see _window_counter); with rules,
+    on the index array of each window, whose rule masks are taken, counted
+    and dropped one by one."""
     cps = tuple(int(c) for c in checkpoints)
     if not cps:
         raise InputError("need at least one checkpoint")
@@ -282,42 +352,78 @@ def label_counts(x: TrialSequence, checkpoints: Sequence[int],
         raise InputError("checkpoints must be >= 1")
     if max(cps) > len(x):
         raise InputError(f"checkpoint {max(cps)} beyond data length {len(x)}")
-    total = np.zeros((1 + len(family), x.alphabet.size), dtype=np.int64)
+    size, count = x.alphabet.size, None if family else _window_counter(x)
+    total = [[0] * size for _ in range(1 + len(family))]
     at, lo = {}, 0
     for c in sorted(set(cps)):
         for a in range(lo, c, CHUNK):
             b = min(a + CHUNK, c)
-            window = x.trials(a, b)
-            _add_counts(total[0], window)
-            for row, rule in zip(total[1:], family):
-                _add_counts(row, window, _window_mask(rule, x.alphabet, x, a, b))
-        at[c], lo = total.copy(), c
-    return np.stack([at[c] for c in cps])
+            if family:
+                window = x.trials(a, b)
+                rows = [_masked_counts(window, size),
+                        *(_masked_counts(window, size, _window_mask(rule, x.alphabet, x, a, b))
+                          for rule in family)]
+            else:
+                rows = [count(a, b)]
+            for row, part in zip(total, rows):
+                for j, k in enumerate(part):
+                    row[j] += k
+        at[c], lo = [row[:] for row in total], c
+    return [at[c] for c in cps]
 
 
-def _add_counts(row: np.ndarray, window: np.ndarray, mask: np.ndarray | None = None):
-    """Add to row the label counts of the window's trials, or of those the
-    mask keeps: up to 16 labels, one comparison per label but the last, which
+def _window_counter(x: TrialSequence) -> Callable[[int, int], Sequence[int]]:
+    """counts(a, b): the label counts of the positions a..b-1 of x, from its
+    store.  Binary: the ones are the popcount of the bits as one int, whose
+    first and last bytes are shifted and masked to the window.  Up to 16
+    labels: bytes.count of each label but the last, which takes the rest;
+    each call reads the whole window, so above 16 labels one np.bincount
+    pass of the index array (_masked_counts) is cheaper."""
+    size = x.alphabet.size
+    if size == 2:
+        data = x.packed()
+
+        def counts(a, b):
+            lo, hi = a >> 3, (b + 7) >> 3
+            bits = int.from_bytes(data[lo:hi], "big") >> (8 * hi - b)
+            ones = (bits & ((1 << (b - a)) - 1)).bit_count()
+            return b - a - ones, ones
+    elif size <= 16:
+        def counts(a, b):
+            w = x.index_bytes(a, b)
+            part = [w.count(j) for j in range(size - 1)]
+            return *part, len(w) - sum(part)
+    else:
+        def counts(a, b):
+            return _masked_counts(x.trials(a, b), size)
+    return counts
+
+
+def _masked_counts(window, size: int, mask=None) -> list[int]:
+    """The label counts of an index array's trials, or of those the mask
+    keeps: up to 16 labels, one comparison per label but the last, which
     takes the rest, so no selection is built; above 16, np.bincount of the
     selection, which it reads as 8-byte indices, CHUNK / 8 at a time."""
-    size = len(row)
+    import numpy as np
+
     if size > 16:
         trials, step = window if mask is None else window[mask], max(1, CHUNK >> 3)
+        out = np.zeros(size, dtype=np.int64)
         for a in range(0, len(trials), step):
-            row += np.bincount(trials[a:a + step], minlength=size)
-        return
+            out += np.bincount(trials[a:a + step], minlength=size)
+        return out.tolist()
     if mask is None:
-        part, total = [np.count_nonzero(window == j) for j in range(size - 1)], len(window)
+        part, total = [int(np.count_nonzero(window == j)) for j in range(size - 1)], len(window)
     else:
-        part = [np.count_nonzero(mask & (window == j)) for j in range(size - 1)]
-        total = np.count_nonzero(mask)
-    row += [*part, total - sum(part)]
+        part = [int(np.count_nonzero(mask & (window == j))) for j in range(size - 1)]
+        total = int(np.count_nonzero(mask))
+    return [*part, total - sum(part)]
 
 
 def frequencies(x: TrialSequence, checkpoints: Sequence[int]) -> FrequencyTrace:
     """Exact rational frequency of every label at each checkpoint."""
     cps = tuple(int(c) for c in checkpoints)
-    counts = label_counts(x, cps)[:, 0].T.tolist()
+    counts = zip(*(rows[0] for rows in label_count_rows(x, cps)))
     values = {lab: tuple(map(Fraction, row, cps)) for lab, row in zip(x.alphabet.labels, counts)}
     return FrequencyTrace(x.alphabet, cps, values)
 
@@ -406,17 +512,21 @@ class PlaceSelectionRule:
         return self.name
 
 
+def _every_position(alphabet, past, start, stop):
+    import numpy as np
+
+    return np.ones(stop - start, dtype=bool)
+
+
 def identity_rule() -> PlaceSelectionRule:
-    return PlaceSelectionRule(
-        "identity",
-        lambda alphabet, past, start, stop: np.ones(stop - start, dtype=bool),
-        reads_trials=False,
-    )
+    return PlaceSelectionRule("identity", _every_position, reads_trials=False)
 
 
 def _parity_mask(parity: int):
     """Mask of the positions i with i % 2 == parity (trial n = i + 1)."""
     def mask_of(alphabet, past, start, stop):
+        import numpy as np
+
         mask = np.zeros(stop - start, dtype=bool)
         mask[(parity - start) % 2::2] = True
         return mask
@@ -432,7 +542,9 @@ def odds_rule() -> PlaceSelectionRule:
     return PlaceSelectionRule("odds", _parity_mask(0), reads_trials=False)
 
 
-def _sieve(limit: int) -> np.ndarray:
+def _sieve(limit: int):
+    import numpy as np
+
     s = np.ones(limit + 1, dtype=bool)
     s[:2] = False
     for p in range(2, int(limit**0.5) + 1):
@@ -441,9 +553,11 @@ def _sieve(limit: int) -> np.ndarray:
     return s
 
 
-def _prime_window(alphabet, past, start, stop) -> np.ndarray:
+def _prime_window(alphabet, past, start, stop):
     """Primality of the trial numbers start+1..stop: a segmented sieve over
     the base primes <= sqrt(stop)."""
+    import numpy as np
+
     lo = start + 1
     mask = np.ones(stop - start, dtype=bool)
     if start == 0:
@@ -479,8 +593,10 @@ class _AfterPattern:
             return pieces
         return tuple(p)
 
-    def __call__(self, alphabet, past, start, stop) -> np.ndarray:
+    def __call__(self, alphabet, past, start, stop):
         # position i is kept iff past[i-k:i] spells the pattern; reads past[lo-k:stop-1]
+        import numpy as np
+
         pidx = [alphabet.index(c) for c in self.labels(alphabet)]
         k = len(pidx)
         lo = max(start, k)
@@ -512,6 +628,8 @@ def aux_coin_rule(seed: int, p: float = 0.5) -> PlaceSelectionRule:
     def mask_of(alphabet, past, start, stop):
         # each double takes one PCG64 step, so advancing by start gives the
         # same stream as rng.random(stop)[start:]
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         rng.bit_generator.advance(start)
         mask = np.empty(stop - start, dtype=bool)
@@ -565,12 +683,14 @@ def default_family() -> list[PlaceSelectionRule]:
     return [identity_rule(), primes_rule(), after_pattern_rule("10")]
 
 
-def _window_mask(rule: PlaceSelectionRule, alphabet, data, start: int, stop: int) -> np.ndarray:
+def _window_mask(rule: PlaceSelectionRule, alphabet, data, start: int, stop: int):
     """The rule's mask of positions start..stop-1, checked for shape.  The rule
     is handed the first stop - 1 trials of data (a TrialSequence, as their
     TrialPrefix, or an index array), or none when it declares
     reads_trials=False, so no window can read a trial at or after its last
     position."""
+    import numpy as np
+
     cut = stop - 1 if rule.reads_trials else 0
     past = TrialPrefix(data, cut) if isinstance(data, TrialSequence) else data[:cut]
     mask = np.asarray(rule.mask(alphabet, past, start, stop), dtype=bool)
@@ -585,6 +705,8 @@ def apply_selection(rule: PlaceSelectionRule, x: TrialSequence) -> TrialSequence
     Each window's mask is handed only the trials before the window's last
     position, so no trial at or after it can be read.
     """
+    import numpy as np
+
     parts = (w[_window_mask(rule, x.alphabet, x, a, a + len(w))] for a, w in x.windows())
     return TrialSequence(x.alphabet, np.concatenate([x.trials(0, 0), *parts]))
 
@@ -612,19 +734,19 @@ def randomness_check(
     over x counts the base and every rule's selection; no subsequence is
     built.
     """
-    counts = label_counts(x, [len(x)], family)[0]
+    counts = label_count_rows(x, [len(x)], family)[0]
     return rule_reports(x.alphabet, family, counts, epsilon, min_length)[1]
 
 
 def rule_reports(alphabet: LabelAlphabet, family: Sequence[PlaceSelectionRule],
-                 counts: np.ndarray, epsilon=DEFAULT_EPSILON,
+                 counts, epsilon=DEFAULT_EPSILON,
                  min_length: int = 10**3) -> tuple[dict, list[RuleReport]]:
     """(base frequencies, one RuleReport per rule) of randomness_check, from
-    the label_counts of the family at one checkpoint."""
+    the label_count_rows (or label_counts) of the family at one checkpoint."""
     if not epsilon >= 0:
         raise InputError(f"epsilon must be >= 0, got {epsilon}")
     _check_min_count(min_length)
-    rows = counts.tolist()
+    rows = [[int(c) for c in row] for row in counts]
     n = sum(rows[0])
     base = {lab: Fraction(c, n) for lab, c in zip(alphabet.labels, rows[0])}
     out = []
@@ -647,10 +769,31 @@ def mix(x: TrialSequence, members: Iterable) -> TrialSequence:
     any N equals the sum of the member labels' counts -- additivity of
     frequency probability holds exactly at every finite N.  Empty and full
     subsets are allowed and produce the degenerate all-0/all-1 sequences.
+
+    A binary x mixes to itself, its complement (its packed bytes translated)
+    or a constant word.  Up to 256 labels, each window of index bytes is
+    translated to 0/1 digits through a member table and packed; above, a
+    member array maps each window of the index array.
     """
-    member = np.zeros(x.alphabet.size, dtype=np.uint8)
-    member[[x.alphabet.index(lab) for lab in members]] = 1
-    return TrialSequence.from_windows(BINARY, len(x), (member[w] for _, w in x.windows()))
+    member = {x.alphabet.index(lab) for lab in members}
+    n, size = len(x), x.alphabet.size
+    if size == 2:
+        if len(member) == 1:
+            packed = bytes(x.packed())
+            if 0 in member:
+                packed = packed.translate(_COMPLEMENT)
+        else:
+            packed = (b"\xff" if member else b"\x00") * ((n + 7) // 8)
+        return TrialSequence.from_packed(packed, n)  # clears the padding bits
+    if size <= 256:
+        digits = bytes(ord("1") if j in member else ord("0") for j in range(256))
+        windows = (x.index_bytes(a, a + CHUNK).translate(digits) for a in range(0, n, CHUNK))
+        return TrialSequence._held(BINARY, _pack_digits(n, windows), n)
+    import numpy as np
+
+    table = np.zeros(size, dtype=np.uint8)
+    table[list(member)] = 1
+    return TrialSequence.from_windows(BINARY, n, (table[w] for _, w in x.windows()))
 
 
 @dataclass(frozen=True)
@@ -684,7 +827,7 @@ def trace_probability(trace: FrequencyTrace, window: int | None = None,
     return FrequencyProbability(None, "no frequency probability", verdict)
 
 
-def kamke_adversary(x: TrialSequence, target) -> np.ndarray:
+def kamke_adversary(x: TrialSequence, target):
     """1-based positions of every occurrence of the target label.
 
     This selection *reads the trial it selects*, which is exactly what the
@@ -692,6 +835,8 @@ def kamke_adversary(x: TrialSequence, target) -> np.ndarray:
     every sequence owns a subsequence of frequency 1.  Returns an empty
     array when the label never occurs.
     """
+    import numpy as np
+
     j = x.alphabet.index(target)
     return np.concatenate([np.zeros(0, dtype=np.intp),
                            *(np.flatnonzero(w == j) + (a + 1) for a, w in x.windows())])
@@ -740,6 +885,8 @@ def ville_generator(
         bits, last_free, counts = _ville_attempt(family, n_trials, overrides)
         failure, ones, low = _ville_scan(bits, counts, eps, min_count)
         if failure is None:
+            import numpy as np
+
             x = VilleSequence(BINARY, bits)
             x.ones, x.min_margin = ones, low
             x.counts = np.array([[n_trials - ones, ones], *([k - o, o] for k, o in counts)])
@@ -768,7 +915,7 @@ def _derived_min_count(eps) -> int:
     ratio = 2 / f if f else math.inf
     if math.isinf(ratio):
         raise InputError("epsilon is too small for 2/eps in floats; give min_count")
-    return max(30, int(np.ceil(ratio)))
+    return max(30, math.ceil(ratio))
 
 
 def _packed_masks(rules, data, start, stop) -> bytes:
@@ -804,7 +951,9 @@ def _ville_attempt(family, n_trials, overrides):
 
     Returns (bits, last_free, counts): last_free is the last position whose
     bit was free to take either value (None when none was), and counts[i]
-    is [selected, ones among selected] of family[i], by label_counts."""
+    is [selected, ones among selected] of family[i], by label_count_rows."""
+    import numpy as np
+
     blind, afters, scalars = [], [], []
     for i, rule in enumerate(family):
         if not rule.reads_trials and len(blind) < 8:
@@ -859,12 +1008,14 @@ def _ville_attempt(family, n_trials, overrides):
             step = 2 * b - 1
             for i in names:
                 surplus[i] += step
-    rows = label_counts(TrialSequence(BINARY, arr), [n_trials], family)[0, 1:].tolist()
+    rows = label_count_rows(TrialSequence(BINARY, arr), [n_trials], family)[0][1:]
     return arr, last_free, [[z + o, o] for z, o in rows]
 
 
-def running_margins(bits: np.ndarray) -> np.ndarray:
-    """2 * ones - n at every prefix length n of a 0/1 array, as int64."""
+def running_margins(bits):
+    """2 * ones - n at every prefix length n of a 0/1 array, as an int64 array."""
+    import numpy as np
+
     return 2 * np.cumsum(bits, dtype=np.int64) - np.arange(1, len(bits) + 1)
 
 
@@ -873,6 +1024,8 @@ def _ville_scan(bits, counts, eps, min_count):
     position where the running mean drops below 1/2, else the first rule out
     of balance, else is None.  The margins are taken VILLE_WINDOW positions
     at a time."""
+    import numpy as np
+
     ones, low = 0, len(bits)  # no margin exceeds n
     for a in range(0, len(bits), VILLE_WINDOW):
         margins = running_margins(bits[a:a + VILLE_WINDOW]) + (2 * ones - a)

@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .collectives import BINARY, CHUNK, TrialSequence, label_counts
+from .collectives import BINARY, CHUNK, TrialSequence, label_count_rows
 from .errors import CodecIntegrityError, InputError
 
 
@@ -51,9 +49,11 @@ def as_word(x) -> TrialSequence:
     return x
 
 
-def as_bits(x) -> np.ndarray:
-    """Normalize a binary word (TrialSequence, array, list, 0/1 string) to
-    uint8, one byte per bit."""
+def as_bits(x):
+    """Normalize a binary word (TrialSequence, array, list, 0/1 string) to a
+    uint8 numpy array, one byte per bit."""
+    import numpy as np
+
     if isinstance(x, TrialSequence):
         bits = as_word(x).data
     elif isinstance(x, str):
@@ -67,7 +67,9 @@ def as_bits(x) -> np.ndarray:
     return bits.astype(np.uint8, copy=False)
 
 
-def pack_bits(bits: np.ndarray) -> bytes:
+def pack_bits(bits) -> bytes:
+    import numpy as np
+
     return np.packbits(bits).tobytes()  # MSB-first, zero-padded tail
 
 
@@ -154,6 +156,8 @@ class _ArithStream:
         self.pending = 0
 
     def compress(self, data) -> bytes:
+        import numpy as np
+
         low, high, c0, c1 = self.low, self.high, self.c0, self.c1
         for b in np.unpackbits(np.frombuffer(data, dtype=np.uint8)):
             total = c0 + c1
@@ -189,7 +193,7 @@ class _ArithStream:
     def flush(self) -> bytes:
         self.pending += 1
         self._emit(0 if self.low < _AC_QTR else 1)
-        return self.nbytes.to_bytes(8, "big") + np.packbits(self.bits).tobytes()
+        return self.nbytes.to_bytes(8, "big") + pack_bits(self.bits)
 
 
 def _arith_compress() -> _ArithStream:
@@ -197,6 +201,8 @@ def _arith_compress() -> _ArithStream:
 
 
 def _arith_decompress(blob: bytes) -> Iterator[bytes]:
+    import numpy as np
+
     nbytes = int.from_bytes(blob[:8], "big")
     nbits = nbytes * 8
     rd = chain((byte >> k & 1 for byte in memoryview(blob)[8:] for k in range(7, -1, -1)),
@@ -425,7 +431,37 @@ def chi2_sf(chi2: float, dof: int) -> float:
 
 
 def _ones(word: TrialSequence) -> int:
-    return int(label_counts(word, [len(word)])[0, 0, 1])
+    return label_count_rows(word, [len(word)])[0][0][1]
+
+
+def _bit_blocks(word: TrialSequence, m: int) -> Iterator[int]:
+    """The bits of each whole block of m trials of a binary word as an int,
+    the block's first trial its most-significant bit: the bytes that hold
+    the block, shifted and masked to it."""
+    data, mask = word.packed(), (1 << m) - 1
+    for b in range(m, len(word) + 1, m):
+        hi = (b + 7) >> 3
+        yield int.from_bytes(data[(b - m) >> 3:hi], "big") >> (8 * hi - b) & mask
+
+
+def _transitions(word: TrialSequence) -> int:
+    """The positions i < n - 1 of a binary word where trial i + 1 differs
+    from trial i: over windows of CHUNK trials, the popcount of the window's
+    bits XORed with themselves shifted one bit, the last bit of the window
+    before carried in above the first."""
+    data, n, step = word.packed(), len(word), max(1, CHUNK >> 3)
+    v = last = 0
+    for lo in range(0, len(data), step):
+        hi = min(lo + step, len(data))
+        b = min(8 * hi, n)
+        width = b - 8 * lo
+        bits = int.from_bytes(data[lo:hi], "big") >> (8 * hi - b)
+        if lo:
+            bits |= last << width
+            width += 1
+        v += ((bits ^ bits >> 1) & ((1 << (width - 1)) - 1)).bit_count()
+        last = bits & 1
+    return v
 
 
 def monobit_test(x) -> TestResult:
@@ -439,20 +475,19 @@ def monobit_test(x) -> TestResult:
 
 
 def block_frequency_test(x, block: int = 128) -> TestResult:
+    """NIST SP 800-22's frequency test within blocks.  Each block's ones are
+    counted in a Python step of its own, so the cost is O(n / block) steps:
+    about 40 ms at the default block on an 8 Mbit word, and seconds at a
+    block of a few bits, below the test's recommended minimum of 20."""
     word = as_word(x)
     n = len(word)
     if n < block:
         return TestResult("block-frequency", math.nan, None, None, True,
                           f"needs n >= {block}")
     nblocks = n // block
-    # each block's mean is exact (an integer count over block), and the
-    # chi-square sums the whole array of them, as one full-length mean would
-    pi = np.empty(nblocks)
-    step = max(1, CHUNK // block)
-    for a in range(0, nblocks, step):
-        b = min(a + step, nblocks)
-        pi[a:b] = word.trials(a * block, b * block).reshape(b - a, block).mean(axis=1)
-    chi2 = 4.0 * block * float(((pi - 0.5) ** 2).sum())
+    # 4 * block * sum((c / block - 1/2)^2) over the blocks' counts c of ones,
+    # as the exact integer sum of (2c - block)^2 over block, rounded once
+    chi2 = sum((2 * bits.bit_count() - block) ** 2 for bits in _bit_blocks(word, block)) / block
     return TestResult("block-frequency", chi2, chi2_sf(chi2, nblocks), None)
 
 
@@ -465,10 +500,7 @@ def runs_test(x) -> TestResult:
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return TestResult("runs", math.nan, 0.0, None,
                           note="frequency prerequisite failed")
-    v = 1
-    for a in range(0, n - 1, CHUNK):  # transitions between bits a..b and a+1..b+1
-        bits = word.trials(a, min(a + CHUNK, n - 1) + 1)
-        v += int(np.count_nonzero(bits[1:] != bits[:-1]))
+    v = 1 + _transitions(word)
     num = abs(v - 2.0 * n * pi * (1 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)
     return TestResult("runs", float(v), math.erfc(num / den), None)
@@ -484,26 +516,6 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_runs(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a 2-d 0/1 array, as int64.
-
-    Each row is padded with a 0 on both sides, so in the flattened rows a
-    run starts where the difference is 1 and ends where it is -1, and the
-    k-th start pairs with the k-th end."""
-    rows, m = blocks.shape
-    padded = np.zeros((rows, m + 2), dtype=np.int8)
-    padded[:, 1:-1] = blocks
-    edges = np.diff(padded.ravel())
-    starts = np.flatnonzero(edges == 1)
-    lengths = np.flatnonzero(edges == -1) - starts
-    longest = np.zeros(rows, dtype=np.int64)
-    if lengths.size:
-        row = starts // (m + 2)
-        first = np.flatnonzero(np.diff(row, prepend=-1))  # each row's first run
-        longest[row[first]] = np.maximum.reduceat(lengths, first)
-    return longest
-
-
 def longest_run_test(x) -> TestResult:
     word = as_word(x)
     n = len(word)
@@ -513,16 +525,18 @@ def longest_run_test(x) -> TestResult:
         if n >= min_n:
             break
     nblocks = n // m
-    # blocks per step, so each step reads about CHUNK/4 bits: _longest_runs
-    # holds about 8 bytes per bit of them
-    step = max(1, CHUNK // (4 * m))
-    counts = np.zeros(hi - lo + 1, dtype=np.int64)
-    for a in range(0, nblocks, step):
-        b = min(a + step, nblocks)
-        longest = _longest_runs(word.trials(a * m, b * m).reshape(b - a, m))
-        counts += np.bincount(np.clip(longest, lo, hi) - lo, minlength=hi - lo + 1)
-    expected = nblocks * np.asarray(pis)
-    chi2 = float(((counts.astype(float) - expected) ** 2 / expected).sum())
+    counts = [0] * (hi - lo + 1)
+    for bits in _bit_blocks(word, m):
+        # each step shortens every run of ones by one; the longest is clipped to lo..hi
+        run = 0
+        while bits and run < hi:
+            bits &= bits << 1
+            run += 1
+        counts[max(run, lo) - lo] += 1
+    chi2 = 0.0
+    for c, p in zip(counts, pis):  # in order, as numpy sums fewer than 8 terms
+        expected = nblocks * p
+        chi2 += (c - expected) * (c - expected) / expected
     return TestResult("longest-run", chi2, chi2_sf(chi2, hi - lo), None)
 
 
@@ -571,6 +585,8 @@ def codec_invariance_constant(words, codec_a: Codec, codec_b: Codec) -> int:
 
 def subadditivity_constant(words, codec: Codec | None = None) -> int:
     """max over corpus pairs of K-hat(xy) - K-hat(x) - K-hat(y)."""
+    import numpy as np
+
     codec = codec or DEFAULT_CODEC()
     words = [as_bits(w) for w in words]
     if not words:

@@ -143,10 +143,9 @@ def _from_steps(steps, path, alphabet: collectives.LabelAlphabet | None
     str of one-character labels, or a list of labels.  The first pass counts
     the trials and, without an alphabet, collects the distinct labels,
     sorted into one.  The second maps each step to label indices and stores
-    them as they come: a str by looking its code points up among the sorted
-    codes of the single-character labels, a list label by label."""
-    import numpy as np
-
+    them as they come: a str by one str.translate, label -> chr(index), a
+    list label by label.  Up to 256 labels the indices are bytes; above, an
+    int64 array, the only case that imports numpy."""
     n, seen = 0, set()
     for step in steps():
         n += len(step)
@@ -157,23 +156,37 @@ def _from_steps(steps, path, alphabet: collectives.LabelAlphabet | None
     alphabet = alphabet or _inferred(seen)
     nbytes = collectives.store_bytes(alphabet.size, n)
     check_mem(nbytes, f"{path}: holding {n} trials in {nbytes} bytes")
-    chars = sorted((ord(lab), j) for j, lab in enumerate(alphabet.labels)
-                   if isinstance(lab, str) and len(lab) == 1)
-    # a sentinel past every code point keeps each lookup in bounds
-    keys = np.array([*(c for c, _ in chars), 0x110000], dtype=np.uint32)
-    index = np.array([*(j for _, j in chars), 0], dtype=collectives.index_dtype(alphabet.size))
+    table = _CharIndex(alphabet)
+    if alphabet.size <= 256:
+        def indices(step) -> bytes:
+            if isinstance(step, str):
+                return step.translate(table).encode("latin-1")
+            return bytes(map(alphabet.index, step))
+    else:
+        import numpy as np
 
-    def indices(step) -> np.ndarray:
-        if not isinstance(step, str):
-            return np.fromiter(map(alphabet.index, step), dtype=index.dtype, count=len(step))
-        codes = np.frombuffer(step.encode("utf-32-le"), dtype="<u4")
-        pos = np.searchsorted(keys, codes)
-        miss = np.flatnonzero(keys[pos] != codes)
-        if miss.size:
-            alphabet.index(chr(codes[miss[0]]))  # raises: label not in alphabet
-        return index[pos]
+        def indices(step) -> np.ndarray:
+            if isinstance(step, str):
+                codes = step.translate(table).encode("utf-32-le", "surrogatepass")
+                return np.frombuffer(codes, dtype="<u4").astype(np.int64)
+            return np.fromiter(map(alphabet.index, step), dtype=np.int64, count=len(step))
 
     return collectives.TrialSequence.from_windows(alphabet, n, map(indices, steps()))
+
+
+class _CharIndex(dict):
+    """The str.translate table of an alphabet: the code point of each
+    single-character label -> chr(its index).  str.translate looks each
+    character up, so the first character that is not a label raises the
+    alphabet's InputError, which names it."""
+
+    def __init__(self, alphabet: collectives.LabelAlphabet):
+        super().__init__((ord(lab), chr(j)) for j, lab in enumerate(alphabet.labels)
+                         if isinstance(lab, str) and len(lab) == 1)
+        self.alphabet = alphabet
+
+    def __missing__(self, code: int):
+        self.alphabet.index(chr(code))  # raises: label not in alphabet
 
 
 def _inferred(values) -> collectives.LabelAlphabet:

@@ -16,6 +16,7 @@ from scipy.special import erfc
 
 from collectiva.collectives import BINARY, TrialSequence, index_dtype
 from collectiva.complexity import ComplexityEstimate, as_bits, header_bits
+from collectiva.errors import InputError
 from collectiva.marginals import FLOAT_SLACK, marginalize
 
 
@@ -411,12 +412,36 @@ def longest_runs_by_column(bits: np.ndarray, m: int) -> np.ndarray:
     return longest
 
 
-def block_frequency_chi2(bits: np.ndarray, block: int) -> float:
-    """The block-frequency statistic from the block means of the whole
-    unpacked word at once."""
+def block_ones(bits: np.ndarray, block: int) -> list[int]:
+    """The count of ones in each whole block of the unpacked word, by one
+    row sum over all blocks at once."""
     nblocks = bits.size // block
-    pi = bits[: nblocks * block].reshape(nblocks, block).mean(axis=1)
-    return 4.0 * block * float(((pi - 0.5) ** 2).sum())
+    return bits[: nblocks * block].reshape(nblocks, block).sum(axis=1, dtype=np.int64).tolist()
+
+
+def block_frequency_chi2(bits: np.ndarray, block: int) -> float:
+    """The block-frequency statistic 4 * block * sum((c / block - 1/2)^2)
+    over the blocks' counts c of ones, exactly: the Fraction
+    sum((2c - block)^2) / block, rounded to float once."""
+    return float(Fraction(sum((2 * c - block) ** 2 for c in block_ones(bits, block)), block))
+
+
+def bit_transitions(bits: np.ndarray) -> int:
+    """The positions i where bit i + 1 of the unpacked word differs from bit i."""
+    return int(np.count_nonzero(bits[1:] != bits[:-1]))
+
+
+def longest_run_chi2(bits: np.ndarray, tables) -> float:
+    """The longest-run statistic from longest_runs_by_column: the blocks'
+    longest runs of ones clipped to the table's categories and counted, then
+    sum((count - expected)^2 / expected) in numpy."""
+    for min_n, m, lo, hi, pis in tables:
+        if bits.size >= min_n:
+            break
+    counts = np.bincount(np.clip(longest_runs_by_column(bits, m), lo, hi) - lo,
+                         minlength=hi - lo + 1)
+    expected = (bits.size // m) * np.asarray(pis)
+    return float(((counts - expected) ** 2 / expected).sum())
 
 
 def randomness_check_reference(x, family, epsilon, min_length):
@@ -480,7 +505,8 @@ def digit_precision_by_search(epsilon, p: int) -> int:
 class UnpackedSequence(TrialSequence):
     """A TrialSequence whose readers serve one index per trial from a plain
     array (the store before binary sequences were packed one bit per trial),
-    so that every kernel can be run on both stores and compared."""
+    so that every kernel can be run on both stores and compared: the byte
+    kernels read its packed() and index_bytes(), made from that array."""
 
     __slots__ = ("indices",)
 
@@ -494,6 +520,11 @@ class UnpackedSequence(TrialSequence):
 
     def packed(self, stop=None):
         return memoryview(np.packbits(self.indices[:stop]))
+
+    def index_bytes(self, start=0, stop=None):
+        if not 2 < self.alphabet.size <= 256:
+            raise InputError("only a sequence over 3 to 256 labels stores one byte per trial")
+        return self.indices[start:stop].tobytes()
 
     def label_at(self, i):
         return self.alphabet.labels[int(self.indices[i])]

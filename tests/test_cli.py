@@ -1067,15 +1067,29 @@ def finite_prob_document(tmp_path) -> str:
     return write_ascii(tmp_path, json.dumps(doc), "spaces.json")
 
 
+def raw_file(tmp_path) -> str:
+    f = tmp_path / "bits.raw"
+    f.write_bytes(bytes(range(0, 256, 7)))
+    return str(f)
+
+
 def case_code(tmp_path, case: str) -> str:
     """Python that runs one case: an import, the clibench finite_prob script, or a
-    command whose FILE (SIGNALLING: a family whose overlaps disagree) is written here."""
+    command whose FILE (SIGNALLING: a family whose overlaps disagree; BITS: binary
+    ascii; TERNARY: ascii over a, b, c; SEVENTEEN: ascii over a..q; RAW: packed
+    bits) is written here."""
     if case.startswith("import"):
         return case
     argv = case.split()
     files = {"signed": signed_document, "padic": rationals_file, "marginal": family_document,
              "consistency": family_document, "fp_script.py": finite_prob_document}
-    writers = {"FILE": files.get(argv[0], lambda d: write_ascii(d, "01" * 100)),
+
+    def bits(d):
+        return write_ascii(d, "01" * 100)
+
+    writers = {"FILE": files.get(argv[0], bits), "BITS": bits, "RAW": raw_file,
+               "TERNARY": lambda d: write_ascii(d, "abc" * 100),
+               "SEVENTEEN": lambda d: write_ascii(d, "abcdefghijklmnopq" * 20),
                "SIGNALLING": lambda d: family_document(d, signalling=True)}
     argv = [writers[a](tmp_path) if a in writers else a for a in argv]
     if argv[0] == "fp_script.py":
@@ -1093,18 +1107,33 @@ def case_code(tmp_path, case: str) -> str:
     "consistency FILE",
     "marginal SIGNALLING",
     "stabilize FILE",
+    "stabilize RAW --format raw",
+    "padic BITS --label 1",
+    "complexity FILE",
+    "battery FILE",
+    "mix FILE --labels 0",
+    "mix TERNARY --labels a,c",
+    "stabilize SEVENTEEN",
+    "randomness FILE",
+    "select FILE",
+    "ville --n 100",
     "marginal FILE",
 ])
 def test_numpy_is_loaded_only_by_commands_that_build_arrays(tmp_path, case):
     """A command's cold start pays for the modules it runs.  `signed`, a
     rational `padic` path, `consistency` and `marginal` on a family that fails
     no-signaling build no array, so neither they nor the imports load numpy
-    or SciPy; `stabilize`, which reads trials, and `marginal` on a family
-    that reaches the LP show the probe sees them."""
+    or SciPy.  The trial commands without rules count on the stored bytes,
+    so neither do they, up to 16 labels; `randomness`, `select` and `ville`,
+    whose rules take numpy masks, counts over more labels, which take one
+    np.bincount per window, and `marginal` on a family that reaches the LP
+    show the probe sees them."""
     out = run_python(tmp_path, f"import sys\n{case_code(tmp_path, case)}\n"
                                "print('numpy' in sys.modules,\n"
                                "      any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    assert out == f"{case in ('stabilize FILE', 'marginal FILE')} {case == 'marginal FILE'}"
+    numpy = case in ("randomness FILE", "select FILE", "ville --n 100", "stabilize SEVENTEEN",
+                     "marginal FILE")
+    assert out == f"{numpy} {case == 'marginal FILE'}"
 
 
 TRIAL_MODULES = ["cli", "collectives", "errors", "report", "seqio", "stability"]

@@ -230,6 +230,23 @@ def test_padding_bits_of_a_packed_store_are_cleared():
         TrialSequence.from_packed(bytes(2), 17)
 
 
+@pytest.mark.parametrize("buffer", [bytes, bytearray, lambda b: memoryview(bytearray(b))])
+def test_a_packed_buffer_is_held_without_a_copy(buffer):
+    """Any bytes-like store whose padding bits are clear is held as a
+    read-only view of the caller's buffer; it is copied only to clear them."""
+    packed = buffer(bytes([0x5A, 0xC0]))
+    x = TrialSequence.from_packed(packed, 10)
+    view = np.frombuffer(x.packed(), dtype=np.uint8)
+    assert np.shares_memory(view, np.frombuffer(packed, dtype=np.uint8))
+    assert not view.flags.writeable
+    assert x == TrialSequence.from_packed(bytes([0x5A, 0xC0]), 10)
+    assert x.labels() == list("0101101011")
+    cleared = TrialSequence.from_packed(packed, 9)
+    assert not np.shares_memory(np.frombuffer(cleared.packed(), dtype=np.uint8),
+                                np.frombuffer(packed, dtype=np.uint8))
+    assert bytes(cleared.packed()) == bytes([0x5A, 0x80])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     ternary=st.booleans(),
@@ -266,6 +283,50 @@ def test_kernels_on_the_packed_store_equal_them_on_the_unpacked_reference(
             assert np.array_equal(kamke_adversary(x, lab), kamke_adversary(ref, lab))
     if not ternary:
         assert seq_to_unit_interval(x) == seq_to_unit_interval(ref)
+
+
+# COLLECTIVA_FUZZ_EXAMPLES=500 runs the byte-kernel property test with the CLI fuzz gate
+BYTE_KERNEL_EXAMPLES = int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "60"))
+
+
+@settings(max_examples=BYTE_KERNEL_EXAMPLES, deadline=None)
+@given(
+    size=st.sampled_from([2, 3, 16, 17, 256, 257]),
+    n=st.integers(1, 700).filter(lambda n: n % 8),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(1, 70),
+    cps=st.lists(st.integers(1, 700), min_size=1, max_size=10),
+    picks=st.lists(st.integers(0, 256), max_size=4),
+)
+def test_byte_kernels_equal_the_numpy_oracles(size, n, seed, chunk, cps, picks):
+    """The base rows of label_counts, frequencies, realized_trace and mix (on
+    a drawn subset, the first label, the rest, none and all), on the packed
+    store and on the unpacked reference (whose packed() and index_bytes()
+    are made from its index array), equal running sums and member masks of
+    the index array, for random checkpoints and CHUNKs."""
+    alphabet = LabelAlphabet(tuple(f"s{i}" for i in range(size)))
+    idx = np.random.default_rng(seed).integers(0, size, n)
+    cps = [min(c, n) for c in cps]
+    labels = alphabet.labels
+    member_sets = [sorted({labels[v % size] for v in picks}), labels[:1], labels[1:], (), labels]
+    want_counts = [cumsum_prefix_counts(idx, j, cps) for j in range(size)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collectives, "CHUNK", chunk)
+        for x in (TrialSequence(alphabet, idx), UnpackedSequence(alphabet, idx)):
+            counts = label_counts(x, cps)
+            assert counts.dtype == np.int64 and counts.shape == (len(cps), 1, size)
+            assert counts[:, 0].T.tolist() == want_counts
+            trace = frequencies(x, cps)
+            for lab, want in zip(alphabet.labels, want_counts):
+                assert list(trace.values[lab]) == [Fraction(k, c) for k, c in zip(want, cps)]
+            j = int(idx[-1])
+            assert realized_trace(x, cps, label=alphabet.labels[j]) == \
+                [Fraction(k, c) for k, c in zip(want_counts[j], cps)]
+            for members in member_sets:
+                mixed = mix(x, members)
+                member = np.isin(idx, [alphabet.index(lab) for lab in members])
+                assert len(mixed) == n
+                assert bytes(mixed.packed()) == np.packbits(member).tobytes(), members
 
 
 def test_a_rule_reading_the_whole_past_gets_it_from_the_lazy_view():
@@ -1162,9 +1223,9 @@ READING_COMMANDS = {  # argv, and the trials read per input trial
 
 @pytest.mark.parametrize("name", READING_COMMANDS)
 def test_each_command_counts_a_sequence_in_one_pass(name, tmp_path, monkeypatch):
-    """The trials each command reads through TrialSequence.trials, leaving
-    out the past that rules read through TrialPrefix: one pass over each
-    sequence it counts, whatever its labels and rules."""
+    """The trials each command reads through TrialSequence.trials, .index_bytes
+    and .packed, leaving out the past that rules read through TrialPrefix: one
+    pass over each sequence it counts, whatever its labels and rules."""
     from collectiva.cli import main
 
     raw, text = tmp_path / "in.raw", tmp_path / "in.txt"
@@ -1172,16 +1233,21 @@ def test_each_command_counts_a_sequence_in_one_pass(name, tmp_path, monkeypatch)
     text.write_bytes(np.frombuffer(b"abc", np.uint8)[np.random.default_rng(8).integers(0, 3, 3000)])
     argv, passes = READING_COMMANDS[name]
     n = 8 * 4096 if "RAW" in argv else 3000
-    trials, read = TrialSequence.trials, []
+    read = []
     rule_reads = {TrialPrefix.__getitem__.__code__, TrialPrefix.__array__.__code__}
 
-    def counted(self, start=0, stop=None):
-        out = trials(self, start, stop)
-        if sys._getframe(1).f_code not in rule_reads:
-            read.append(len(out))
-        return out
+    def counted(reader, trials_read):
+        def wrapper(self, *args):
+            out = reader(self, *args)
+            if sys._getframe(1).f_code not in rule_reads:
+                read.append(trials_read(self, out))
+            return out
+        return wrapper
 
-    monkeypatch.setattr(TrialSequence, "trials", counted)
+    for name, trials_read in [("trials", lambda x, out: len(out)),
+                              ("index_bytes", lambda x, out: len(out)),
+                              ("packed", lambda x, out: min(8 * len(out), len(x)))]:
+        monkeypatch.setattr(TrialSequence, name, counted(getattr(TrialSequence, name), trials_read))
     full = [{"RAW": str(raw), "TEXT": str(text)}.get(a, a) for a in argv]
     assert main([*full, "--out", str(tmp_path / "r.json")]) == 0
     assert sum(read) == passes * n

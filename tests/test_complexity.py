@@ -44,7 +44,10 @@ from collectiva.errors import CodecIntegrityError, InputError
 from _oracles import (
     UnpackedSequence,
     alternating_runs_p,
+    bit_transitions,
     block_frequency_chi2,
+    block_ones,
+    longest_run_chi2,
     longest_runs_by_column,
     monobit_p,
     per_prefix_curve,
@@ -458,6 +461,35 @@ def test_curve_and_battery_on_the_packed_store_equal_them_on_the_unpacked_refere
             r = block_frequency_test(word, block)
             assert r.skipped or r.statistic == block_frequency_chi2(bits, block)
         assert run_battery(word) == run_battery(ref)
+
+
+# COLLECTIVA_FUZZ_EXAMPLES=500 runs the battery-kernel property test with the CLI fuzz gate
+BATTERY_KERNEL_EXAMPLES = int(os.environ.get("COLLECTIVA_FUZZ_EXAMPLES", "60"))
+
+
+@settings(max_examples=BATTERY_KERNEL_EXAMPLES, deadline=None)
+@given(
+    n=st.integers(1, 3000).filter(lambda n: n % 8),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0.02, 0.5, 0.97]),
+    chunk=st.integers(1, 300),
+    block=st.sampled_from([1, 7, 8, 13, 100, 128]),
+)
+def test_battery_counts_equal_the_numpy_oracles(n, seed, p, chunk, block):
+    """The runs test's transitions, the per-block counts of ones and the
+    block-frequency and longest-run statistics, on the packed store and on
+    the unpacked reference, equal them computed on the unpacked bits."""
+    bits = (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "CHUNK", chunk)
+        for word in (TrialSequence(BINARY, bits), UnpackedSequence(BINARY, bits)):
+            assert complexity._transitions(word) == bit_transitions(bits)
+            assert [b.bit_count() for b in complexity._bit_blocks(word, block)] == \
+                block_ones(bits, block)
+            r = block_frequency_test(word, block)
+            assert r.skipped or r.statistic == block_frequency_chi2(bits, block)
+            r = longest_run_test(word)
+            assert r.skipped or r.statistic == longest_run_chi2(bits, complexity._LONGEST_RUN_TABLES)
 
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 129])
